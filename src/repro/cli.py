@@ -50,7 +50,6 @@ from .runstore import (
     RunOptions,
     RunStore,
     SweepStats,
-    migrate_legacy,
     print_progress,
     run_jobs,
 )
@@ -344,26 +343,6 @@ def _cmd_cache_gc(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_cache_migrate(args: argparse.Namespace) -> int:
-    store = RunStore(args.store)
-    report = migrate_legacy(
-        store,
-        legacy_dir=args.legacy_dir,
-        legacy_version=args.legacy_version,
-        prune=args.prune,
-    )
-    if args.json:
-        json.dump(report.to_json(), sys.stdout, indent=2)
-        print()
-        return 0
-    print(
-        f"migrate {args.store}: {len(report.migrated)} migrated, "
-        f"{len(report.stale)} stale, {len(report.corrupt)} corrupt, "
-        f"{len(report.pruned)} pruned"
-    )
-    return 0
-
-
 def _cmd_faults_ls(args: argparse.Namespace) -> int:
     duration = args.duration
     if args.json:
@@ -545,19 +524,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gc.add_argument("--all-versions", action="store_true",
                       help="keep entries from older CACHE_VERSIONs")
     p_gc.set_defaults(fn=_cmd_cache_gc)
-
-    p_migrate = cache_sub.add_parser(
-        "migrate", help="import legacy md5-keyed pickles into the store"
-    )
-    _add_store_arg(p_migrate)
-    p_migrate.add_argument("--legacy-dir", default=None, metavar="DIR",
-                           help="directory holding <md5>.pkl files "
-                                "(default: the store root)")
-    p_migrate.add_argument("--legacy-version", type=int, default=CACHE_VERSION - 1,
-                           help="CACHE_VERSION the legacy keys were minted with")
-    p_migrate.add_argument("--prune", action="store_true",
-                           help="delete the legacy files after processing")
-    p_migrate.set_defaults(fn=_cmd_cache_migrate)
 
     p_lint = sub.add_parser(
         "lint",

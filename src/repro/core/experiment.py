@@ -41,8 +41,6 @@ from ..faults.injector import FaultInjector
 from ..faults.schedule import FaultSchedule
 from ..faults.watchdog import SimWatchdog, WatchdogConfig
 from ..instrumentation.flowmon import FlowMonitor
-from ..instrumentation.queuemon import QueueMonitor
-from ..instrumentation.tcpprobe import CwndProbe
 from ..obs.bus import EventBus
 from ..obs.profiler import SimProfiler
 from ..sim.engine import SimulationError, Simulator
@@ -136,12 +134,13 @@ def run_experiment(
     max_events:
         Override the :func:`default_event_budget` safety valve.
     bus:
-        An :class:`~repro.obs.bus.EventBus` to wire the run's
-        instrumentation through. All built-in observers (cwnd probes,
-        queue monitor, watchdog, fault injector) ride this bus, so
-        callers can subscribe additional consumers — trace recorders,
-        metrics samplers — before the run without touching any
-        component. A private bus is created when none is given.
+        An :class:`~repro.obs.bus.EventBus` to bind every sender and the
+        bottleneck queue to (and to publish fault events on), so callers
+        can subscribe observers — trace recorders, cwnd probes — before
+        the run. Results never come from the bus: halvings and RTOs are
+        read from each sender's stats and drops/arrivals from the
+        queue's own counters, all cut at ``scenario.warmup``. Without a
+        bus nothing is bound and observation costs nothing.
     profiler:
         A :class:`~repro.obs.profiler.SimProfiler` to install on the
         simulator. Profiling is observation-only: the returned result
@@ -151,8 +150,6 @@ def run_experiment(
     sim = Simulator()
     if profiler is not None:
         profiler.install(sim)
-    if bus is None:
-        bus = EventBus()
 
     specs: List[FlowSpec] = []
     cca_names: List[str] = []
@@ -180,24 +177,18 @@ def run_experiment(
         delayed_ack=scenario.delayed_ack,
     )
 
-    # All instrumentation observes through the event bus: one forwarder
-    # per sender/queue, any number of subscribers behind it.
-    for flow in dumbbell.flows:
-        bus.bind_sender(flow.sender)
-    bus.bind_queue(queue)
-
-    queue_mon = QueueMonitor(
-        queue, record_drop_times=record_drop_times, start_time=scenario.warmup,
-        bus=bus,
-    )
-    probes = []
-    for flow in dumbbell.flows:
-        probe = CwndProbe(start_time=scenario.warmup)
-        # Counters-only subscription: results use halvings/rtos, never
-        # the per-ACK series, so keep the per-ACK fast path engaged.
-        probe.subscribe_counters(bus, flow.flow_id)
-        probes.append(probe)
+    # Results come from the components' own counters, which count only
+    # events at or after the warm-up cut (an event due exactly at the
+    # cut is measured, as tcpprobe and the switch drop log would).
+    queue.count_from = scenario.warmup
+    queue.record_drop_times = record_drop_times
     senders = [flow.sender for flow in dumbbell.flows]
+    for sender in senders:
+        sender.stats.count_from = scenario.warmup
+    if bus is not None:
+        for sender in senders:
+            bus.bind_sender(sender)
+        bus.bind_queue(queue)
     flow_mon = FlowMonitor(sim, senders)
 
     schedule = fault_schedule
@@ -217,8 +208,7 @@ def run_experiment(
     dog: Optional[SimWatchdog] = None
     if watchdog is not None:
         dog = SimWatchdog(
-            sim, flow_mon, [spec.start_time for spec in specs], config=watchdog,
-            bus=bus,
+            sim, flow_mon, [spec.start_time for spec in specs], config=watchdog
         )
         dog.arm()
 
@@ -305,7 +295,7 @@ def run_experiment(
     measured_duration = sim.now - scenario.warmup if window_open else 0.0
 
     flows: List[FlowResult] = []
-    for flow, probe, cca_name in zip(dumbbell.flows, probes, cca_names):
+    for flow, cca_name in zip(dumbbell.flows, cca_names):
         sender = flow.sender
         flows.append(
             FlowResult(
@@ -319,10 +309,10 @@ def run_experiment(
                 ),
                 packets_sent=sender.stats.packets_sent,
                 retransmits=sender.stats.retransmits,
-                halvings=probe.halvings,
-                rtos=probe.rtos,
-                queue_drops=queue_mon.drops_by_flow.get(flow.flow_id, 0),
-                queue_arrivals=queue_mon.arrivals_by_flow.get(flow.flow_id, 0),
+                halvings=sender.stats.halvings,
+                rtos=sender.stats.rtos,
+                queue_drops=queue.drops_by_flow.get(flow.flow_id, 0),
+                queue_arrivals=queue.arrivals_by_flow.get(flow.flow_id, 0),
             )
         )
 
@@ -340,9 +330,9 @@ def run_experiment(
         scenario=scenario,
         flows=flows,
         measured_duration=measured_duration,
-        queue_drops=queue_mon.drops_total,
-        queue_arrivals=queue_mon.arrivals_total,
-        drop_times=list(queue_mon.drop_times),
+        queue_drops=sum(queue.drops_by_flow.values()),
+        queue_arrivals=sum(queue.arrivals_by_flow.values()),
+        drop_times=list(queue.drop_times),
         events_processed=sim.events_processed,
         health=health,
     )

@@ -1,9 +1,8 @@
-"""Measurement instrumentation: tcpprobe, queue drop logging, flow goodput."""
+"""Measurement instrumentation: tcpprobe cwnd traces, flow goodput."""
 
 from __future__ import annotations
 
 from .flowmon import FlowMonitor
-from .queuemon import OccupancySampler, QueueMonitor
 from .tcpprobe import CwndProbe
 
-__all__ = ["CwndProbe", "QueueMonitor", "OccupancySampler", "FlowMonitor"]
+__all__ = ["CwndProbe", "FlowMonitor"]

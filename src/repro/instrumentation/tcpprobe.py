@@ -1,48 +1,39 @@
 """tcpprobe-style congestion window instrumentation.
 
 The paper measures the CWND halving rate with the Linux ``tcpprobe``
-module. :class:`CwndProbe` is the simulator equivalent: it observes a
-:class:`~repro.tcp.connection.TcpSender`'s cwnd events — either chained
-directly onto the sender (:meth:`CwndProbe.attach`) or through an
-:class:`~repro.obs.bus.EventBus` subscription
-(:meth:`CwndProbe.subscribe`) — and records every window event,
-counting multiplicative decreases exactly (one per fast-recovery entry,
-one per RTO) rather than inferring them from sampled cwnd values as
-tcpprobe post-processing must. Any number of other observers (stall
-watchdog, metrics samplers, trace recorders) can watch the same sender
-concurrently.
+module. In this simulator the halving counts themselves live on the
+sender (``TcpSender.stats.halvings``/``rtos``, cut at the warm-up), so
+results never need a probe. :class:`CwndProbe` is the optional trace
+side of tcpprobe: it subscribes to one flow's ``cwnd`` events on an
+:class:`~repro.obs.bus.EventBus` and records the window series that
+:func:`repro.trace.write_cwnd_csv` exports, alongside per-kind counts.
+Any number of other observers can watch the same sender concurrently.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import List, Tuple
 
 from ..obs.bus import EventBus
-from ..tcp.connection import TcpSender
 
 #: (time, kind, cwnd) tuples; kind in {"ack", "loss_event", "rto", "recovery_exit"}.
 CwndEvent = Tuple[float, str, float]
 
 
 class CwndProbe:
-    """Records cwnd events for one sender.
+    """Records cwnd events for one flow.
 
     Parameters
     ----------
     record_samples:
         Keep the full per-ACK cwnd time series (memory heavy at scale;
-        the halving counters are always kept).
+        the per-kind counters are always kept).
     start_time:
         Events before this time are not counted (the paper discards the
         warm-up period).
     """
 
-    def __init__(
-        self,
-        sender: Optional[TcpSender] = None,
-        record_samples: bool = False,
-        start_time: float = 0.0,
-    ) -> None:
+    def __init__(self, record_samples: bool = False, start_time: float = 0.0) -> None:
         self.record_samples = record_samples
         self.start_time = start_time
         self.halvings = 0
@@ -50,29 +41,7 @@ class CwndProbe:
         self.recovery_exits = 0
         self.samples: List[CwndEvent] = []
         self.last_cwnd: float = 0.0
-        self._attached_sender: Optional[TcpSender] = None
-        self._bus_handle: Optional[Callable[..., None]] = None
-        if sender is not None:
-            self.attach(sender)
-
-    def attach(self, sender: TcpSender) -> None:
-        """Chain this probe onto ``sender``.
-
-        The probe coexists with every other listener on the sender;
-        attaching never displaces an existing observer (the old
-        single-slot semantics silently did).
-        """
-        if self._attached_sender is not None:
-            raise RuntimeError("probe already attached; detach() it first")
-        sender.add_cwnd_listener(self.on_event)
-        self._attached_sender = sender
-
-    def detach(self) -> None:
-        """Remove this probe from the sender it is attached to."""
-        if self._attached_sender is None:
-            raise RuntimeError("probe is not attached")
-        self._attached_sender.remove_cwnd_listener(self.on_event)
-        self._attached_sender = None
+        self._subscribed = False
 
     def subscribe(self, bus: EventBus, flow: int) -> None:
         """Observe one flow's cwnd events through an event bus.
@@ -80,43 +49,14 @@ class CwndProbe:
         The per-flow subscription keeps dispatch O(1) per event no
         matter how many flows (and probes) share the bus.
         """
-        if self._bus_handle is not None:
+        if self._subscribed:
             raise RuntimeError("probe already subscribed to a bus")
 
         def on_bus_event(now: float, flow_id: int, kind: str, cwnd: float) -> None:
             self.on_event(now, kind, cwnd)
 
-        self._bus_handle = bus.subscribe("cwnd", on_bus_event, flow=flow)
-
-    def subscribe_counters(self, bus: EventBus, flow: int) -> None:
-        """Observe only the rare window-reduction events through the bus.
-
-        Subscribes to the ``loss`` and ``rto`` topics instead of the
-        full ``cwnd`` stream, so the sender's per-ACK zero-listener
-        fast path stays engaged: the probe costs nothing per ACK and a
-        handful of calls per congestion event. The halving counters
-        (:attr:`halvings`, :attr:`rtos`, :attr:`congestion_events`) are
-        identical to a full subscription; ``recovery_exits``,
-        ``last_cwnd`` and the sample series are *not* maintained — use
-        :meth:`subscribe` when those are needed.
-        """
-        if self.record_samples:
-            raise RuntimeError(
-                "subscribe_counters() skips per-ACK events, so the sample "
-                "series would be silently incomplete; use subscribe()"
-            )
-        if self._bus_handle is not None:
-            raise RuntimeError("probe already subscribed to a bus")
-
-        def on_loss(now: float, flow_id: int, cwnd: float) -> None:
-            self.on_event(now, "loss_event", cwnd)
-
-        def on_rto(now: float, flow_id: int, cwnd: float) -> None:
-            self.on_event(now, "rto", cwnd)
-
-        bus.subscribe("loss", on_loss, flow=flow)
-        bus.subscribe("rto", on_rto, flow=flow)
-        self._bus_handle = on_loss
+        bus.subscribe("cwnd", on_bus_event, flow=flow)
+        self._subscribed = True
 
     def on_event(self, now: float, kind: str, cwnd: float) -> None:
         self.last_cwnd = cwnd
@@ -140,10 +80,3 @@ class CwndProbe:
         dropped.
         """
         return self.halvings + self.rtos
-
-    def reset(self) -> None:
-        """Zero all counters and drop recorded samples."""
-        self.halvings = 0
-        self.rtos = 0
-        self.recovery_exits = 0
-        self.samples.clear()

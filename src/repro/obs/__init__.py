@@ -1,11 +1,11 @@
-"""Observability: event bus, metrics, profiler, structured traces.
+"""Observability: event bus, profiler, structured traces.
 
-The measurement layer the paper's analysis rides on (DESIGN.md §10):
+The optional measurement layer on top of a run (DESIGN.md §10). Run
+results never depend on it — they come from counters the senders and
+queues own — so everything here is observation-only:
 
-- :class:`EventBus` — multi-subscriber typed topics replacing the old
-  single-slot ``cwnd_listener``/``drop_listener`` hooks;
-- :class:`MetricsRegistry` — counters, gauges, bounded histograms and
-  decimating ring-buffer time series (O(1) memory per metric);
+- :class:`EventBus` — typed topics fed by one forwarder per bound
+  sender or queue, any number of subscribers behind it;
 - :class:`SimProfiler` — per-handler event counts and wall time,
   guaranteed not to perturb results;
 - :class:`TraceRecorder` — bounded structured event capture with JSONL
@@ -15,13 +15,6 @@ The measurement layer the paper's analysis rides on (DESIGN.md §10):
 from __future__ import annotations
 
 from .bus import TOPICS, EventBus
-from .metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    TimeSeries,
-)
 from .profiler import HandlerProfile, SimProfiler, handler_name
 from .tracing import (
     DEFAULT_TOPICS,
@@ -35,11 +28,6 @@ from .tracing import (
 __all__ = [
     "TOPICS",
     "EventBus",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "TimeSeries",
-    "MetricsRegistry",
     "SimProfiler",
     "HandlerProfile",
     "handler_name",

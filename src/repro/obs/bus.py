@@ -1,14 +1,17 @@
 """Multi-subscriber event bus for simulation observability.
 
-The instrumentation hooks on core components (``TcpSender.cwnd_listener``,
-``Queue.drop_listener``) were single-slot: attaching a second observer
-silently clobbered the first, so a cwnd probe, a stall watchdog and a
-metrics sampler could not watch the same sender at once. The
-:class:`EventBus` replaces that pattern with typed topics and *ordered*
-subscriber lists — observers subscribe to the bus, and the bus installs
-exactly one forwarding callback per observed component (through the
-components' ``add_*_listener`` chaining hooks, so direct listeners still
-coexist).
+Run *results* never depend on the bus: senders and queues keep their
+own counters (``TcpSender.stats``, the queue's per-flow arrival/drop
+counters), and a bare ``run_experiment`` builds no bus at all. The bus
+exists for extra observers — trace recorders, cwnd probes, ad-hoc
+samplers — and any number of them can watch the same component.
+
+Each sender and queue has one forwarder slot. :meth:`EventBus.bind_sender`
+and :meth:`EventBus.bind_queue` are the only code that fills it, and a
+component can be bound once. The forwarder receives every event kind
+the component emits (including the per-ACK ``"ack"`` cwnd kind) and fans
+it out to the subscriber lists it captured by identity, so a
+subscription made after the bind still takes effect.
 
 Topics and payloads (every subscriber receives ``fn(now, *payload)``):
 
@@ -25,12 +28,8 @@ fault     ``description`` (injector audit trail)      :meth:`publish`
 
 Design notes
 ------------
-- **Zero-overhead fast path.** Components test their (list-valued)
-  listener hooks for emptiness before computing any payload; an
-  unobserved sender or queue pays a single truthiness check per event.
-  Within the bus, dispatch loops iterate pre-resolved subscriber lists,
-  so an idle topic costs one empty-loop setup per event on a *bound*
-  component and nothing at all on an unbound one.
+- **Zero cost when unbound.** An unbound sender or queue pays one
+  ``is None`` test per event.
 - **Per-flow subscriptions.** ``subscribe(topic, fn, flow=fid)``
   delivers only that flow's events. At 5000-flow CoreScale this keeps
   per-flow observers O(1) per event instead of O(flows) filtering.
@@ -57,24 +56,13 @@ class _SenderLike(Protocol):
     """What :meth:`EventBus.bind_sender` needs from a sender."""
 
     flow_id: int
-
-    def add_cwnd_listener(
-        self, fn: Callable[[float, str, float], None], ack_events: bool = ...
-    ) -> Callable[[float, str, float], None]: ...
-
-    def enable_ack_events(self, fn: Callable[[float, str, float], None]) -> None: ...
+    forwarder: Optional[Callable[[float, str, float], None]]
 
 
 class _QueueLike(Protocol):
     """What :meth:`EventBus.bind_queue` needs from a queue."""
 
-    def add_enqueue_listener(
-        self, fn: Callable[[float, Any], None]
-    ) -> Callable[[float, Any], None]: ...
-
-    def add_drop_listener(
-        self, fn: Callable[[float, Any], None]
-    ) -> Callable[[float, Any], None]: ...
+    forwarder: Optional[Callable[[float, str, Any], None]]
 
 
 class EventBus:
@@ -85,14 +73,6 @@ class EventBus:
         # are created once and captured by identity in forwarders, so
         # subscribing after a component is bound still takes effect.
         self._subs: Dict[Tuple[str, Optional[int]], List[Subscriber]] = {}
-        # Senders bound via bind_sender, with their installed forwarder.
-        # Needed so a cwnd subscription arriving *after* the bind can
-        # upgrade the forwarder to per-ACK delivery (see bind_sender).
-        self._bound_senders: List[Tuple[_SenderLike, Callable[[float, str, float], None]]] = []
-
-    # ------------------------------------------------------------------
-    # Subscription management
-    # ------------------------------------------------------------------
 
     def _list(self, topic: str, flow: Optional[int] = None) -> List[Subscriber]:
         if topic not in TOPICS:
@@ -107,71 +87,29 @@ class EventBus:
 
         ``flow`` restricts delivery to one flow's events (topics that
         carry a flow id); ``None`` subscribes to every flow. Returns
-        ``fn`` so the handle can be kept for :meth:`unsubscribe`.
+        ``fn``.
         """
         self._list(topic, flow).append(fn)
-        if topic == "cwnd":
-            # Senders bound before any cwnd subscriber existed were
-            # installed without per-ACK delivery; upgrade them now so
-            # the late-subscription contract still holds.
-            for sender, forward in self._bound_senders:
-                if flow is None or sender.flow_id == flow:
-                    try:
-                        sender.enable_ack_events(forward)
-                    except ValueError:
-                        continue  # forwarder was detached from this sender
         return fn
-
-    def unsubscribe(
-        self, topic: str, fn: Subscriber, flow: Optional[int] = None
-    ) -> None:
-        """Remove a previously subscribed callback (ValueError if absent)."""
-        self._list(topic, flow).remove(fn)
-
-    def subscribers(self, topic: str, flow: Optional[int] = None) -> Tuple[Subscriber, ...]:
-        """The current subscriber list (a snapshot), in dispatch order."""
-        return tuple(self._subs.get((topic, flow), ()))
-
-    def has_subscribers(self, topic: str) -> bool:
-        """True if *any* subscription (wildcard or per-flow) targets ``topic``."""
-        return any(
-            key[0] == topic and subs for key, subs in self._subs.items()
-        )
-
-    # ------------------------------------------------------------------
-    # Publishing
-    # ------------------------------------------------------------------
 
     def publish(self, topic: str, now: float, *payload: Any) -> None:
         """Deliver an event to a topic's wildcard subscribers.
 
         Sources without a flow identity (the fault injector) publish
-        here directly; sender/queue events go through the bound
-        forwarders installed by :meth:`bind_sender` / :meth:`bind_queue`.
+        here directly; sender/queue events go through the forwarders
+        installed by :meth:`bind_sender` / :meth:`bind_queue`.
         """
         for fn in self._list(topic):
             fn(now, *payload)
 
-    # ------------------------------------------------------------------
-    # Component binding
-    # ------------------------------------------------------------------
-
-    def bind_sender(self, sender: _SenderLike) -> Callable[[float, str, float], None]:
+    def bind_sender(self, sender: _SenderLike) -> None:
         """Forward one sender's cwnd events onto ``cwnd``/``loss``/``rto``.
 
-        Installs a single chained listener on the sender (coexisting
-        with any directly attached listeners) and returns it so callers
-        can later ``sender.remove_cwnd_listener`` it.
-
-        The forwarder is installed with per-ACK delivery only when a
-        ``cwnd`` subscription (wildcard or for this flow) already
-        exists; otherwise the sender's zero-listener fast path skips
-        the bus entirely on the per-ACK hot path, and only the rare
-        kinds (``loss_event``/``rto``/``recovery_exit``) flow through.
-        A ``cwnd`` subscription arriving later upgrades the forwarder
-        (see :meth:`subscribe`), preserving the late-subscription
-        contract.
+        Fills the sender's forwarder slot; raises ``RuntimeError`` if
+        the sender is already bound.
         """
+        if sender.forwarder is not None:
+            raise RuntimeError(f"sender {sender.flow_id} is already bound to a bus")
         fid = sender.flow_id
         cwnd_all = self._list("cwnd")
         cwnd_one = self._list("cwnd", fid)
@@ -196,29 +134,21 @@ class EventBus:
                 for fn in rto_one:
                     fn(now, fid, cwnd)
 
-        wants_acks = bool(cwnd_all or cwnd_one)
-        sender.add_cwnd_listener(forward, ack_events=wants_acks)
-        self._bound_senders.append((sender, forward))
-        return forward
+        sender.forwarder = forward
 
-    def bind_queue(
-        self, queue: _QueueLike
-    ) -> Tuple[Callable[[float, Any], None], Callable[[float, Any], None]]:
+    def bind_queue(self, queue: _QueueLike) -> None:
         """Forward a queue's arrivals/drops onto ``enqueue``/``drop``.
 
-        Returns the two installed listeners ``(enqueue, drop)``.
+        Fills the queue's forwarder slot; raises ``RuntimeError`` if the
+        queue is already bound.
         """
+        if queue.forwarder is not None:
+            raise RuntimeError("queue is already bound to a bus")
         enqueue_subs = self._list("enqueue")
         drop_subs = self._list("drop")
 
-        def forward_enqueue(now: float, packet: Any) -> None:
-            for fn in enqueue_subs:
+        def forward(now: float, kind: str, packet: Any) -> None:
+            for fn in enqueue_subs if kind == "enqueue" else drop_subs:
                 fn(now, packet)
 
-        def forward_drop(now: float, packet: Any) -> None:
-            for fn in drop_subs:
-                fn(now, packet)
-
-        queue.add_enqueue_listener(forward_enqueue)
-        queue.add_drop_listener(forward_drop)
-        return forward_enqueue, forward_drop
+        queue.forwarder = forward

@@ -33,7 +33,7 @@ from .scheduler import (
     SweepOutcome,
     run_jobs,
 )
-from .store import GcReport, MigrationReport, RunStore, StoreEntry, migrate_legacy
+from .store import GcReport, RunStore, StoreEntry
 
 __all__ = [
     "CACHE_VERSION",
@@ -43,7 +43,6 @@ __all__ = [
     "Job",
     "JobEvent",
     "JobFailure",
-    "MigrationReport",
     "ProgressCallback",
     "RunOptions",
     "RunStore",
@@ -53,7 +52,6 @@ __all__ = [
     "SweepStats",
     "canonical_json",
     "job_key",
-    "migrate_legacy",
     "print_progress",
     "run_jobs",
 ]

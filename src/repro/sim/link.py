@@ -77,7 +77,7 @@ class Link:
 
     Packets offered while the transmitter is busy wait in ``queue``;
     packets that the queue rejects are dropped (the queue handles drop
-    accounting and listener notification). The transmitter serialises one
+    accounting and bus forwarding). The transmitter serialises one
     packet at a time at ``rate_bps`` and delivers it to ``sink`` after an
     additional propagation ``delay``.
 

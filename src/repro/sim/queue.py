@@ -6,16 +6,16 @@ sized to ~1 BDP; :class:`DropTailQueue` is the faithful equivalent.
 drop-tail; DESIGN.md lists queue discipline as an ablation axis).
 
 Queues are passive containers: the owning :class:`repro.sim.link.Link`
-drives enqueue/dequeue. Drop/enqueue notification happens through
-ordered listener lists (``add_drop_listener`` / ``add_enqueue_listener``,
-usually wired via :class:`repro.obs.bus.EventBus`) so instrumentation
-never has to subclass and any number of observers can coexist.
+drives enqueue/dequeue. Each queue is also the paper's drop logger: it
+counts arrivals and drops per flow from a measurement cut onward and
+can keep the drop timestamps. Event-bus observers attach through a
+single forwarder slot filled by :meth:`repro.obs.bus.EventBus.bind_queue`.
 """
 
 from __future__ import annotations
 
 import random
-from collections import deque
+from collections import defaultdict, deque
 from typing import TYPE_CHECKING, Callable, Optional
 
 from .packet import Packet
@@ -23,21 +23,34 @@ from .packet import Packet
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from ..lint.sanitizer import SimSanitizer
 
-#: Callback invoked as ``drop_listener(now, packet)`` on every drop.
-DropListener = Callable[[float, Packet], None]
+#: The bus forwarder, called as ``fn(now, kind, packet)`` with kind
+#: ``"enqueue"`` or ``"drop"``.
+QueueForwarder = Callable[[float, str, Packet], None]
 
 
 class Queue:
-    """Interface for bottleneck queue disciplines."""
+    """Interface for bottleneck queue disciplines.
+
+    Besides the lifetime ``enqueued_packets``/``dropped_packets`` totals,
+    a queue attributes every arrival and drop at or after ``count_from``
+    to its flow (``arrivals_by_flow``/``drops_by_flow``) and, while
+    ``record_drop_times`` is set, logs each counted drop's time in
+    ``drop_times``. ``run_experiment`` sets ``count_from`` to the
+    scenario's warm-up, so an event due exactly at the cut is counted.
+    """
 
     __slots__ = (
         "capacity_bytes",
         "occupancy_bytes",
         "enqueued_packets",
         "dropped_packets",
+        "count_from",
+        "record_drop_times",
+        "arrivals_by_flow",
+        "drops_by_flow",
+        "drop_times",
+        "forwarder",
         "_items",
-        "_drop_listeners",
-        "_enqueue_listeners",
         "sanitizer",
     )
 
@@ -48,81 +61,30 @@ class Queue:
         self.occupancy_bytes = 0
         self.enqueued_packets = 0
         self.dropped_packets = 0
+        self.count_from = 0.0
+        self.record_drop_times = True
+        self.arrivals_by_flow: defaultdict[int, int] = defaultdict(int)
+        self.drops_by_flow: defaultdict[int, int] = defaultdict(int)
+        self.drop_times: list[float] = []
+        #: Set only by EventBus.bind_queue; None on an unobserved queue.
+        self.forwarder: Optional[QueueForwarder] = None
         self._items: deque[Packet] = deque()
-        # Ordered multi-subscriber listener lists (see add_drop_listener).
-        self._drop_listeners: list[DropListener] = []
-        self._enqueue_listeners: list[DropListener] = []
         #: Byte-conservation auditor; set by SimSanitizer.watch_queue().
         self.sanitizer: Optional["SimSanitizer"] = None
 
     def __len__(self) -> int:
         return len(self._items)
 
-    # ------------------------------------------------------------------
-    # Observability
-    # ------------------------------------------------------------------
-
-    def add_drop_listener(self, fn: DropListener) -> DropListener:
-        """Append a drop listener; listeners fire in attachment order."""
-        self._drop_listeners.append(fn)
-        return fn
-
-    def remove_drop_listener(self, fn: DropListener) -> None:
-        self._drop_listeners.remove(fn)
-
-    def add_enqueue_listener(self, fn: DropListener) -> DropListener:
-        """Append an enqueue listener; listeners fire in attachment order."""
-        self._enqueue_listeners.append(fn)
-        return fn
-
-    def remove_enqueue_listener(self, fn: DropListener) -> None:
-        self._enqueue_listeners.remove(fn)
-
-    @staticmethod
-    def _single(listeners: "list[DropListener]", slot: str) -> Optional[DropListener]:
-        if not listeners:
-            return None
-        if len(listeners) == 1:
-            return listeners[0]
-        raise RuntimeError(f"multiple {slot}s attached; track add_{slot} handles")
-
-    @staticmethod
-    def _assign(
-        listeners: "list[DropListener]", fn: Optional[DropListener], slot: str
-    ) -> None:
-        """Legacy single-slot assignment — refuses to clobber an observer."""
-        if fn is None:
-            listeners.clear()
-            return
-        if listeners:
-            raise RuntimeError(
-                f"queue already has a {slot} attached; assigning would "
-                f"clobber it. Use add_{slot}() (or subscribe through "
-                "repro.obs.EventBus) to attach additional observers."
-            )
-        listeners.append(fn)
-
-    @property
-    def drop_listener(self) -> Optional[DropListener]:
-        """The sole attached drop listener, or ``None`` (legacy accessor)."""
-        return self._single(self._drop_listeners, "drop_listener")
-
-    @drop_listener.setter
-    def drop_listener(self, fn: Optional[DropListener]) -> None:
-        self._assign(self._drop_listeners, fn, "drop_listener")
-
-    @property
-    def enqueue_listener(self) -> Optional[DropListener]:
-        """The sole attached enqueue listener, or ``None`` (legacy accessor)."""
-        return self._single(self._enqueue_listeners, "enqueue_listener")
-
-    @enqueue_listener.setter
-    def enqueue_listener(self, fn: Optional[DropListener]) -> None:
-        self._assign(self._enqueue_listeners, fn, "enqueue_listener")
-
-    def _notify_drop(self, now: float, packet: Packet) -> None:
-        for fn in self._drop_listeners:
-            fn(now, packet)
+    def _count_drop(self, now: float, packet: Packet) -> None:
+        """Account one drop; every drop path (tail reject, resize
+        eviction, AQM head drop) goes through here."""
+        self.dropped_packets += 1
+        if now >= self.count_from:
+            self.drops_by_flow[packet.flow_id] += 1
+            if self.record_drop_times:
+                self.drop_times.append(now)
+        if self.forwarder is not None:
+            self.forwarder(now, "drop", packet)
 
     def offer(self, now: float, packet: Packet) -> bool:
         """Try to enqueue ``packet`` at time ``now``.
@@ -136,13 +98,14 @@ class Queue:
             self.enqueued_packets += 1
             if self.sanitizer is not None:
                 self.sanitizer.on_enqueue(self, packet)
-            for fn in self._enqueue_listeners:
-                fn(now, packet)
+            if now >= self.count_from:
+                self.arrivals_by_flow[packet.flow_id] += 1
+            if self.forwarder is not None:
+                self.forwarder(now, "enqueue", packet)
             return True
-        self.dropped_packets += 1
         if self.sanitizer is not None:
             self.sanitizer.on_reject(self, packet)
-        self._notify_drop(now, packet)
+        self._count_drop(now, packet)
         return False
 
     def poll(self, now: float = 0.0) -> Optional[Packet]:
@@ -173,10 +136,9 @@ class Queue:
         while self._items and self.occupancy_bytes > capacity_bytes:
             packet = self._evict_tail()
             self.occupancy_bytes -= packet.size
-            self.dropped_packets += 1
             if self.sanitizer is not None:
                 self.sanitizer.on_queue_drop(self, packet)
-            self._notify_drop(now, packet)
+            self._count_drop(now, packet)
         self.capacity_bytes = capacity_bytes
 
     def _evict_tail(self) -> Packet:
@@ -196,9 +158,10 @@ class DropTailQueue(Queue):
 
     ``offer`` is overridden to inline the admission test: drop-tail sits
     on the per-packet hot path of every bottleneck, and the virtual
-    ``_admit`` dispatch is measurable at CoreScale. The flattened body is
-    behaviourally identical to ``Queue.offer`` + ``_admit``; ``_admit``
-    is kept for discipline-agnostic callers.
+    ``_admit`` dispatch is measurable at CoreScale. The flattened body
+    (arrival accounting included) is behaviourally identical to
+    ``Queue.offer`` + ``_admit``; ``_admit`` is kept for
+    discipline-agnostic callers.
     """
 
     __slots__ = ()
@@ -215,18 +178,14 @@ class DropTailQueue(Queue):
             self.enqueued_packets += 1
             if self.sanitizer is not None:
                 self.sanitizer.on_enqueue(self, packet)
-            listeners = self._enqueue_listeners
-            if listeners:
-                for fn in listeners:
-                    fn(now, packet)
+            if now >= self.count_from:
+                self.arrivals_by_flow[packet.flow_id] += 1
+            if self.forwarder is not None:
+                self.forwarder(now, "enqueue", packet)
             return True
-        self.dropped_packets += 1
         if self.sanitizer is not None:
             self.sanitizer.on_reject(self, packet)
-        listeners = self._drop_listeners
-        if listeners:
-            for fn in listeners:
-                fn(now, packet)
+        self._count_drop(now, packet)
         return False
 
 
@@ -368,10 +327,9 @@ class CoDelQueue(Queue):
         self._enqueue_times.popleft()
         packet = self._items.popleft()
         self.occupancy_bytes -= packet.size
-        self.dropped_packets += 1
         if self.sanitizer is not None:
             self.sanitizer.on_queue_drop(self, packet)
-        self._notify_drop(now, packet)
+        self._count_drop(now, packet)
 
     def poll(self, now: float = 0.0) -> Optional[Packet]:
         if self.dropping:

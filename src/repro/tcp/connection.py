@@ -32,9 +32,9 @@ from .rangeset import RangeSet
 from .rate_sample import DeliveryRateEstimator
 from .rtt import RttEstimator
 
-#: Listener called as ``fn(now, kind, cwnd)`` where kind is one of
-#: "ack", "loss_event", "rto", "recovery_exit".
-CwndListener = Callable[[float, str, float], None]
+#: The bus forwarder, called as ``fn(now, kind, cwnd)`` where kind is
+#: one of "ack", "loss_event", "rto", "recovery_exit".
+CwndForwarder = Callable[[float, str, float], None]
 
 
 class PacketMeta:
@@ -71,7 +71,12 @@ class PacketMeta:
 
 
 class ConnectionStats:
-    """Counters a single sender accumulates over its lifetime."""
+    """Counters a single sender accumulates over its lifetime.
+
+    ``halvings`` and ``rtos`` are the tcpprobe view the results report:
+    the fast-recovery entries and RTOs at or after ``count_from``, which
+    ``run_experiment`` sets to the warm-up cut.
+    """
 
     __slots__ = (
         "packets_sent",
@@ -80,6 +85,9 @@ class ConnectionStats:
         "rto_events",
         "acks_received",
         "spurious_rtos",
+        "count_from",
+        "halvings",
+        "rtos",
     )
 
     def __init__(self) -> None:
@@ -89,6 +97,9 @@ class ConnectionStats:
         self.rto_events = 0
         self.acks_received = 0
         self.spurious_rtos = 0
+        self.count_from = 0.0
+        self.halvings = 0
+        self.rtos = 0
 
     @property
     def congestion_events(self) -> int:
@@ -181,12 +192,8 @@ class TcpSender:
         self._rto_deadline: Optional[float] = None
         self._rto_event: Optional[Event] = None
 
-        # Ordered cwnd listeners (multi-subscriber; see add_cwnd_listener).
-        self._cwnd_listeners: List[CwndListener] = []
-        # The subset of listeners that also want per-ACK "ack" events —
-        # the other kinds are orders of magnitude rarer, so the hot ACK
-        # path dispatches against this (usually empty) list only.
-        self._ack_cwnd_listeners: List[CwndListener] = []
+        #: Set only by EventBus.bind_sender; None on an unobserved sender.
+        self.forwarder: Optional[CwndForwarder] = None
         self.completion_listener: Optional[Callable[["TcpSender"], None]] = None
         # Runtime sanitizer (None when off): audited after every ACK/RTO.
         self._sanitizer = sim.sanitizer
@@ -444,11 +451,8 @@ class TcpSender:
         rs.newly_lost = newly_lost
         rate_estimator.finish_sample(rs, self.rtt.min_rtt)
         self.cca.on_ack(rs, self)
-        listeners = self._ack_cwnd_listeners
-        if listeners:
-            cwnd = self.cca.cwnd
-            for fn in listeners:
-                fn(now, "ack", cwnd)
+        if self.forwarder is not None:
+            self.forwarder(now, "ack", self.cca.cwnd)
         if self._sanitizer is not None:
             self._sanitizer.check_sender(self)
 
@@ -474,7 +478,10 @@ class TcpSender:
         self.in_recovery = True
         self.in_rto_recovery = False
         self.recovery_point = self.snd_nxt
-        self.stats.loss_recovery_events += 1
+        stats = self.stats
+        stats.loss_recovery_events += 1
+        if self.sim.now >= stats.count_from:
+            stats.halvings += 1
         self.cca.on_loss_event(self)
         self._notify_cwnd("loss_event")
 
@@ -537,7 +544,10 @@ class TcpSender:
 
     def _fire_rto(self) -> None:
         now = self.sim.now
-        self.stats.rto_events += 1
+        stats = self.stats
+        stats.rto_events += 1
+        if now >= stats.count_from:
+            stats.rtos += 1
         self.rtt.on_timeout()
         # Let the CCA react while in_flight still reflects the pre-RTO
         # pipe (RFC 5681 sets ssthresh from FlightSize).
@@ -576,95 +586,13 @@ class TcpSender:
     # Observability
     # ------------------------------------------------------------------
 
-    def add_cwnd_listener(
-        self, fn: CwndListener, ack_events: bool = True
-    ) -> CwndListener:
-        """Append a cwnd listener; listeners fire in attachment order.
-
-        Any number of observers (probe, watchdog, metrics sampler,
-        event-bus forwarder) can coexist on one sender. Returns ``fn``
-        so the handle can be kept for :meth:`remove_cwnd_listener`.
-
-        ``ack_events=False`` registers a listener for the rare kinds
-        only ("loss_event", "rto", "recovery_exit"): the sender then
-        skips it entirely on the per-ACK fast path. Use
-        :meth:`enable_ack_events` to upgrade later.
-        """
-        self._cwnd_listeners.append(fn)
-        if ack_events:
-            self._ack_cwnd_listeners.append(fn)
-        return fn
-
-    def enable_ack_events(self, fn: CwndListener) -> None:
-        """Start delivering per-ACK "ack" events to an attached listener.
-
-        Upgrades a listener added with ``ack_events=False``; relative
-        delivery order among ack-event listeners always follows overall
-        attachment order. No-op if the listener already receives them.
-        """
-        if fn not in self._cwnd_listeners:
-            raise ValueError("listener is not attached to this sender")
-        if fn in self._ack_cwnd_listeners:
-            return
-        wanted = {id(f) for f in self._ack_cwnd_listeners}
-        wanted.add(id(fn))
-        self._ack_cwnd_listeners[:] = [
-            f for f in self._cwnd_listeners if id(f) in wanted
-        ]
-
-    def remove_cwnd_listener(self, fn: CwndListener) -> None:
-        """Detach a previously added listener (ValueError if absent)."""
-        self._cwnd_listeners.remove(fn)
-        if fn in self._ack_cwnd_listeners:
-            self._ack_cwnd_listeners.remove(fn)
-
-    @property
-    def cwnd_listener(self) -> Optional[CwndListener]:
-        """The sole attached listener, or ``None`` (legacy accessor)."""
-        if not self._cwnd_listeners:
-            return None
-        if len(self._cwnd_listeners) == 1:
-            return self._cwnd_listeners[0]
-        raise RuntimeError(
-            "multiple cwnd listeners attached; inspect _cwnd_listeners or "
-            "track handles from add_cwnd_listener instead"
-        )
-
-    @cwnd_listener.setter
-    def cwnd_listener(self, fn: Optional[CwndListener]) -> None:
-        """Legacy single-slot assignment — refuses to clobber.
-
-        Assigning used to silently replace whatever observer was
-        already attached (losing, e.g., a cwnd probe when the watchdog
-        arrived). Assignment now only works on an unobserved sender;
-        ``None`` detaches everything. Use :meth:`add_cwnd_listener` or
-        an :class:`~repro.obs.bus.EventBus` to compose observers.
-        """
-        if fn is None:
-            self._cwnd_listeners.clear()
-            self._ack_cwnd_listeners.clear()
-            return
-        if self._cwnd_listeners:
-            raise RuntimeError(
-                "sender already has a cwnd listener attached; assigning "
-                "would clobber it. Use add_cwnd_listener() (or subscribe "
-                "through repro.obs.EventBus) to attach additional observers."
-            )
-        self._cwnd_listeners.append(fn)
-        self._ack_cwnd_listeners.append(fn)
-
     def _notify_cwnd(self, kind: str) -> None:
-        """Dispatch a rare-kind cwnd event to every listener.
+        """Forward a rare-kind cwnd event to the bus, if one is bound.
 
-        The per-ACK "ack" notification is inlined in :meth:`_on_ack`
-        against ``_ack_cwnd_listeners`` instead of going through here.
+        The per-ACK "ack" notification is inlined in :meth:`_on_ack`.
         """
-        listeners = self._cwnd_listeners
-        if listeners:
-            now = self.sim.now
-            cwnd = self.cca.cwnd
-            for fn in listeners:
-                fn(now, kind, cwnd)
+        if self.forwarder is not None:
+            self.forwarder(self.sim.now, kind, self.cca.cwnd)
 
 
 class TcpReceiver:

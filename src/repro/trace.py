@@ -21,11 +21,11 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
-from typing import IO, Any, Dict, Iterable, Tuple, Union
+from typing import Any, Dict, Iterable, Tuple
 
 from .core.results import ExperimentResult, FlowResult
 from .instrumentation.tcpprobe import CwndProbe
-from .obs.tracing import health_rows, write_jsonl, write_trace_jsonl
+from .obs.tracing import PathOrFile, _open, health_rows, write_jsonl, write_trace_jsonl
 
 __all__ = [
     "FLOW_FIELDS",
@@ -38,8 +38,6 @@ __all__ = [
     "write_trace_jsonl",
     "write_health_json",
 ]
-
-PathOrFile = Union[str, IO[str]]
 
 #: The stored FlowResult columns, derived from the dataclass itself so a
 #: new field automatically flows into CSV headers and JSON exports (the
@@ -74,12 +72,6 @@ _FLOAT_FIELDS = frozenset(
     ("base_rtt", "goodput_bps", "loss_rate", "halving_rate")
 )
 _OPTIONAL_FLOAT_FIELDS = frozenset(("measured_rtt",))
-
-
-def _open(dest: PathOrFile) -> Tuple[IO[str], bool]:
-    if isinstance(dest, str):
-        return open(dest, "w", newline=""), True
-    return dest, False
 
 
 def write_flow_csv(result: ExperimentResult, dest: PathOrFile) -> None:

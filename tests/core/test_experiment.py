@@ -78,6 +78,45 @@ def test_warmup_excluded_from_counters():
     assert all(t >= 2.0 for t in result.drop_times)
 
 
+def test_warmup_boundary_events_are_measured():
+    """A buffer shrink due exactly at the warm-up cut is inside the window.
+
+    ``sim.run(until=warmup)`` executes events due at exactly ``warmup``,
+    so a counter snapshot taken after it would miss all of these drops;
+    the counters must test ``now >= warmup`` themselves.
+    """
+    from repro.core.scenarios import edge_scale
+    from repro.faults import FaultSchedule
+
+    sc = edge_scale(flows=10, cca="newreno", duration=3.0, warmup=1.5, seed=7)
+    sc = sc.with_overrides(
+        faults=FaultSchedule.from_spec("buffer@1.5+0.5=0.05", 3.0).events
+    )
+    result = run_experiment(sc)
+    assert result.queue_drops == 1835
+    assert len(result.drop_times) == 1835
+    assert set(result.drop_times) == {1.5}
+    assert result.events_processed == 57797
+
+
+def test_bare_run_binds_no_forwarders(monkeypatch):
+    """Without bus=, no sender or queue gets an event-bus forwarder."""
+    from repro.core import experiment
+
+    built = []
+    real_build = experiment.build_dumbbell
+
+    def capture(*args, **kwargs):
+        built.append(real_build(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(experiment, "build_dumbbell", capture)
+    run_experiment(tiny_scenario())
+    (dumbbell,) = built
+    assert dumbbell.queue.forwarder is None
+    assert all(flow.sender.forwarder is None for flow in dumbbell.flows)
+
+
 def test_convergence_check_stops_early():
     sc = tiny_scenario(duration=20.0, warmup=1.0)
     # AIMD sawtooth keeps a small link's rate fluctuating a few percent,

@@ -5,7 +5,7 @@ import pytest
 from repro.instrumentation.flowmon import FlowMonitor
 from repro.instrumentation.tcpprobe import CwndProbe
 from repro.faults.watchdog import SimWatchdog, WatchdogConfig
-from repro.obs import EventBus, MetricsRegistry
+from repro.obs import EventBus
 from repro.tcp.cca.newreno import NewReno
 from tests.conftest import make_pipe
 
@@ -43,51 +43,46 @@ def test_last_cwnd_tracks_even_during_warmup():
     assert probe.last_cwnd == 12.5
 
 
-def test_reset():
-    probe = CwndProbe(record_samples=True)
-    probe.on_event(1.0, "loss_event", 10.0)
-    probe.reset()
-    assert probe.halvings == 0
-    assert probe.samples == []
-
-
 def test_attach_to_live_sender(sim):
     sender, _, _ = make_pipe(
         sim, NewReno(), total_packets=300, drop_indices={40}
     )
-    probe = CwndProbe(sender)
+    bus = EventBus()
+    bus.bind_sender(sender)
+    probe = CwndProbe(record_samples=True)
+    probe.subscribe(bus, sender.flow_id)
     sender.start()
     sim.run(until=20.0)
     assert sender.completed
-    assert probe.halvings == 1
+    assert probe.halvings == 1 == sender.stats.halvings
     assert probe.congestion_events == sender.stats.congestion_events
+    assert sum(kind == "ack" for _, kind, _ in probe.samples) == sender.stats.acks_received
 
 
 def test_attach_never_clobbers(sim):
-    sender, _, _ = make_pipe(sim, NewReno())
-    first = CwndProbe(sender)
-    second = CwndProbe()
-    second.attach(sender)  # coexists instead of displacing `first`
-    with pytest.raises(RuntimeError):
-        sender.cwnd_listener  # legacy single-slot view is now ambiguous
-    with pytest.raises(RuntimeError):
-        first.attach(sender)  # a probe attaches at most once
-    first.detach()
-    with pytest.raises(RuntimeError):
-        first.detach()
+    # Two probes on one flow both see every event: subscribing never
+    # displaces an existing observer.
+    sender, _, _ = make_pipe(sim, NewReno(), total_packets=300, drop_indices={40})
+    bus = EventBus()
+    bus.bind_sender(sender)
+    first, second = CwndProbe(record_samples=True), CwndProbe(record_samples=True)
+    first.subscribe(bus, 0)
+    second.subscribe(bus, 0)
+    sender.start()
+    sim.run(until=20.0)
+    assert first.samples and first.samples == second.samples
 
 
 def test_single_slot_assignment_raises_instead_of_clobbering(sim):
+    # The sender's one forwarder slot belongs to the first bus bound to
+    # it; a second bind raises rather than silently replacing it.
     sender, _, _ = make_pipe(sim, NewReno())
-    probe = CwndProbe(sender)
+    bus = EventBus()
+    bus.bind_sender(sender)
+    forwarder = sender.forwarder
     with pytest.raises(RuntimeError):
-        # The legacy single-slot property refuses to silently displace
-        # the attached probe (the old behavior lost the first observer).
-        sender.cwnd_listener = lambda now, kind, cwnd: None
-    # Clearing and reassigning on a free slot still works.
-    probe.detach()
-    sender.cwnd_listener = probe.on_event
-    assert sender.cwnd_listener == probe.on_event
+        bus.bind_sender(sender)
+    assert sender.forwarder is forwarder
 
 
 def test_subscribe_is_single_use(sim):
@@ -114,9 +109,9 @@ def _run_with_drops(sim, observers):
 
 
 def test_three_subscribers_coexist_with_identical_counts():
-    # The acceptance bar for the bus migration: a cwnd probe, the stall
-    # watchdog and a metrics sampler all watch ONE sender, and the
-    # probe's halving counts match the pre-bus single-probe baseline.
+    # A cwnd probe, the stall watchdog and an ad-hoc sampler all watch
+    # ONE sender, and the probe's halving counts match the sender's own
+    # counters and an unobserved baseline run.
     from repro.sim.engine import Simulator
 
     baseline_sim = Simulator()
@@ -124,33 +119,25 @@ def test_three_subscribers_coexist_with_identical_counts():
         baseline_sim, NewReno(), total_packets=400,
         drop_indices={40, 120, 250},
     )
-    baseline = CwndProbe()
-    baseline.attach(baseline_sender)  # the old direct, single-probe path
     baseline_sender.start()
     baseline_sim.run(until=30.0)
     assert baseline_sender.completed
-    assert baseline.congestion_events > 0
+    assert baseline_sender.stats.congestion_events > 0
 
     sim = Simulator()
-    registry = MetricsRegistry()
+    sampled = {"acks": 0, "cwnd": []}
 
     def wire(sender, bus):
         probe = CwndProbe()
         probe.subscribe(bus, sender.flow_id)
         monitor = FlowMonitor(sim, [sender])
-        dog = SimWatchdog(
-            sim, monitor, [0.0],
-            config=WatchdogConfig(stall_budget=5.0), bus=bus,
-        )
+        dog = SimWatchdog(sim, monitor, [0.0], config=WatchdogConfig(stall_budget=5.0))
         dog.arm()
-
-        acks = registry.counter("acks")
-        series = registry.timeseries("cwnd", capacity=64)
 
         def sample(now, fid, kind, cwnd):
             if kind == "ack":
-                acks.inc()
-            series.append(now, cwnd)
+                sampled["acks"] += 1
+            sampled["cwnd"].append(cwnd)
 
         bus.subscribe("cwnd", sample)
         return probe, dog
@@ -158,12 +145,12 @@ def test_three_subscribers_coexist_with_identical_counts():
     sender, (probe, dog) = _run_with_drops(sim, wire)
 
     # All three observers saw the run...
-    assert registry.counter("acks").value > 0
-    assert len(registry.timeseries("cwnd")) > 0
+    assert sampled["acks"] == sender.stats.acks_received > 0
+    assert sampled["cwnd"]
     assert dog.checks > 0 and not dog.aborted
-    # ...and the probe's counts are byte-for-byte the baseline's.
-    assert probe.halvings == baseline.halvings
-    assert probe.rtos == baseline.rtos
+    # ...and the probe's counts are the sender's and the baseline's.
+    assert probe.halvings == sender.stats.halvings == baseline_sender.stats.halvings
+    assert probe.rtos == sender.stats.rtos == baseline_sender.stats.rtos
     assert probe.congestion_events == sender.stats.congestion_events
     # The simulation itself was untouched by observation.
     assert sender.snd_una == baseline_sender.snd_una

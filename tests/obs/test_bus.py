@@ -26,22 +26,6 @@ def test_publish_reaches_subscribers_in_order():
     assert seen == [("a", 1.5, "link down"), ("b", 1.5, "link down")]
 
 
-def test_unsubscribe_and_introspection():
-    bus = EventBus()
-
-    def handler(now, desc):
-        pass
-
-    assert not bus.has_subscribers("fault")
-    bus.subscribe("fault", handler)
-    assert bus.has_subscribers("fault")
-    assert bus.subscribers("fault") == (handler,)
-    bus.unsubscribe("fault", handler)
-    assert not bus.has_subscribers("fault")
-    with pytest.raises(ValueError):
-        bus.unsubscribe("fault", handler)
-
-
 def test_bind_sender_fans_out_cwnd_events(sim):
     sender, _, _ = make_pipe(sim, NewReno(), total_packets=20)
     bus = EventBus()
@@ -73,9 +57,26 @@ def test_bind_sender_projects_loss_and_rto_topics(sim):
     assert all(fid == 0 for fid, _ in losses)
 
 
+def test_second_bind_raises(sim):
+    # One forwarder slot per component: a second bind (same or another
+    # bus) must fail loudly instead of silently replacing the first.
+    sender, _, _ = make_pipe(sim, NewReno(), total_packets=20)
+    bus = EventBus()
+    bus.bind_sender(sender)
+    with pytest.raises(RuntimeError):
+        bus.bind_sender(sender)
+    with pytest.raises(RuntimeError):
+        EventBus().bind_sender(sender)
+    queue = DropTailQueue(3000)
+    bus.bind_queue(queue)
+    with pytest.raises(RuntimeError):
+        EventBus().bind_queue(queue)
+
+
 def test_late_subscription_still_delivers(sim):
     # Subscribing after bind_sender() must work: forwarders capture the
-    # subscriber lists by identity, not by snapshot.
+    # subscriber lists by identity, not by snapshot, and always receive
+    # every event kind (per-ACK included), so nothing needs upgrading.
     sender, _, _ = make_pipe(sim, NewReno(), total_packets=500)
     bus = EventBus()
     bus.bind_sender(sender)
@@ -87,6 +88,7 @@ def test_late_subscription_still_delivers(sim):
     sim.run(until=5.0)
     assert sender.completed
     assert seen  # events after the late subscription were delivered
+    assert "ack" in seen
 
 
 def test_bind_queue_forwards_enqueue_and_drop():
@@ -104,6 +106,8 @@ def test_bind_queue_forwards_enqueue_and_drop():
 
 def test_all_topics_are_subscribable():
     bus = EventBus()
+    seen = []
     for topic in TOPICS:
-        bus.subscribe(topic, lambda now, *payload: None)
-        assert bus.has_subscribers(topic)
+        bus.subscribe(topic, lambda now, *payload, topic=topic: seen.append(topic))
+        bus.publish(topic, 0.0)
+    assert seen == list(TOPICS)

@@ -31,15 +31,6 @@ def scenario(i: int, name: str | None = None) -> Scenario:
     )
 
 
-class FakeResult:
-    """Minimal stand-in for ExperimentResult (picklable, carries scenario)."""
-
-    def __init__(self, sc: Scenario, wall_seconds: float = 2.0, events: int = 100):
-        self.scenario = sc
-        self.wall_seconds = wall_seconds
-        self.events_processed = events
-
-
 def quick_run(scenario, record_drop_times=True, convergence_check=False):
     """Cheap deterministic payload; no simulation."""
     return {"name": scenario.name, "seed": scenario.seed}

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.obs import EventBus
 from repro.sim.engine import Simulator
 from repro.sim.packet import Packet
 from repro.sim.queue import CoDelQueue
@@ -57,14 +58,16 @@ def test_persistent_delay_triggers_dequeue_drops():
 def test_drop_listener_invoked():
     q = CoDelQueue(1_000_000)
     drops = []
-    q.drop_listener = lambda now, p: drops.append(now)
+    bus = EventBus()
+    bus.bind_queue(q)
+    bus.subscribe("drop", lambda now, p: drops.append(now))
     for i in range(50):
         q.offer(0.0, pkt(i))
     t = 0.5
     for _ in range(30):
         q.poll(t)
         t += 0.05
-    assert drops, "dequeue drops must notify the listener"
+    assert drops, "dequeue drops must reach the bus"
 
 
 def test_codel_bounds_standing_queue_end_to_end():

@@ -4,12 +4,23 @@ import random
 
 import pytest
 
+from repro.obs import EventBus
 from repro.sim.packet import Packet
-from repro.sim.queue import DropTailQueue, REDQueue
+from repro.sim.queue import CoDelQueue, DropTailQueue, REDQueue
 
 
 def pkt(flow=0, size=1500):
     return Packet.data(flow, 0, size)
+
+
+def bus_for(queue):
+    """Bind ``queue`` to a fresh bus; returns (enqueue, drop) event logs."""
+    bus = EventBus()
+    bus.bind_queue(queue)
+    enqueued, dropped = [], []
+    bus.subscribe("enqueue", lambda now, p: enqueued.append((now, p)))
+    bus.subscribe("drop", lambda now, p: dropped.append((now, p)))
+    return enqueued, dropped
 
 
 class TestDropTail:
@@ -49,18 +60,16 @@ class TestDropTail:
 
     def test_drop_listener_invoked_with_time_and_packet(self):
         q = DropTailQueue(1500)
-        drops = []
-        q.drop_listener = lambda now, p: drops.append((now, p.flow_id))
+        _, drops = bus_for(q)
         q.offer(1.0, pkt(flow=1))
         q.offer(2.0, pkt(flow=2))
-        assert drops == [(2.0, 2)]
+        assert [(now, p.flow_id) for now, p in drops] == [(2.0, 2)]
 
     def test_enqueue_listener(self):
         q = DropTailQueue(10_000)
-        seen = []
-        q.enqueue_listener = lambda now, p: seen.append(p.flow_id)
+        seen, _ = bus_for(q)
         q.offer(0.0, pkt(flow=7))
-        assert seen == [7]
+        assert [p.flow_id for _, p in seen] == [7]
 
     def test_len_counts_packets(self):
         q = DropTailQueue(10_000)
@@ -121,14 +130,14 @@ class TestSetCapacity:
 
     def test_shrink_evicts_newest_first_with_accounting(self):
         q = DropTailQueue(6000)
-        drops = []
-        q.drop_listener = lambda now, p: drops.append((now, p.seq))
+        _, drops = bus_for(q)
         for seq in range(4):
             q.offer(0.0, Packet.data(0, seq, 1500))
         q.set_capacity(3000, now=2.5)
         assert q.occupancy_bytes == 3000
         assert q.dropped_packets == 2
-        assert drops == [(2.5, 3), (2.5, 2)]  # tail (newest) evicted first
+        # tail (newest) evicted first
+        assert [(now, p.seq) for now, p in drops] == [(2.5, 3), (2.5, 2)]
         # survivors keep FIFO order
         assert [q.poll().seq, q.poll().seq] == [0, 1]
 
@@ -146,3 +155,140 @@ class TestSetCapacity:
         assert 0 < q.min_thresh < q.max_thresh <= q.capacity_bytes
         q.set_capacity(100_000)
         assert 0 < q.min_thresh < q.max_thresh <= q.capacity_bytes
+
+
+def fill(queue, when, flow, n):
+    for _ in range(n):
+        queue.offer(when, Packet.data(flow, 0))
+
+
+class TestCounters:
+    """The queue is the drop log: per-flow arrivals and drops from a cut."""
+
+    def test_counts_and_attribution(self):
+        q = DropTailQueue(3000)  # 2 packets
+        fill(q, 1.0, flow=1, n=2)
+        fill(q, 1.0, flow=2, n=2)  # both dropped
+        assert dict(q.arrivals_by_flow) == {1: 2}
+        assert dict(q.drops_by_flow) == {2: 2}
+
+    def test_loss_rates(self):
+        from repro.core.results import FlowResult
+
+        q = DropTailQueue(3000)
+        fill(q, 1.0, flow=1, n=2)
+        fill(q, 1.0, flow=2, n=2)
+
+        def flow_result(fid):
+            return FlowResult(
+                flow_id=fid, cca="newreno", base_rtt=0.02, measured_rtt=None,
+                goodput_bps=0.0, delivered_packets=0, packets_sent=0,
+                retransmits=0, halvings=0, rtos=0,
+                queue_drops=q.drops_by_flow.get(fid, 0),
+                queue_arrivals=q.arrivals_by_flow.get(fid, 0),
+            )
+
+        assert flow_result(1).loss_rate == 0.0
+        assert flow_result(2).loss_rate == 1.0
+        assert flow_result(99).loss_rate == 0.0
+        offered = sum(q.arrivals_by_flow.values()) + sum(q.drops_by_flow.values())
+        assert sum(q.drops_by_flow.values()) / offered == pytest.approx(0.5)
+
+    def test_drop_times_recorded(self):
+        q = DropTailQueue(1500)
+        q.offer(1.0, Packet.data(0, 0))
+        q.offer(2.5, Packet.data(0, 1))
+        q.offer(3.5, Packet.data(0, 2))
+        assert q.drop_times == [2.5, 3.5]
+
+    def test_drop_times_disabled(self):
+        q = DropTailQueue(1500)
+        q.record_drop_times = False
+        q.offer(1.0, Packet.data(0, 0))
+        q.offer(2.0, Packet.data(0, 1))
+        assert q.drop_times == []
+        assert q.drops_by_flow[0] == 1
+
+    def test_warmup_cut(self):
+        q = DropTailQueue(1500)
+        q.count_from = 5.0
+        q.offer(1.0, Packet.data(0, 0))   # before cut: not attributed
+        q.offer(2.0, Packet.data(0, 1))   # drop before cut: not attributed
+        q.poll()
+        q.offer(6.0, Packet.data(0, 2))   # after cut
+        q.offer(6.0, Packet.data(0, 3))   # drop after cut
+        assert dict(q.arrivals_by_flow) == {0: 1}
+        assert dict(q.drops_by_flow) == {0: 1}
+        assert q.drop_times == [6.0]
+        # the lifetime totals still see everything
+        assert q.enqueued_packets == 2 and q.dropped_packets == 2
+
+    def test_event_exactly_at_cut_is_counted(self):
+        q = DropTailQueue(1500)
+        q.count_from = 5.0
+        fill(q, 5.0, flow=3, n=2)
+        assert dict(q.arrivals_by_flow) == {3: 1}
+        assert dict(q.drops_by_flow) == {3: 1}
+        assert q.drop_times == [5.0]
+
+
+def _drive_droptail(q):
+    for seq in range(6):
+        q.offer(0.5 * seq, Packet.data(seq % 3, seq))
+
+
+def _drive_red(q):
+    for seq in range(200):
+        if q.offer(0.01 * seq, Packet.data(seq % 4, seq)) and q.occupancy_bytes > 30_000:
+            q.poll(0.01 * seq)
+
+
+def _drive_codel(q):
+    for seq in range(60):
+        q.offer(0.0, Packet.data(seq % 3, seq))
+    t = 0.5
+    for _ in range(40):
+        q.poll(t)
+        t += 0.05
+
+
+def _drive_shrink(q):
+    for seq in range(8):
+        q.offer(0.0, Packet.data(seq % 2, seq))
+    q.set_capacity(4500, now=1.0)
+
+
+@pytest.mark.parametrize(
+    "make_queue, drive",
+    [
+        (lambda: DropTailQueue(4500), _drive_droptail),
+        (
+            lambda: REDQueue(
+                1_000_000, min_thresh_bytes=10_000, max_thresh_bytes=50_000,
+                max_p=0.5, weight=1.0, rng=random.Random(1),
+            ),
+            _drive_red,
+        ),
+        (lambda: CoDelQueue(1_000_000), _drive_codel),
+        (lambda: DropTailQueue(12_000), _drive_shrink),
+    ],
+    ids=["droptail", "red", "codel", "set_capacity"],
+)
+def test_counters_match_bus_subscriber(make_queue, drive):
+    """Every drop path updates the counters exactly as the bus reports it."""
+    q = make_queue()
+    enqueued, dropped = bus_for(q)
+    drive(q)
+    assert dropped, "each scenario must exercise its discipline's drop path"
+
+    def per_flow(events):
+        counts = {}
+        for _, p in events:
+            counts[p.flow_id] = counts.get(p.flow_id, 0) + 1
+        return counts
+
+    assert dict(q.arrivals_by_flow) == per_flow(enqueued)
+    assert dict(q.drops_by_flow) == per_flow(dropped)
+    assert q.drop_times == [now for now, _ in dropped]
+    assert q.enqueued_packets == len(enqueued)
+    assert q.dropped_packets == len(dropped)
