@@ -190,9 +190,22 @@ class TestCounters:
 
         assert flow_result(1).loss_rate == 0.0
         assert flow_result(2).loss_rate == 1.0
-        assert flow_result(99).loss_rate == 0.0
         offered = sum(q.arrivals_by_flow.values()) + sum(q.drops_by_flow.values())
         assert sum(q.drops_by_flow.values()) / offered == pytest.approx(0.5)
+
+    def test_empty_loss_rate_zero(self):
+        from repro.core.results import FlowResult
+
+        q = DropTailQueue(1500)
+        assert not q.arrivals_by_flow and not q.drops_by_flow
+        result = FlowResult(
+            flow_id=99, cca="newreno", base_rtt=0.02, measured_rtt=None,
+            goodput_bps=0.0, delivered_packets=0, packets_sent=0,
+            retransmits=0, halvings=0, rtos=0,
+            queue_drops=q.drops_by_flow.get(99, 0),
+            queue_arrivals=q.arrivals_by_flow.get(99, 0),
+        )
+        assert result.loss_rate == 0.0
 
     def test_drop_times_recorded(self):
         q = DropTailQueue(1500)
@@ -222,6 +235,20 @@ class TestCounters:
         assert q.drop_times == [6.0]
         # the lifetime totals still see everything
         assert q.enqueued_packets == 2 and q.dropped_packets == 2
+
+    def test_two_subscribers_coexist_with_counters(self):
+        # A second bus subscriber must not displace the first, and neither
+        # may disturb the queue's own counters.
+        q = DropTailQueue(3000)
+        bus = EventBus()
+        first, second = [], []
+        bus.subscribe("drop", lambda now, p: first.append(now))
+        bus.subscribe("drop", lambda now, p: second.append(now))
+        bus.bind_queue(q)
+        fill(q, 1.0, flow=1, n=3)
+        assert first == second == [1.0]
+        assert dict(q.arrivals_by_flow) == {1: 2}
+        assert dict(q.drops_by_flow) == {1: 1}
 
     def test_event_exactly_at_cut_is_counted(self):
         q = DropTailQueue(1500)
