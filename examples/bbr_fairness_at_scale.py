@@ -3,7 +3,7 @@
 
 Sweeps BBR-only experiments from a handful of flows (where past work
 reports JFI ~0.99) to at-scale counts, printing the JFI trend — the
-paper's most surprising result (Fig 4). Also demonstrates run_sweep and
+paper's most surprising result (Fig 4). Also demonstrates run_jobs and
 per-flow inspection of the BBR state that drives the unfairness.
 
 Run time: a few minutes of wall clock.
@@ -11,7 +11,7 @@ Run time: a few minutes of wall clock.
     python examples/bbr_fairness_at_scale.py
 """
 
-from repro import FlowGroup, Scenario, run_sweep
+from repro import FlowGroup, Job, Scenario, run_jobs
 from repro.units import bdp_bytes, mbps, to_mbps
 
 BOTTLENECK = mbps(100)
@@ -40,9 +40,9 @@ def main() -> None:
     print(f"{'flows':>6} {'JFI':>7} {'util':>7} {'loss':>8} "
           f"{'min flow':>9} {'max flow':>9}  (Mbps)")
     duration, warmup = (20.0, 6.0) if quick else (60.0, 20.0)
-    results = run_sweep(
-        [scenario(n, duration, warmup) for n in sweep], parallel=1
-    )
+    results = run_jobs(
+        [Job(scenario(n, duration, warmup)) for n in sweep], workers=1
+    ).results
     for flows, result in zip(sweep, results):
         goodputs = [f.goodput_bps for f in result.flows]
         print(

@@ -34,7 +34,6 @@ from .core import (
     core_scale,
     edge_scale,
     run_experiment,
-    run_sweep,
 )
 from .faults import (
     FAULT_PRESETS,
@@ -76,7 +75,6 @@ __all__ = [
     "core_scale",
     "competition",
     "run_experiment",
-    "run_sweep",
     "CACHE_VERSION",
     "Job",
     "JobEvent",

@@ -7,7 +7,6 @@ Run single experiments or sweeps from the shell::
     repro run --setting edge --flows 10 --faults blackout
     repro compete --setting core --flows 1000 --ccas bbr cubic --scale 50
     repro profile --setting edge --flows 30 --cca cubic --top 10
-    repro bench --quick --out BENCH_engine.json
     repro models --rtt 0.02 --p 0.001
     repro faults ls
     repro cache ls
@@ -19,7 +18,8 @@ through the content-addressed run store (``repro.runstore``): a warm
 key is served from disk instead of re-simulating, and fresh results
 are persisted atomically. ``repro cache`` inspects and maintains the
 same store; its default location is ``$REPRO_STORE`` or
-``benchmarks/_cache``.
+``benchmarks/_cache``. Performance is measured outside the CLI, by
+``python3 perfbench/run.py`` (see ``perfbench/README.md``).
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ import sys
 from typing import Any, Dict, List, Optional, Tuple
 
 from .analysis.mathis_fit import fit_mathis
-from .bench import main as _cmd_bench
 from .core.experiment import run_experiment
 from .core.results import ExperimentResult
 from .core.scenarios import FlowGroup, Scenario, core_scale, edge_scale
@@ -460,31 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
                                   "are scaled to")
     p_faults_ls.add_argument("--json", action="store_true", help="emit JSON")
     p_faults_ls.set_defaults(fn=_cmd_faults_ls)
-
-    p_bench = sub.add_parser(
-        "bench",
-        help="measure engine throughput (events/sec) on canonical workloads",
-        description="Runs the fixed benchmark set from repro.bench and "
-        "optionally writes BENCH_engine.json and/or gates against a "
-        "committed baseline (CI's perf-smoke job). Benchmarking is "
-        "observation-only: the simulated results themselves are pinned "
-        "by the golden-run suite, not by this command.",
-    )
-    p_bench.add_argument("--quick", action="store_true",
-                         help="shorter scenarios, one repeat (CI profile)")
-    p_bench.add_argument("--repeats", type=int, default=None, metavar="N",
-                         help="timing repeats per scenario, best-of "
-                              "(default: 1 with --quick, else 2)")
-    p_bench.add_argument("--out", default=None, metavar="FILE",
-                         help="write the BENCH_engine.json document to FILE")
-    p_bench.add_argument("--baseline", default=None, metavar="FILE",
-                         help="compare against a committed bench JSON and "
-                              "exit non-zero on regression")
-    p_bench.add_argument("--fail-threshold", type=float, default=0.25,
-                         metavar="R",
-                         help="with --baseline: allowed fractional events/sec "
-                              "regression before failing (default: 0.25)")
-    p_bench.set_defaults(fn=_cmd_bench)
 
     p_models = sub.add_parser("models", help="print analytic model predictions")
     p_models.add_argument("--rtt", type=float, default=0.020)

@@ -1,4 +1,4 @@
-"""Experiment core: scenarios, runner, results, sweeps."""
+"""Experiment core: scenarios, runner, results."""
 
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ from .scenarios import (
     core_scale,
     edge_scale,
 )
-from .sweep import run_sweep
 
 __all__ = [
     "Scenario",
@@ -24,7 +23,6 @@ __all__ = [
     "core_scale",
     "competition",
     "run_experiment",
-    "run_sweep",
     "default_event_budget",
     "ExperimentResult",
     "FlowResult",

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.scenarios import FlowGroup
 from repro.runstore import (
     Job,
     RunOptions,
@@ -173,3 +174,41 @@ def test_progress_event_stream(tmp_path):
     run_jobs(jobs, store=store, workers=1, run_fn=fakes.quick_run, progress=events.append)
     assert [e.kind for e in events] == ["hit", "hit"]
     assert all(e.payload is not None for e in events)
+
+
+def test_empty_job_list():
+    out = run_jobs([])
+    assert out.results == [] and out.failures == []
+    assert out.stats.jobs == 0 and out.stats.misses == 0
+
+
+# The tests above run fakes.quick_run; these two push real simulations
+# through run_experiment and the process pool.
+
+
+def test_pool_matches_inline_real_simulation():
+    jobs = [Job(scenario(i)) for i in range(2)]
+    inline = run_jobs(jobs, workers=1).results
+    pooled = run_jobs(jobs, workers=2).results
+    assert [r.scenario.name for r in inline] == ["s0", "s1"]
+    assert all(r.aggregate_goodput_bps > 0 for r in inline)
+    assert [r.queue_drops for r in inline] == [r.queue_drops for r in pooled]
+    assert [
+        [f.goodput_bps for f in r.flows] for r in inline
+    ] == [[f.goodput_bps for f in r.flows] for r in pooled]
+
+
+def test_unknown_cca_fails_in_pool_and_other_results_survive():
+    bad = scenario(0, name="bad").with_overrides(
+        groups=(FlowGroup("no-such-cca", 1, 0.02),)
+    )
+    jobs = [Job(scenario(0)), Job(bad), Job(scenario(1))]
+    with pytest.raises(SweepError) as excinfo:
+        run_jobs(jobs, workers=2)
+    err = excinfo.value
+    # One deterministic failure, never retried; the other results survive.
+    assert [f.name for f in err.failures] == ["bad"]
+    assert err.failures[0].kind == "error"
+    assert "unknown CCA" in err.failures[0].error
+    assert err.results[0] is not None and err.results[2] is not None
+    assert err.results[1] is None
