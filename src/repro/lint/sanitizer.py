@@ -16,8 +16,10 @@ around it hook their mutation points into it:
   released;
 - **TCP senders** — ``cwnd >= 1`` MSS after every CCA decision,
   scoreboard counters non-negative, ``snd_una <= snd_nxt``, and the
-  SACKed/lost/covered :class:`~repro.tcp.rangeset.RangeSet` scoreboards
-  structurally consistent with ``sacked ∪ lost ⊆ covered``.
+  SACK scoreboard (one :class:`~repro.tcp.rangeset.RangeSet`)
+  structurally consistent, holding exactly ``sacked_out`` sequences,
+  all within ``[snd_una, snd_nxt)``; every lost packet lies below the
+  loss-scan watermark (``lost_out <= max(0, _lost_scan - snd_una)``).
 
 Failures raise :class:`SanitizerError` immediately (fail-fast) with a
 diagnostic naming the offending component, the flow where applicable,
@@ -232,30 +234,38 @@ class SimSanitizer:
                 f"retrans_out={sender.retrans_out}",
                 flow_id=flow,
             )
-        for name, rangeset in (
-            ("sacked", sender._sacked),
-            ("lost", sender._lost),
-            ("covered", sender._covered),
+        # O(fragments) audits of the SACK scoreboard; iterating the
+        # per-packet metadata would cost O(window) per ACK.
+        sacked = sender._sacked
+        problem = sacked.consistency_error()
+        if problem is not None:
+            self._fail("TcpSender", f"sacked RangeSet corrupt: {problem}", flow_id=flow)
+        sacked_count = len(sacked)
+        if sacked_count != sender.sacked_out:
+            self._fail(
+                "TcpSender",
+                f"sacked RangeSet holds {sacked_count} sequences but "
+                f"sacked_out={sender.sacked_out}",
+                flow_id=flow,
+            )
+        if sacked and (
+            sacked.ranges()[0][0] < sender.snd_una
+            or sacked.max_value() >= sender.snd_nxt
         ):
-            problem = rangeset.consistency_error()
-            if problem is not None:
-                self._fail(
-                    "TcpSender", f"{name} RangeSet corrupt: {problem}", flow_id=flow
-                )
-        for lo, hi in sender._sacked:
-            if not sender._covered.covers(lo, hi):
-                self._fail(
-                    "TcpSender",
-                    f"sacked range [{lo}, {hi}) not in covered set",
-                    flow_id=flow,
-                )
-        for lo, hi in sender._lost:
-            if not sender._covered.covers(lo, hi):
-                self._fail(
-                    "TcpSender",
-                    f"lost range [{lo}, {hi}) not in covered set",
-                    flow_id=flow,
-                )
+            self._fail(
+                "TcpSender",
+                f"sacked ranges {sacked.ranges()} outside "
+                f"[snd_una, snd_nxt) = [{sender.snd_una}, {sender.snd_nxt})",
+                flow_id=flow,
+            )
+        lost_bound = max(0, sender._lost_scan - sender.snd_una)
+        if sender.lost_out > lost_bound:
+            self._fail(
+                "TcpSender",
+                f"lost_out={sender.lost_out} exceeds the {lost_bound} sequences "
+                f"below the loss-scan watermark {sender._lost_scan}",
+                flow_id=flow,
+            )
 
 
 def maybe_sanitizer(sim: "Simulator", sanitize: Optional[bool]) -> Optional[SimSanitizer]:

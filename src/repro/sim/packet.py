@@ -37,16 +37,9 @@ class Packet:
     ack_seq:
         Cumulative ACK: the next packet number expected by the receiver.
     sack_blocks:
-        Up to three most recently formed out-of-order ranges, newest
-        first (mirrors real TCP SACK option limits).
-    sent_time:
-        Simulated time the data segment was (re)transmitted.
-    delivered / delivered_time / first_sent_time / is_app_limited:
-        Delivery-rate-sampling state carried per the BBR draft
-        (Cheng et al., "Delivery Rate Estimation"); echoed back by ACKs
-        through the scoreboard rather than on the wire.
-    retransmitted:
-        True if this transmission is a retransmission (Karn's rule).
+        Up to three out-of-order ranges (the TCP SACK option limit): the
+        range holding the segment that triggered the ACK first, then the
+        lowest other ranges in ascending order.
     """
 
     __slots__ = (
@@ -56,12 +49,6 @@ class Packet:
         "is_ack",
         "ack_seq",
         "sack_blocks",
-        "sent_time",
-        "delivered",
-        "delivered_time",
-        "first_sent_time",
-        "is_app_limited",
-        "retransmitted",
     )
 
     def __init__(
@@ -79,12 +66,6 @@ class Packet:
         self.is_ack = is_ack
         self.ack_seq = ack_seq
         self.sack_blocks = sack_blocks or ()
-        self.sent_time = 0.0
-        self.delivered = 0
-        self.delivered_time = 0.0
-        self.first_sent_time = 0.0
-        self.is_app_limited = False
-        self.retransmitted = False
 
     @classmethod
     def data(cls, flow_id: int, seq: int, size: int = DATA_PACKET_BYTES) -> "Packet":

@@ -21,6 +21,7 @@ data (the paper's workload) or a fixed number of packets.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_right
 from typing import Callable, List, Optional, Tuple
 
 from ..sim.engine import Event, Simulator, event_pending, event_time
@@ -29,7 +30,7 @@ from ..sim.packet import Packet, SackBlock
 from ..units import ACK_PACKET_BYTES, DATA_PACKET_BYTES
 from .cca.base import CongestionControl
 from .rangeset import RangeSet
-from .rate_sample import DeliveryRateEstimator
+from .rate_sample import DeliveryRateEstimator, RateSample
 from .rtt import RttEstimator
 
 #: The bus forwarder, called as ``fn(now, kind, cwnd)`` where kind is
@@ -181,11 +182,11 @@ class TcpSender:
 
         self._meta: dict[int, PacketMeta] = {}
         self._sacked = RangeSet()
-        self._lost = RangeSet()
-        # SACKed union lost: holes in this set are the only candidates
-        # the loss marker still needs to visit.
-        self._covered = RangeSet()
-        self._high_sacked = 0
+        # Loss-scan watermark: every sequence below it has been visited
+        # by the loss marker or marked lost by an RTO, so the un-SACKed
+        # sequences in [max(snd_una, _lost_scan), threshold) are the
+        # only candidates the marker still needs to visit.
+        self._lost_scan = 0
         self._retx_heap: List[int] = []
         self._pacing_next = 0.0
         self._send_timer: Optional[Event] = None
@@ -216,11 +217,6 @@ class TcpSender:
     def delivered_packets(self) -> int:
         """Cumulative delivered packets (includes SACKed)."""
         return self.rate_estimator.delivered
-
-    @property
-    def cwnd_packets(self) -> int:
-        """Integer congestion window the send loop enforces."""
-        return max(1, int(self.cca.cwnd))
 
     def _has_new_data(self) -> bool:
         return self.total_packets is None or self.snd_nxt < self.total_packets
@@ -264,7 +260,7 @@ class TcpSender:
         # never while this send loop runs, so both — and the pipe
         # estimate, which grows by exactly one per transmission — are
         # safe to fold into locals for the duration of the loop.
-        cwnd_packets = self.cwnd_packets
+        cwnd_packets = max(1, int(self.cca.cwnd))
         total_packets = self.total_packets
         in_flight = (
             self.snd_nxt - self.snd_una - self.sacked_out - self.lost_out
@@ -314,12 +310,9 @@ class TcpSender:
             + self.retrans_out
         )
         self.rate_estimator.on_packet_sent(meta, now, in_flight - 1)
-        meta.sent_time = now
         self.stats.packets_sent += 1
-        packet = Packet(self.flow_id, seq, self.mss)
-        packet.sent_time = now
         assert self.path is not None
-        self.path.send(packet)
+        self.path.send(Packet(self.flow_id, seq, self.mss))
         if self._rto_deadline is None:
             self._set_rto_deadline(now + self.rtt.rto)
 
@@ -349,7 +342,7 @@ class TcpSender:
             self.snd_nxt - prior_una - self.sacked_out - self.lost_out
             + self.retrans_out
         )
-        rs = rate_estimator.start_sample(in_flight)
+        rs = RateSample(in_flight)
         rtt_sample: Optional[float] = None
         newly_acked = 0
 
@@ -358,6 +351,8 @@ class TcpSender:
         if ack_seq > prior_una:
             meta_pop = meta_map.pop
             sacked_out = self.sacked_out
+            if sacked_out:
+                self._sacked.remove_below(ack_seq)
             lost_out = self.lost_out
             retrans_out = self.retrans_out
             for seq in range(prior_una, ack_seq):
@@ -379,21 +374,17 @@ class TcpSender:
             self.lost_out = lost_out
             self.retrans_out = retrans_out
             self.snd_una = ack_seq
-            if self._sacked:
-                self._sacked.remove_below(ack_seq)
-            if self._lost:
-                self._lost.remove_below(ack_seq)
-            if self._covered:
-                self._covered.remove_below(ack_seq)
 
         # --- SACK blocks ----------------------------------------------
         sack_blocks = ack.sack_blocks
         if sack_blocks:
             meta_get = meta_map.get
             sacked_set = self._sacked
-            covered = self._covered
             snd_una = self.snd_una
             snd_nxt = self.snd_nxt
+            sacked_out = self.sacked_out
+            lost_out = self.lost_out
+            retrans_out = self.retrans_out
             for lo, hi in sack_blocks:
                 if lo < snd_una:
                     lo = snd_una
@@ -401,27 +392,33 @@ class TcpSender:
                     hi = snd_nxt
                 if lo >= hi:
                     continue
-                for gap_lo, gap_hi in sacked_set.holes_between(lo, hi):
+                holes = sacked_set.holes_between(lo, hi)
+                if not holes:
+                    # Already SACKed in full: the receiver repeats its
+                    # lowest blocks on every ACK, and adding a range the
+                    # set already covers would leave it unchanged.
+                    continue
+                for gap_lo, gap_hi in holes:
                     for seq in range(gap_lo, gap_hi):
                         meta = meta_get(seq)
                         if meta is None or meta.sacked:
                             continue
                         meta.sacked = True
-                        self.sacked_out += 1
+                        sacked_out += 1
                         newly_acked += 1
                         on_delivered(rs, meta, now)
                         if not meta.retransmitted:
                             rtt_sample = now - meta.sent_time
                         if meta.lost:
                             meta.lost = False
-                            self.lost_out -= 1
+                            lost_out -= 1
                         if meta.in_retrans_out:
                             meta.in_retrans_out = False
-                            self.retrans_out -= 1
+                            retrans_out -= 1
                 sacked_set.add(lo, hi)
-                covered.add(lo, hi)
-                if hi - 1 > self._high_sacked:
-                    self._high_sacked = hi - 1
+            self.sacked_out = sacked_out
+            self.lost_out = lost_out
+            self.retrans_out = retrans_out
 
         # --- loss detection -------------------------------------------
         newly_lost = self._mark_lost_from_sack()
@@ -491,30 +488,39 @@ class TcpSender:
         A sequence is lost once >= DupThresh SACKed packets sit above
         it; equivalently, everything below the DupThresh-th-highest
         SACKed sequence that is neither SACKed nor already marked. The
-        ``_covered`` set (SACKed union lost) makes this incremental:
-        each hole is walked exactly once over the connection's lifetime.
+        ``_lost_scan`` watermark makes this incremental: each un-SACKed
+        sequence is walked at most once over the connection's lifetime.
+        Only the holes of ``_sacked`` above the watermark are visited,
+        and the watermark then rises to the threshold.
         """
-        if not self._sacked:
+        if not self.sacked_out:
             return 0
+        sacked_set = self._sacked
         if self.loss_marking == "rack":
-            threshold: Optional[int] = self._sacked.max_value()
+            threshold: Optional[int] = sacked_set.max_value()
         else:
-            threshold = self._sacked.nth_from_top(self.DUPTHRESH)
-        if threshold is None or threshold <= self.snd_una:
+            threshold = sacked_set.nth_from_top(self.DUPTHRESH)
+        if threshold is None:
             return 0
+        lo = self._lost_scan
+        if lo < self.snd_una:
+            lo = self.snd_una
+        if threshold <= lo:
+            return 0
+        self._lost_scan = threshold
+        meta_get = self._meta.get
+        retx_heap = self._retx_heap
         newly = 0
-        for hole_lo, hole_hi in self._covered.holes_between(self.snd_una, threshold):
+        for hole_lo, hole_hi in sacked_set.holes_between(lo, threshold):
             for seq in range(hole_lo, hole_hi):
-                meta = self._meta.get(seq)
+                meta = meta_get(seq)
                 if meta is None or meta.sacked or meta.lost or meta.retransmitted:
                     continue
                 meta.lost = True
                 meta.retx_pending = True
-                self.lost_out += 1
                 newly += 1
-                heapq.heappush(self._retx_heap, seq)
-            self._covered.add(hole_lo, hole_hi)
-            self._lost.add(hole_lo, hole_hi)
+                heapq.heappush(retx_heap, seq)
+        self.lost_out += newly
         return newly
 
     # ------------------------------------------------------------------
@@ -569,9 +575,8 @@ class TcpSender:
             meta.retx_pending = True
             self.lost_out += 1
             heapq.heappush(self._retx_heap, seq)
-        if self.snd_nxt > self.snd_una:
-            self._lost.add(self.snd_una, self.snd_nxt)
-            self._covered.add(self.snd_una, self.snd_nxt)
+        if self.snd_nxt > self._lost_scan:
+            self._lost_scan = self.snd_nxt
         self.in_recovery = True
         self.in_rto_recovery = True
         self._rto_checked = False
@@ -600,6 +605,9 @@ class TcpReceiver:
 
     #: ACK at least every second full-sized segment (RFC 5681).
     ACK_QUOTA = 2
+    #: SACK blocks per ACK (the TCP option space fits three alongside
+    #: timestamps).
+    MAX_SACK_BLOCKS = 3
 
     __slots__ = (
         "sim",
@@ -607,7 +615,6 @@ class TcpReceiver:
         "reverse_path",
         "delayed_ack",
         "delack_timeout",
-        "max_sack_blocks",
         "rcv_nxt",
         "received_packets",
         "duplicate_packets",
@@ -624,14 +631,12 @@ class TcpReceiver:
         reverse_path: Optional[Sink] = None,
         delayed_ack: bool = True,
         delack_timeout: float = 0.040,
-        max_sack_blocks: int = 3,
     ) -> None:
         self.sim = sim
         self.flow_id = flow_id
         self.reverse_path = reverse_path
         self.delayed_ack = delayed_ack
         self.delack_timeout = delack_timeout
-        self.max_sack_blocks = max_sack_blocks
         self.rcv_nxt = 0
         self.received_packets = 0
         self.duplicate_packets = 0
@@ -647,7 +652,9 @@ class TcpReceiver:
         self.received_packets += 1
         seq = packet.seq
         rcv_nxt = self.rcv_nxt
-        if seq == rcv_nxt and not self._ooo:
+        # Out-of-order state is tested through the RangeSet's start list
+        # rather than RangeSet.__bool__: one call less per segment.
+        if seq == rcv_nxt and not self._ooo._starts:
             # In-order fast path (the overwhelmingly common case): the
             # arrival extends the contiguous prefix by exactly one and
             # there is no reordering state to reconcile, so the RangeSet
@@ -679,7 +686,7 @@ class TcpReceiver:
             self.rcv_nxt = new_nxt
             self._ooo.remove_below(new_nxt)
         out_of_order = seq >= self.rcv_nxt  # still above the cumulative point
-        if out_of_order or filled_hole or self._ooo or not self.delayed_ack:
+        if out_of_order or filled_hole or self._ooo._starts or not self.delayed_ack:
             self._send_ack(triggering_seq=seq)
             return
         self._unacked_segments += 1
@@ -699,21 +706,30 @@ class TcpReceiver:
             self._send_ack(triggering_seq=None)
 
     def _sack_blocks(self, triggering_seq: Optional[int]) -> Tuple[SackBlock, ...]:
-        if not self._ooo:
-            return ()
-        ranges = self._ooo.ranges()
-        blocks: List[SackBlock] = []
+        """Up to :attr:`MAX_SACK_BLOCKS` out-of-order ranges.
+
+        The range holding ``triggering_seq`` comes first (RFC 2018: the
+        block for the segment that triggered this ACK), then the lowest
+        other ranges in ascending order. One bisect finds the triggering
+        range, so the cost is O(log F + blocks) for F fragments.
+        """
+        starts = self._ooo._starts
+        ends = self._ooo._ends
+        limit = self.MAX_SACK_BLOCKS
         if triggering_seq is not None:
-            for r in ranges:
-                if r[0] <= triggering_seq < r[1]:
-                    blocks.append(r)
-                    break
-        for r in ranges:
-            if len(blocks) >= self.max_sack_blocks:
-                break
-            if r not in blocks:
-                blocks.append(r)
-        return tuple(blocks)
+            i = bisect_right(starts, triggering_seq) - 1
+            if i >= 0 and triggering_seq < ends[i]:
+                # The lowest others: the first ``limit`` ranges without
+                # the triggering one, or without the last of them when
+                # the triggering range lies further up.
+                low_starts = starts[:limit]
+                low_ends = ends[:limit]
+                if i < limit:
+                    del low_starts[i], low_ends[i]
+                else:
+                    del low_starts[-1], low_ends[-1]
+                return ((starts[i], ends[i]),) + tuple(zip(low_starts, low_ends))
+        return tuple(zip(starts[:limit], ends[:limit]))
 
     def _send_ack(self, triggering_seq: Optional[int]) -> None:
         if self.reverse_path is None:
@@ -727,7 +743,7 @@ class TcpReceiver:
             size=ACK_PACKET_BYTES,
             is_ack=True,
             ack_seq=self.rcv_nxt,
-            sack_blocks=self._sack_blocks(triggering_seq) if self._ooo else (),
+            sack_blocks=self._sack_blocks(triggering_seq) if self._ooo._starts else (),
         )
         self.acks_sent += 1
         self.reverse_path.send(ack)

@@ -6,8 +6,9 @@ scoreboard to track SACKed sequence ranges. Ranges are half-open
 
 The implementation keeps a sorted list of disjoint, non-adjacent ranges
 and merges on insert, giving O(log n) lookups and O(n) worst-case insert
-— in practice the number of fragments is tiny (bounded by the reordering
-degree of the path).
+(a C-level list shift). The number of fragments is bounded by the
+reordering degree of the path: a handful normally, a few hundred at a
+receiver behind a drop-tail buffer overflow.
 """
 
 from __future__ import annotations
@@ -74,10 +75,6 @@ class RangeSet:
             prev_end = end
         return None
 
-    def range_count(self) -> int:
-        """Number of disjoint fragments."""
-        return len(self._starts)
-
     def add(self, start: int, end: int) -> None:
         """Insert ``[start, end)``, merging with overlapping/adjacent ranges."""
         if start >= end:
@@ -103,24 +100,11 @@ class RangeSet:
         idx = bisect_right(self._starts, value) - 1
         return idx >= 0 and value < self._ends[idx]
 
-    def covers(self, start: int, end: int) -> bool:
-        """True if every integer in ``[start, end)`` is present."""
-        if start >= end:
-            return True
-        idx = bisect_right(self._starts, start) - 1
-        return idx >= 0 and end <= self._ends[idx]
-
     def max_value(self) -> int:
         """Largest covered integer. Raises ``ValueError`` when empty."""
         if not self._ends:
             raise ValueError("max_value() of empty RangeSet")
         return self._ends[-1] - 1
-
-    def min_value(self) -> int:
-        """Smallest covered integer. Raises ``ValueError`` when empty."""
-        if not self._starts:
-            raise ValueError("min_value() of empty RangeSet")
-        return self._starts[0]
 
     def contiguous_end_from(self, start: int) -> int:
         """Largest ``e`` such that ``[start, e)`` is fully covered.
@@ -141,27 +125,6 @@ class RangeSet:
         if self._starts and self._starts[0] < cutoff:
             self._starts[0] = cutoff
 
-    def count_above(self, value: int) -> int:
-        """Number of covered integers strictly greater than ``value``."""
-        total = 0
-        idx = bisect_right(self._ends, value + 1)
-        if idx > 0:
-            idx -= 1  # the range ending at/after value+1 may straddle it
-        for start, end in zip(self._starts[idx:], self._ends[idx:]):
-            lo = max(start, value + 1)
-            if end > lo:
-                total += end - lo
-        return total
-
-    def count_below(self, value: int) -> int:
-        """Number of covered integers strictly less than ``value``."""
-        total = 0
-        for start, end in zip(self._starts, self._ends):
-            if start >= value:
-                break
-            total += min(end, value) - start
-        return total
-
     def holes_between(self, start: int, end: int) -> List[Range]:
         """Uncovered sub-ranges of ``[start, end)``, ascending."""
         if start >= end:
@@ -169,17 +132,16 @@ class RangeSet:
         holes: List[Range] = []
         cursor = start
         starts, ends = self._starts, self._ends
-        idx = max(0, bisect_right(ends, start) - 1)
-        for i in range(idx, len(starts)):
+        # Start at the first range ending above ``start``. Each later
+        # range ends above the cursor (the ranges are sorted and
+        # disjoint), and one that starts below ``end`` caps its hole.
+        for i in range(bisect_right(ends, start), len(starts)):
             r_start = starts[i]
             if r_start >= end:
                 break
-            r_end = ends[i]
-            if r_end <= cursor:
-                continue
             if r_start > cursor:
-                holes.append((cursor, min(r_start, end)))
-            cursor = max(cursor, r_end)
+                holes.append((cursor, r_start))
+            cursor = ends[i]
             if cursor >= end:
                 break
         if cursor < end:

@@ -18,7 +18,9 @@ class RateSample:
     Attributes mirror the draft: ``delivery_rate`` is in packets per
     second (the library's sequence space is packet-numbered), ``rtt`` is
     the ACK's RTT sample if one was taken, and ``is_app_limited`` marks
-    samples that may underestimate the path capacity.
+    samples that may underestimate the path capacity. The owning
+    connection builds one per ACK with the pipe estimate it had before
+    the ACK (``prior_in_flight``).
     """
 
     __slots__ = (
@@ -33,14 +35,14 @@ class RateSample:
         "newly_lost",
     )
 
-    def __init__(self) -> None:
+    def __init__(self, prior_in_flight: int = 0) -> None:
         self.delivered = 0
         self.prior_delivered = 0
         self.interval = 0.0
         self.delivery_rate: Optional[float] = None
         self.rtt: Optional[float] = None
         self.is_app_limited = False
-        self.prior_in_flight = 0
+        self.prior_in_flight = prior_in_flight
         self.newly_acked = 0
         self.newly_lost = 0
 
@@ -48,10 +50,10 @@ class RateSample:
 class DeliveryRateEstimator:
     """Per-connection delivery accounting.
 
-    The owning connection calls :meth:`on_packet_sent` when transmitting
-    and :meth:`on_packet_delivered` for each packet newly cumulatively
-    ACKed or SACKed, then :meth:`finish_sample` once per ACK to produce
-    the :class:`RateSample`.
+    The owning connection calls :meth:`on_packet_sent` when transmitting.
+    Per ACK it builds a :class:`RateSample`, calls
+    :meth:`on_packet_delivered` for each packet newly cumulatively ACKed
+    or SACKed, then :meth:`finish_sample` to complete the sample.
     """
 
     __slots__ = ("delivered", "delivered_time", "first_sent_time", "app_limited_until")
@@ -72,12 +74,6 @@ class DeliveryRateEstimator:
         pkt_state.delivered = self.delivered
         pkt_state.delivered_time = self.delivered_time
         pkt_state.is_app_limited = self.app_limited_until > 0
-
-    def start_sample(self, in_flight: int) -> RateSample:
-        """Begin a new per-ACK sample (records prior in-flight)."""
-        rs = RateSample()
-        rs.prior_in_flight = in_flight
-        return rs
 
     def on_packet_delivered(self, rs: RateSample, pkt_state, now: float) -> None:
         """Account one newly delivered packet (draft's ``UpdateRateSample``)."""

@@ -195,11 +195,47 @@ def test_corrupt_rangeset_trips():
         sim.sanitizer.check_sender(sender)
 
 
-def test_sacked_outside_covered_trips():
+def _sender_with_window(snd_una, snd_nxt):
+    """A sanitized sender whose window is [snd_una, snd_nxt), nothing
+    SACKed or lost: a consistent scoreboard for a test to corrupt."""
     sim = Simulator(sanitize=True)
-    sender, _, _ = make_pipe(sim, NewReno(), total_packets=10)
-    sender._sacked.add(4, 8)  # never mirrored into _covered
-    with pytest.raises(SanitizerError, match="not in covered"):
+    sender, _, _ = make_pipe(sim, NewReno(), total_packets=20)
+    sender.snd_una = snd_una
+    sender.snd_nxt = snd_nxt
+    sim.sanitizer.check_sender(sender)  # clean before the corruption
+    return sim, sender
+
+
+def test_sacked_count_mismatch_trips():
+    sim, sender = _sender_with_window(0, 10)
+    sender._sacked.add(4, 8)  # sacked_out never counted these
+    with pytest.raises(SanitizerError, match="holds 4 sequences but sacked_out=0"):
+        sim.sanitizer.check_sender(sender)
+
+
+def test_sacked_above_snd_nxt_trips():
+    sim, sender = _sender_with_window(0, 10)
+    sender._sacked.add(8, 12)  # 10 and 11 were never sent
+    sender.sacked_out = 4
+    with pytest.raises(SanitizerError, match=r"outside \[snd_una, snd_nxt\)"):
+        sim.sanitizer.check_sender(sender)
+
+
+def test_sacked_below_snd_una_trips():
+    sim, sender = _sender_with_window(5, 10)
+    sender._sacked.add(3, 7)  # 3 and 4 are already cumulatively ACKed
+    sender.sacked_out = 4
+    with pytest.raises(SanitizerError, match=r"outside \[snd_una, snd_nxt\)"):
+        sim.sanitizer.check_sender(sender)
+
+
+def test_lost_above_loss_scan_watermark_trips():
+    sim, sender = _sender_with_window(0, 10)
+    sender._lost_scan = 2
+    sender.lost_out = 2  # both sequences below the watermark: fine
+    sim.sanitizer.check_sender(sender)
+    sender.lost_out = 3  # one lost packet the marker never visited
+    with pytest.raises(SanitizerError, match="below the loss-scan watermark 2"):
         sim.sanitizer.check_sender(sender)
 
 

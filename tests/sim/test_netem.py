@@ -38,6 +38,20 @@ def test_jitter_stays_within_bounds():
     assert len(set(round(t, 9) for t in sink.times)) > 50  # actually varies
 
 
+def test_jitter_draw_matches_random_uniform():
+    # The element spells out Random.uniform's arithmetic; a twin RNG
+    # drawing through uniform() must give bit-identical delays.
+    sim = Simulator()
+    sink = Collector(sim)
+    netem = NetemDelay(sim, 0.05, sink=sink, jitter=0.03, rng=random.Random(7))
+    twin = random.Random(7)
+    for _ in range(300):
+        netem.send(Packet.data(0, 0))
+    expected = sorted(0.05 + twin.uniform(-0.03, 0.03) for _ in range(300))
+    sim.run()
+    assert sink.times == expected
+
+
 def test_random_loss_rate_approximate():
     sim = Simulator()
     sink = Collector(sim)

@@ -21,13 +21,6 @@ def test_ack_constructor():
     assert a.size == ACK_PACKET_BYTES
 
 
-def test_rate_sampling_fields_default():
-    p = Packet.data(0, 0)
-    assert p.delivered == 0
-    assert p.is_app_limited is False
-    assert p.retransmitted is False
-
-
 def test_custom_size():
     p = Packet.data(0, 0, size=576)
     assert p.size == 576

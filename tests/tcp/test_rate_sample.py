@@ -3,13 +3,12 @@
 import pytest
 
 from repro.tcp.connection import PacketMeta
-from repro.tcp.rate_sample import DeliveryRateEstimator
+from repro.tcp.rate_sample import DeliveryRateEstimator, RateSample
 
 
 def send(est, now, in_flight):
     meta = PacketMeta()
     est.on_packet_sent(meta, now, in_flight)
-    meta.sent_time = now
     return meta
 
 
@@ -31,7 +30,7 @@ def test_steady_rate_measured_exactly():
     for tick in range(40):
         now = 0.01 * tick
         if tick >= 10:
-            rs = est.start_sample(in_flight=10)
+            rs = RateSample(10)
             est.on_packet_delivered(rs, metas[tick - 10], now)
             rs = est.finish_sample(rs, min_rtt_hint=None)
             if rs.delivery_rate is not None:
@@ -43,7 +42,7 @@ def test_steady_rate_measured_exactly():
 def test_double_delivery_ignored():
     est = DeliveryRateEstimator()
     meta = send(est, 0.0, 0)
-    rs = est.start_sample(1)
+    rs = RateSample(1)
     est.on_packet_delivered(rs, meta, 0.1)
     assert est.delivered == 1
     est.on_packet_delivered(rs, meta, 0.2)  # SACK then cumACK of same pkt
@@ -52,7 +51,7 @@ def test_double_delivery_ignored():
 
 def test_sample_invalid_without_deliveries():
     est = DeliveryRateEstimator()
-    rs = est.start_sample(0)
+    rs = RateSample(0)
     rs = est.finish_sample(rs, min_rtt_hint=None)
     assert rs.delivery_rate is None
     assert rs.delivered == 0
@@ -71,7 +70,7 @@ def test_interval_below_min_rtt_rejected():
     meta.first_sent_time = 0.9995
     meta.delivered = 5
     meta.delivered_time = 0.9998
-    rs = est.start_sample(1)
+    rs = RateSample(1)
     est.on_packet_delivered(rs, meta, 1.0002)
     rs = est.finish_sample(rs, min_rtt_hint=0.050)
     assert rs.delivery_rate is None
@@ -85,7 +84,7 @@ def test_interval_below_min_rtt_rejected():
     meta2.first_sent_time = 0.9995
     meta2.delivered = 5
     meta2.delivered_time = 0.9998
-    rs2 = est2.start_sample(1)
+    rs2 = RateSample(1)
     est2.on_packet_delivered(rs2, meta2, 1.0002)
     rs2 = est2.finish_sample(rs2, min_rtt_hint=None)
     assert rs2.delivery_rate is not None
@@ -100,27 +99,27 @@ def test_app_limited_marking_and_clearing():
     # Deliver three packets to pass the app-limited marker.
     for i in range(3):
         m = send(est, 0.01 * i, 1)
-        rs = est.start_sample(1)
+        rs = RateSample(1)
         est.on_packet_delivered(rs, m, 0.1 + 0.01 * i)
     assert est.app_limited_until == 0
 
 
 def test_prior_in_flight_recorded():
     est = DeliveryRateEstimator()
-    rs = est.start_sample(in_flight=42)
+    rs = RateSample(prior_in_flight=42)
     assert rs.prior_in_flight == 42
 
 
 def test_idle_restart_resets_first_sent_time():
     est = DeliveryRateEstimator()
     m1 = send(est, 0.0, 0)
-    rs = est.start_sample(1)
+    rs = RateSample(1)
     est.on_packet_delivered(rs, m1, 1.0)
     est.finish_sample(rs, None)
     # Long idle, then a new packet with nothing in flight.
     m2 = send(est, 10.0, 0)
     assert m2.first_sent_time == 10.0
-    rs2 = est.start_sample(1)
+    rs2 = RateSample(1)
     est.on_packet_delivered(rs2, m2, 10.1)
     rs2 = est.finish_sample(rs2, None)
     # The idle gap must not depress the rate sample: interval ~0.1 s.

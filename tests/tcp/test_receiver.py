@@ -69,12 +69,14 @@ def test_duplicate_ooo_data_counted(sim):
 
 
 def test_sack_blocks_capped(sim):
-    receiver, collector = make_receiver(sim, max_sack_blocks=3)
+    receiver, collector = make_receiver(sim)
     # Create four separate holes: 1,3,5,7 received; 0,2,4,6 missing.
     for seq in (1, 3, 5, 7):
         receiver.send(data(seq))
     ack = collector.acks[-1]
-    assert len(ack.sack_blocks) == 3
+    assert len(ack.sack_blocks) == TcpReceiver.MAX_SACK_BLOCKS == 3
+    # Triggering range first, then the lowest others ascending.
+    assert ack.sack_blocks == ((7, 8), (1, 2), (3, 4))
 
 
 def test_sack_block_for_triggering_segment_first(sim):
