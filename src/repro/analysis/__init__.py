@@ -3,42 +3,24 @@
 from __future__ import annotations
 
 from .burstiness import burstiness_score, inter_event_times, windowed_burstiness
-from .convergence import ConvergenceTracker, has_converged
-from .fairness import jains_fairness_index, min_max_ratio
-from .mathis_fit import (
-    FlowObservation,
-    MathisFit,
-    fit_mathis,
-    prediction_errors_with_constant,
-)
-from .stats import mean, median, percentile, relative_errors
-from .throughput import (
-    fair_share_bps,
-    group_shares,
-    link_utilization,
-    loss_to_halving_ratio,
-    per_flow_event_rate,
-)
+from .convergence import ConvergenceTracker
+from .fairness import jains_fairness_index
+from .mathis_fit import FlowObservation, MathisFit, fit_mathis
+from .stats import mean, median, percentile
+from .throughput import group_shares, loss_to_halving_ratio
 
 __all__ = [
     "jains_fairness_index",
-    "min_max_ratio",
     "burstiness_score",
     "inter_event_times",
     "windowed_burstiness",
     "FlowObservation",
     "MathisFit",
     "fit_mathis",
-    "prediction_errors_with_constant",
     "group_shares",
     "loss_to_halving_ratio",
-    "per_flow_event_rate",
-    "link_utilization",
-    "fair_share_bps",
     "median",
     "mean",
     "percentile",
-    "relative_errors",
-    "has_converged",
     "ConvergenceTracker",
 ]

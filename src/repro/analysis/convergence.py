@@ -9,41 +9,17 @@ runs can apply it proportionally.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
-
-
-def has_converged(
-    times: Sequence[float],
-    values: Sequence[float],
-    window: float,
-    tolerance: float = 0.01,
-) -> bool:
-    """True if the metric stayed within ``tolerance`` (relative) over the
-    trailing ``window`` seconds of the series."""
-    if len(times) != len(values):
-        raise ValueError("times/values length mismatch")
-    if window <= 0:
-        raise ValueError("window must be positive")
-    if len(times) < 2:
-        return False
-    horizon = times[-1] - window
-    if times[0] > horizon:
-        return False  # series does not yet span a full window
-    tail = [v for t, v in zip(times, values) if t >= horizon]
-    if len(tail) < 2:
-        return False
-    lo, hi = min(tail), max(tail)
-    if hi == 0:
-        return True
-    return (hi - lo) / abs(hi) <= tolerance
+from typing import Callable, List, Optional
 
 
 class ConvergenceTracker:
-    """Streaming version of :func:`has_converged`.
+    """Streaming stop rule over a sampled metric.
 
-    Feed it ``observe(time, value)`` samples; ``converged`` flips to True
-    once the trailing window is stable. Optionally invokes a callback
-    the first time convergence is reached (e.g. to stop a simulation).
+    Feed it time-ordered ``observe(time, value)`` samples; ``converged``
+    flips to True once the samples span a full trailing ``window`` and
+    stayed within ``tolerance`` (relative to the window's maximum) over
+    it. Optionally invokes a callback the first time convergence is
+    reached (e.g. to stop a simulation).
     """
 
     def __init__(

@@ -29,13 +29,3 @@ def jains_fairness_index(allocations: Sequence[float]) -> float:
         return 1.0
     n = len(allocations)
     return min(1.0, (total * total) / (n * squares))
-
-
-def min_max_ratio(allocations: Sequence[float]) -> float:
-    """Ratio of the smallest to the largest allocation (1 = perfectly fair)."""
-    if not allocations:
-        raise ValueError("ratio of an empty allocation set is undefined")
-    largest = max(allocations)
-    if largest == 0:
-        return 1.0
-    return min(allocations) / largest

@@ -71,23 +71,3 @@ def fit_mathis(
         predicted = mathis_throughput(mss_bytes, o.rtt_s, o.p(interpretation), constant)
         errors.append(abs(predicted - o.goodput_bps) / o.goodput_bps)
     return MathisFit(interpretation, constant, errors)
-
-
-def prediction_errors_with_constant(
-    observations: Sequence[FlowObservation],
-    interpretation: str,
-    mss_bytes: int,
-    constant: float,
-) -> List[float]:
-    """Per-flow errors using a *fixed* constant (e.g. one derived in a
-    different setting, to test cross-setting transfer of ``C``)."""
-    errors: List[float] = []
-    for o in observations:
-        p = o.p(interpretation)
-        if p <= 0 or o.goodput_bps <= 0:
-            continue
-        predicted = mathis_throughput(mss_bytes, o.rtt_s, p, constant)
-        errors.append(abs(predicted - o.goodput_bps) / o.goodput_bps)
-    if not errors:
-        raise ValueError("no usable observations")
-    return errors

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
 
 
 def median(values: Sequence[float]) -> float:
@@ -38,15 +38,3 @@ def mean(values: Sequence[float]) -> float:
     if not values:
         raise ValueError("mean of empty sequence")
     return sum(values) / len(values)
-
-
-def relative_errors(predicted: Sequence[float], measured: Sequence[float]) -> List[float]:
-    """Per-element ``|predicted - measured| / measured`` (measured != 0)."""
-    if len(predicted) != len(measured):
-        raise ValueError("length mismatch")
-    errors: List[float] = []
-    for p, m in zip(predicted, measured):
-        if m == 0:
-            raise ValueError("measured value of zero makes relative error undefined")
-        errors.append(abs(p - m) / abs(m))
-    return errors

@@ -43,30 +43,3 @@ def loss_to_halving_ratio(total_losses: int, total_halvings: int) -> float:
     if total_losses < 0:
         raise ValueError("negative loss count")
     return total_losses / total_halvings
-
-
-def per_flow_event_rate(events: int, delivered_packets: int) -> float:
-    """Events per delivered packet — the Mathis ``p`` for one flow."""
-    if delivered_packets <= 0:
-        return 0.0
-    return events / delivered_packets
-
-
-def link_utilization(
-    aggregate_goodput_bps: float, link_rate_bps: float, payload_fraction: float = 1448 / 1500
-) -> float:
-    """Fraction of bottleneck capacity carried as application goodput.
-
-    ``payload_fraction`` accounts for header overhead so that a fully
-    saturated link reports ~1.0.
-    """
-    if link_rate_bps <= 0:
-        raise ValueError("link rate must be positive")
-    return aggregate_goodput_bps / (link_rate_bps * payload_fraction)
-
-
-def fair_share_bps(link_rate_bps: float, flow_count: int) -> float:
-    """Equal-split share of the link for ``flow_count`` flows."""
-    if flow_count <= 0:
-        raise ValueError("flow_count must be positive")
-    return link_rate_bps / flow_count

@@ -46,10 +46,7 @@ from ..obs.profiler import SimProfiler
 from ..sim.engine import SimulationError, Simulator
 from ..sim.queue import DropTailQueue, Queue, REDQueue
 from ..sim.topology import FlowSpec, build_dumbbell
-from ..tcp.cca import CCA_REGISTRY
-from ..tcp.cca.base import CongestionControl
-from ..tcp.cca.bbr import Bbr
-from ..tcp.cca.bbr2 import Bbr2
+from ..tcp.cca import make_cca
 from ..units import MSS
 from .results import ExperimentResult, FlowResult, RunHealth
 from .scenarios import Scenario
@@ -77,18 +74,6 @@ def default_event_budget(scenario: Scenario) -> int:
         + 50_000 * scenario.total_flows
         + 1_000_000
     )
-
-
-def _make_cca(name: str, rng: random.Random) -> CongestionControl:
-    """Instantiate a CCA, giving stochastic CCAs a per-flow seeded RNG."""
-    try:
-        factory = CCA_REGISTRY[name.lower()]
-    except KeyError:
-        known = ", ".join(sorted(set(CCA_REGISTRY)))
-        raise ValueError(f"unknown CCA {name!r}; known: {known}") from None
-    if factory in (Bbr, Bbr2):
-        return factory(rng=random.Random(rng.getrandbits(32)))
-    return factory()
 
 
 def _make_queue(scenario: Scenario, rng: random.Random) -> Queue:
@@ -158,7 +143,7 @@ def run_experiment(
             start = rng.uniform(0.0, scenario.stagger_max) if scenario.stagger_max else 0.0
             specs.append(
                 FlowSpec(
-                    cca=_make_cca(group.cca, rng),
+                    cca=make_cca(group.cca, rng),
                     rtt=group.rtt,
                     start_time=start,
                     jitter=scenario.ack_jitter_fraction * group.rtt,

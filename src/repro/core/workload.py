@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Sequence
 
 from ..sim.engine import Simulator
 from ..sim.topology import FlowSpec, build_dumbbell
-from ..tcp.cca import CCA_REGISTRY
+from ..tcp.cca import make_cca
 from ..units import DATA_PACKET_BYTES
 from .scenarios import FlowGroup
 
@@ -118,9 +118,6 @@ def run_dynamic_workload(workload: DynamicWorkload) -> DynamicResult:
         cca_cycle.extend([group.cca] * group.count)
     if not cca_cycle:
         raise ValueError("cca_mix must name at least one CCA")
-    for name in cca_cycle:
-        if name.lower() not in CCA_REGISTRY:
-            raise ValueError(f"unknown CCA {name!r}")
 
     sim = Simulator()
     specs: List[FlowSpec] = []
@@ -129,11 +126,9 @@ def run_dynamic_workload(workload: DynamicWorkload) -> DynamicResult:
     for i, start in enumerate(arrivals):
         size = max(1, int(rng.expovariate(1.0 / workload.flow_size_packets)))
         cca_name = cca_cycle[i % len(cca_cycle)]
-        from .experiment import _make_cca  # shared factory (seeded RNGs)
-
         specs.append(
             FlowSpec(
-                cca=_make_cca(cca_name, rng),
+                cca=make_cca(cca_name, rng),
                 rtt=workload.rtt,
                 start_time=start,
                 total_packets=size,

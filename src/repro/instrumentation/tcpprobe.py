@@ -5,8 +5,8 @@ module. In this simulator the halving counts themselves live on the
 sender (``TcpSender.stats.halvings``/``rtos``, cut at the warm-up), so
 results never need a probe. :class:`CwndProbe` is the optional trace
 side of tcpprobe: it subscribes to one flow's ``cwnd`` events on an
-:class:`~repro.obs.bus.EventBus` and records the window series that
-:func:`repro.trace.write_cwnd_csv` exports, alongside per-kind counts.
+:class:`~repro.obs.bus.EventBus` and records the window series in
+``samples``, alongside per-kind counts.
 Any number of other observers can watch the same sender concurrently.
 """
 

@@ -9,8 +9,9 @@ around it hook their mutation points into it:
 - **engine** — virtual-clock monotonicity, no event executed or
   scheduled before ``now``, no NaN event times;
 - **queues** — byte conservation: every byte accepted by ``offer`` is
-  accounted for by a dequeue, an in-queue drop (CoDel head drops), or
-  current occupancy; occupancy stays within ``[0, capacity]``;
+  accounted for by a dequeue, an in-queue drop (resize eviction by
+  ``set_capacity``, the only one), or current occupancy; occupancy stays
+  within ``[0, capacity]``;
 - **links** — a transmit completion only happens while the link is
   marked busy, and the link never finishes more bytes than its queue
   released;
@@ -175,7 +176,8 @@ class SimSanitizer:
         self._check_queue(queue, account)
 
     def on_queue_drop(self, queue: "Queue", packet: "Packet") -> None:
-        """A packet already *inside* the queue was dropped (AQM head drop)."""
+        """A packet already *inside* the queue was dropped; resize eviction
+        by ``Queue.set_capacity`` is the only such drop."""
         account = self._account(queue)
         account.bytes_dropped += packet.size
         self._check_queue(queue, account)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .cubic_model import cubic_constant, cubic_reno_crossover_p, cubic_throughput
+from .cubic_model import cubic_constant, cubic_throughput
 from .mathis import MATHIS_C_DELAYED_SACK, derive_constant, mathis_throughput
 from .padhye import padhye_throughput
 from .ware_bbr import EMPIRICAL_NEUTRAL_SHARE, predict_bbr_share, probe_sample_share
@@ -14,7 +14,6 @@ __all__ = [
     "padhye_throughput",
     "cubic_throughput",
     "cubic_constant",
-    "cubic_reno_crossover_p",
     "predict_bbr_share",
     "probe_sample_share",
     "EMPIRICAL_NEUTRAL_SHARE",

@@ -35,22 +35,3 @@ def cubic_throughput(
     k = cubic_constant(c, beta)
     rate_pps = k / (rtt_s ** 0.25 * p ** 0.75)
     return rate_pps * mss_bytes * 8.0
-
-
-def cubic_reno_crossover_p(rtt_s: float, b: int = 1) -> float:
-    """Loss rate below which CUBIC's cubic-mode window exceeds Reno's.
-
-    For higher loss rates CUBIC operates in its TCP-friendly region and
-    behaves like Reno; below the crossover the cubic response function
-    dominates and CUBIC out-competes Reno (the regime of Figure 5).
-    Derived by equating the two response functions.
-    """
-    if rtt_s <= 0:
-        raise ValueError("rtt must be positive")
-    # Equate the two rate laws (packets/second):
-    #   Reno:  sqrt(3/(2b)) / (RTT * sqrt(p))
-    #   CUBIC: k / (RTT^(1/4) * p^(3/4))
-    # => k * RTT^(3/4) = sqrt(3/(2b)) * p^(1/4)
-    # => p* = k^4 * RTT^3 / (3/(2b))^2
-    k = cubic_constant()
-    return k ** 4 * rtt_s ** 3 / (3.0 / (2.0 * b)) ** 2

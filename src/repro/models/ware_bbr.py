@@ -79,10 +79,3 @@ def predict_bbr_share(
             break
         b = b_next
     return max(0.0, min(1.0, b))
-
-
-def share_is_flow_count_invariant() -> bool:
-    """The model's defining property: the share does not depend on the
-    number of loss-based competitors (they only determine how the
-    *remainder* of the link is divided)."""
-    return True

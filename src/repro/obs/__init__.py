@@ -20,7 +20,6 @@ from .tracing import (
     DEFAULT_TOPICS,
     TraceRecorder,
     health_rows,
-    read_jsonl,
     write_jsonl,
     write_trace_jsonl,
 )
@@ -36,5 +35,4 @@ __all__ = [
     "health_rows",
     "write_jsonl",
     "write_trace_jsonl",
-    "read_jsonl",
 ]

@@ -192,11 +192,3 @@ def write_trace_jsonl(
     if result is not None:
         rows.extend(health_rows(result))
     return write_jsonl(rows, dest)
-
-
-def read_jsonl(source: PathOrFile) -> List[Dict[str, Any]]:
-    """Read back a JSONL trace as a list of row dicts."""
-    if isinstance(source, str):
-        with open(source, newline="") as fh:
-            return [json.loads(line) for line in fh if line.strip()]
-    return [json.loads(line) for line in source if line.strip()]

@@ -8,7 +8,6 @@ The scheduler narrates a sweep through a ``progress`` callback taking
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional
 
@@ -190,18 +189,3 @@ class SweepStats:
 def print_progress(event: JobEvent, stream: Optional[Any] = None) -> None:
     """A ready-made ``progress`` callback that prints each event."""
     print(event.render(), file=stream)
-
-
-def jsonl_progress(stream: Any) -> ProgressCallback:
-    """A ``progress`` callback that appends one JSON row per event.
-
-    ``stream`` is any writable text file object; the caller owns its
-    lifetime. Rows are flushed eagerly so a tail of the log reflects
-    the sweep's live state even if the process later dies.
-    """
-
-    def callback(event: JobEvent) -> None:
-        stream.write(json.dumps(event.to_json()) + "\n")
-        stream.flush()
-
-    return callback

@@ -182,7 +182,7 @@ class Link:
         if not self.up:
             self.busy = False
             return
-        packet = self.queue.poll(self.sim.now)
+        packet = self.queue.poll()
         if packet is None:
             self.busy = False
             return

@@ -8,8 +8,11 @@ drop-tail; DESIGN.md lists queue discipline as an ablation axis).
 Queues are passive containers: the owning :class:`repro.sim.link.Link`
 drives enqueue/dequeue. Each queue is also the paper's drop logger: it
 counts arrivals and drops per flow from a measurement cut onward and
-can keep the drop timestamps. Event-bus observers attach through a
-single forwarder slot filled by :meth:`repro.obs.bus.EventBus.bind_queue`.
+can keep the drop timestamps. A queue drops a packet in two places:
+at arrival, when the discipline refuses it, and when
+:meth:`Queue.set_capacity` shrinks the buffer below the backlog. Dequeue
+never drops. Event-bus observers attach through a single forwarder slot
+filled by :meth:`repro.obs.bus.EventBus.bind_queue`.
 """
 
 from __future__ import annotations
@@ -76,8 +79,8 @@ class Queue:
         return len(self._items)
 
     def _count_drop(self, now: float, packet: Packet) -> None:
-        """Account one drop; every drop path (tail reject, resize
-        eviction, AQM head drop) goes through here."""
+        """Account one drop; both drop paths (arrival reject and resize
+        eviction, the only in-queue drop) go through here."""
         self.dropped_packets += 1
         if now >= self.count_from:
             self.drops_by_flow[packet.flow_id] += 1
@@ -108,11 +111,11 @@ class Queue:
         self._count_drop(now, packet)
         return False
 
-    def poll(self, now: float = 0.0) -> Optional[Packet]:
+    def poll(self) -> Optional[Packet]:
         """Dequeue the head-of-line packet, or ``None`` if empty.
 
-        ``now`` is the dequeue time; FIFO disciplines ignore it, but
-        AQMs with dequeue-time drop decisions (CoDel) need it.
+        Dequeue never drops: the only in-queue drop is resize eviction
+        in :meth:`set_capacity`.
         """
         if not self._items:
             return None
@@ -134,16 +137,12 @@ class Queue:
         if capacity_bytes <= 0:
             raise ValueError("queue capacity must be positive")
         while self._items and self.occupancy_bytes > capacity_bytes:
-            packet = self._evict_tail()
+            packet = self._items.pop()
             self.occupancy_bytes -= packet.size
             if self.sanitizer is not None:
                 self.sanitizer.on_queue_drop(self, packet)
             self._count_drop(now, packet)
         self.capacity_bytes = capacity_bytes
-
-    def _evict_tail(self) -> Packet:
-        """Remove and return the newest queued packet (resize eviction)."""
-        return self._items.pop()
 
     def _admit(self, now: float, packet: Packet) -> bool:
         raise NotImplementedError
@@ -160,14 +159,10 @@ class DropTailQueue(Queue):
     on the per-packet hot path of every bottleneck, and the virtual
     ``_admit`` dispatch is measurable at CoreScale. The flattened body
     (arrival accounting included) is behaviourally identical to
-    ``Queue.offer`` + ``_admit``; ``_admit`` is kept for
-    discipline-agnostic callers.
+    ``Queue.offer`` with a capacity-only admission test.
     """
 
     __slots__ = ()
-
-    def _admit(self, now: float, packet: Packet) -> bool:
-        return self.occupancy_bytes + packet.size <= self.capacity_bytes
 
     def offer(self, now: float, packet: Packet) -> bool:
         size = packet.size
@@ -253,102 +248,3 @@ class REDQueue(Queue):
             self._count_since_drop = 0
             return False
         return True
-
-
-class CoDelQueue(Queue):
-    """CoDel AQM (Nichols & Jacobson 2012), simplified.
-
-    Controlled-delay active queue management: drops at *dequeue* time
-    once the head packet's sojourn time has exceeded ``target`` for at
-    least ``interval``, with the drop rate accelerating by the inverse-
-    sqrt control law. Provided as a second AQM ablation axis beside RED:
-    CoDel bounds queueing delay, which changes the RTT regime the
-    paper's CoreScale buffer creates.
-    """
-
-    TARGET = 0.005     # 5 ms target sojourn
-    INTERVAL = 0.100   # 100 ms initial interval
-
-    def __init__(
-        self,
-        capacity_bytes: int,
-        target: float = TARGET,
-        interval: float = INTERVAL,
-    ) -> None:
-        super().__init__(capacity_bytes)
-        if target <= 0 or interval <= 0:
-            raise ValueError("target and interval must be positive")
-        self.target = target
-        self.interval = interval
-        self._enqueue_times: deque[float] = deque()
-        # None while the head sojourn is acceptable — a sentinel rather
-        # than 0.0 so no float-equality test is needed to read the state.
-        self.first_above_time: Optional[float] = None
-        self.dropping = False
-        self.drop_next = 0.0
-        self.drop_count = 0
-
-    def _admit(self, now: float, packet: Packet) -> bool:
-        if self.occupancy_bytes + packet.size > self.capacity_bytes:
-            return False
-        self._enqueue_times.append(now)
-        return True
-
-    def _evict_tail(self) -> Packet:
-        self._enqueue_times.pop()
-        return self._items.pop()
-
-    def _pop(self) -> Optional[Packet]:
-        if not self._items:
-            self.first_above_time = None
-            return None
-        self._enqueue_times.popleft()
-        packet = self._items.popleft()
-        self.occupancy_bytes -= packet.size
-        if self.sanitizer is not None:
-            self.sanitizer.on_dequeue(self, packet)
-        return packet
-
-    def _sojourn_ok(self, now: float) -> bool:
-        """True while the head packet's delay is acceptable."""
-        if not self._items:
-            self.first_above_time = None
-            return True
-        sojourn = now - self._enqueue_times[0]
-        if sojourn < self.target:
-            self.first_above_time = None
-            return True
-        if self.first_above_time is None:
-            self.first_above_time = now + self.interval
-            return True
-        return now < self.first_above_time
-
-    def _drop_head(self, now: float) -> None:
-        self._enqueue_times.popleft()
-        packet = self._items.popleft()
-        self.occupancy_bytes -= packet.size
-        if self.sanitizer is not None:
-            self.sanitizer.on_queue_drop(self, packet)
-        self._count_drop(now, packet)
-
-    def poll(self, now: float = 0.0) -> Optional[Packet]:
-        if self.dropping:
-            if self._sojourn_ok(now):
-                self.dropping = False
-                return self._pop()
-            while self.dropping and now >= self.drop_next and self._items:
-                self._drop_head(now)
-                self.drop_count += 1
-                if self._sojourn_ok(now):
-                    self.dropping = False
-                    break
-                self.drop_next += self.interval / (self.drop_count ** 0.5)
-            return self._pop()
-        if not self._sojourn_ok(now):
-            # Enter the dropping state: drop the head now, schedule the
-            # next drop one control interval out.
-            self._drop_head(now)
-            self.dropping = True
-            self.drop_count = 1
-            self.drop_next = now + self.interval
-        return self._pop()

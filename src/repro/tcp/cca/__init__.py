@@ -1,20 +1,21 @@
 """Congestion control algorithms.
 
 Provides the three CCAs the paper evaluates (NewReno, Cubic, BBRv1) plus
-Vegas as an extension, and a name-based factory used by scenario
-definitions and the CLI.
+BBRv2 as an extension, and :func:`make_cca`, the one name-based factory:
+``run_experiment`` and ``run_dynamic_workload`` build every flow's CCA
+through it.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict
+import random
+from typing import Callable, Dict, Optional
 
 from .base import CongestionControl
 from .bbr import Bbr
 from .bbr2 import Bbr2
 from .cubic import Cubic
 from .newreno import NewReno
-from .vegas import Vegas
 
 #: Registry mapping CCA names to zero-argument factories.
 CCA_REGISTRY: Dict[str, Callable[[], CongestionControl]] = {
@@ -22,7 +23,6 @@ CCA_REGISTRY: Dict[str, Callable[[], CongestionControl]] = {
     Cubic.name: Cubic,
     Bbr.name: Bbr,
     Bbr2.name: Bbr2,
-    Vegas.name: Vegas,
     # Common aliases.
     "reno": NewReno,
     "bbr1": Bbr,
@@ -30,13 +30,20 @@ CCA_REGISTRY: Dict[str, Callable[[], CongestionControl]] = {
 }
 
 
-def make_cca(name: str) -> CongestionControl:
-    """Instantiate a CCA by name (e.g. ``"newreno"``, ``"cubic"``, ``"bbr"``)."""
+def make_cca(name: str, rng: Optional[random.Random] = None) -> CongestionControl:
+    """Instantiate a CCA by name (e.g. ``"newreno"``, ``"cubic"``, ``"bbr"``).
+
+    With ``rng``, the stochastic CCAs (BBR, BBRv2) get their own RNG
+    seeded by one ``rng.getrandbits(32)`` draw; the others draw nothing.
+    Every golden digest depends on this draw order.
+    """
     try:
         factory = CCA_REGISTRY[name.lower()]
     except KeyError:
         known = ", ".join(sorted(set(CCA_REGISTRY)))
         raise ValueError(f"unknown CCA {name!r}; known: {known}") from None
+    if rng is not None and factory in (Bbr, Bbr2):
+        return factory(rng=random.Random(rng.getrandbits(32)))
     return factory()
 
 
@@ -46,7 +53,6 @@ __all__ = [
     "Cubic",
     "Bbr",
     "Bbr2",
-    "Vegas",
     "CCA_REGISTRY",
     "make_cca",
 ]

@@ -4,7 +4,7 @@ Implements the per-connection bookkeeping and per-ACK rate-sample
 generation from draft-cheng-iccrg-delivery-rate-estimation, which is the
 measurement substrate BBR's bandwidth filter consumes. The same sample
 object is handed to every CCA on each ACK, so loss-based CCAs can also
-observe delivery rate if they wish (Vegas uses the RTT fields).
+observe delivery rate if they wish.
 """
 
 from __future__ import annotations

@@ -23,14 +23,8 @@ DATA_PACKET_BYTES = 1500
 #: Wire size of a pure ACK.
 ACK_PACKET_BYTES = 40
 
-KILO = 1_000
 MEGA = 1_000_000
 GIGA = 1_000_000_000
-
-
-def kbps(value: float) -> float:
-    """Convert kilobits per second to bits per second."""
-    return value * KILO
 
 
 def mbps(value: float) -> float:
@@ -48,29 +42,9 @@ def to_mbps(rate_bps: float) -> float:
     return rate_bps / MEGA
 
 
-def kilobytes(value: float) -> int:
-    """Convert kilobytes to bytes (rounded down)."""
-    return int(value * KILO)
-
-
 def megabytes(value: float) -> int:
     """Convert megabytes to bytes (rounded down)."""
     return int(value * MEGA)
-
-
-def ms(value: float) -> float:
-    """Convert milliseconds to seconds."""
-    return value / 1_000.0
-
-
-def us(value: float) -> float:
-    """Convert microseconds to seconds."""
-    return value / 1_000_000.0
-
-
-def to_ms(seconds: float) -> float:
-    """Convert seconds to milliseconds."""
-    return seconds * 1_000.0
 
 
 def bdp_bytes(rate_bps: float, rtt_s: float) -> int:
@@ -89,10 +63,3 @@ def bdp_packets(rate_bps: float, rtt_s: float, packet_bytes: int = DATA_PACKET_B
     if packet_bytes <= 0:
         raise ValueError("packet_bytes must be positive")
     return bdp_bytes(rate_bps, rtt_s) / packet_bytes
-
-
-def transmission_time(size_bytes: int, rate_bps: float) -> float:
-    """Serialisation delay of ``size_bytes`` at ``rate_bps``."""
-    if rate_bps <= 0:
-        raise ValueError("rate must be positive")
-    return size_bytes * 8.0 / rate_bps

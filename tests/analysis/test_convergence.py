@@ -2,39 +2,7 @@
 
 import pytest
 
-from repro.analysis.convergence import ConvergenceTracker, has_converged
-
-
-class TestHasConverged:
-    def test_flat_series_converges(self):
-        times = [float(t) for t in range(20)]
-        values = [5.0] * 20
-        assert has_converged(times, values, window=5.0)
-
-    def test_trending_series_does_not(self):
-        times = [float(t) for t in range(20)]
-        values = [float(t) for t in range(20)]
-        assert not has_converged(times, values, window=5.0, tolerance=0.01)
-
-    def test_within_tolerance(self):
-        times = [0.0, 1.0, 2.0, 3.0, 4.0]
-        values = [100.0, 100.4, 99.8, 100.2, 100.0]
-        assert has_converged(times, values, window=3.0, tolerance=0.01)
-        assert not has_converged(times, values, window=3.0, tolerance=0.001)
-
-    def test_series_shorter_than_window(self):
-        assert not has_converged([0.0, 1.0], [1.0, 1.0], window=5.0)
-
-    def test_old_instability_ignored(self):
-        times = [float(t) for t in range(30)]
-        values = [50.0 if t < 20 else 100.0 for t in range(30)]
-        assert has_converged(times, values, window=5.0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            has_converged([0.0], [1.0, 2.0], window=1.0)
-        with pytest.raises(ValueError):
-            has_converged([0.0], [1.0], window=0.0)
+from repro.analysis.convergence import ConvergenceTracker
 
 
 class TestTracker:
@@ -69,6 +37,31 @@ class TestTracker:
         for t in range(1000):
             tracker.observe(float(t), float(t % 7))
         assert len(tracker._times) < 10
+
+    def test_within_tolerance(self):
+        times = [0.0, 1.0, 2.0, 3.0, 4.0]
+        values = [100.0, 100.4, 99.8, 100.2, 100.0]
+        loose = ConvergenceTracker(window=3.0, tolerance=0.01)
+        strict = ConvergenceTracker(window=3.0, tolerance=0.001)
+        for t, v in zip(times, values):
+            loose.observe(t, v)
+            strict.observe(t, v)
+        # A 0.6% spread passes a 1% tolerance but not a 0.1% one.
+        assert loose.converged_at == 3.0
+        assert not strict.converged
+
+    def test_series_shorter_than_window(self):
+        tracker = ConvergenceTracker(window=5.0)
+        assert not tracker.observe(0.0, 1.0)
+        assert not tracker.observe(1.0, 1.0)
+
+    def test_old_instability_ignored(self):
+        tracker = ConvergenceTracker(window=5.0)
+        for t in range(30):
+            tracker.observe(float(t), float(t) if t < 20 else 100.0)
+        # Stable from t=20; the first window holding only the plateau
+        # ends at t=25, and the ramp before it is forgotten.
+        assert tracker.converged_at == 25.0
 
     def test_validation(self):
         with pytest.raises(ValueError):

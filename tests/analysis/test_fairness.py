@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.fairness import jains_fairness_index, min_max_ratio
+from repro.analysis.fairness import jains_fairness_index
 
 
 def test_perfect_fairness():
@@ -55,11 +55,3 @@ def test_jfi_permutation_invariant(allocations):
     assert jains_fairness_index(allocations) == pytest.approx(
         jains_fairness_index(sorted(allocations))
     )
-
-
-def test_min_max_ratio():
-    assert min_max_ratio([2.0, 4.0]) == pytest.approx(0.5)
-    assert min_max_ratio([3.0, 3.0]) == 1.0
-    assert min_max_ratio([0.0, 0.0]) == 1.0
-    with pytest.raises(ValueError):
-        min_max_ratio([])

@@ -6,11 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.mathis_fit import (
-    FlowObservation,
-    fit_mathis,
-    prediction_errors_with_constant,
-)
+from repro.analysis.mathis_fit import FlowObservation, fit_mathis
 from repro.models.mathis import mathis_throughput
 from repro.units import MSS
 
@@ -62,13 +58,6 @@ def test_all_zero_p_raises():
     flows = [FlowObservation(1e6, 0.02, 0.0, 0.0)]
     with pytest.raises(ValueError):
         fit_mathis(flows, "loss", MSS)
-
-
-def test_fixed_constant_errors():
-    flows = synthetic_flows(c=2.0)
-    errors = prediction_errors_with_constant(flows, "halving", MSS, constant=1.0)
-    # Predictions are exactly half the measurements.
-    assert all(e == pytest.approx(0.5) for e in errors)
 
 
 @given(st.floats(0.2, 10.0), st.integers(3, 40))

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.stats import mean, median, percentile, relative_errors
+from repro.analysis.stats import mean, median, percentile
 
 
 class TestMedian:
@@ -56,17 +56,3 @@ class TestMean:
     def test_empty_raises(self):
         with pytest.raises(ValueError):
             mean([])
-
-
-class TestRelativeErrors:
-    def test_basic(self):
-        errs = relative_errors([11.0, 9.0], [10.0, 10.0])
-        assert errs == pytest.approx([0.1, 0.1])
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            relative_errors([1.0], [1.0, 2.0])
-
-    def test_zero_measured(self):
-        with pytest.raises(ValueError):
-            relative_errors([1.0], [0.0])

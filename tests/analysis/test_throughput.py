@@ -2,13 +2,7 @@
 
 import pytest
 
-from repro.analysis.throughput import (
-    fair_share_bps,
-    group_shares,
-    link_utilization,
-    loss_to_halving_ratio,
-    per_flow_event_rate,
-)
+from repro.analysis.throughput import group_shares, loss_to_halving_ratio
 
 
 class TestGroupShares:
@@ -40,22 +34,3 @@ class TestRatios:
         with pytest.raises(ValueError):
             loss_to_halving_ratio(-1, 10)
 
-    def test_per_flow_event_rate(self):
-        assert per_flow_event_rate(5, 1000) == 0.005
-        assert per_flow_event_rate(5, 0) == 0.0
-
-
-class TestUtilization:
-    def test_fully_loaded(self):
-        payload = 1448 / 1500
-        assert link_utilization(100e6 * payload, 100e6) == pytest.approx(1.0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            link_utilization(1.0, 0.0)
-
-
-def test_fair_share():
-    assert fair_share_bps(100e6, 4) == 25e6
-    with pytest.raises(ValueError):
-        fair_share_bps(100e6, 0)

@@ -1,12 +1,13 @@
 """Tests for the CCA factory registry."""
 
+import random
+
 import pytest
 
 from repro.tcp.cca import CCA_REGISTRY, make_cca
 from repro.tcp.cca.bbr import Bbr
 from repro.tcp.cca.cubic import Cubic
 from repro.tcp.cca.newreno import NewReno
-from repro.tcp.cca.vegas import Vegas
 
 
 @pytest.mark.parametrize(
@@ -17,7 +18,6 @@ from repro.tcp.cca.vegas import Vegas
         ("cubic", Cubic),
         ("bbr", Bbr),
         ("bbr1", Bbr),
-        ("vegas", Vegas),
     ],
 )
 def test_make_cca_by_name(name, cls):
@@ -40,5 +40,19 @@ def test_instances_are_fresh():
 
 
 def test_registry_names_match_classes():
-    for name in ("newreno", "cubic", "bbr", "vegas"):
+    for name in ("newreno", "cubic", "bbr"):
         assert CCA_REGISTRY[name]().name == name
+
+
+def test_rng_draws_once_per_stochastic_cca():
+    # Scenario RNG streams (and so every golden digest) depend on this:
+    # one 32-bit draw per BBR/BBRv2 flow, none for loss-based CCAs.
+    rng, expected = random.Random(3), random.Random(3)
+    make_cca("cubic", rng)
+    make_cca("newreno", rng)
+    assert rng.getstate() == expected.getstate()
+    make_cca("bbr", rng)
+    make_cca("bbr2", rng)
+    expected.getrandbits(32)
+    expected.getrandbits(32)
+    assert rng.getstate() == expected.getstate()

@@ -10,7 +10,7 @@ from repro.lint.sanitizer import SanitizerError, SimSanitizer
 from repro.sim.engine import Simulator
 from repro.sim.link import Link
 from repro.sim.packet import Packet
-from repro.sim.queue import CoDelQueue, DropTailQueue
+from repro.sim.queue import DropTailQueue
 from repro.tcp.cca.newreno import NewReno
 from tests.conftest import make_pipe
 
@@ -84,7 +84,7 @@ def test_clean_queue_traffic_passes():
     _, queue = _watched_queue()
     for seq in range(5):
         assert queue.offer(0.0, Packet.data(0, seq, 1000))
-    while queue.poll(0.0) is not None:
+    while queue.poll() is not None:
         pass
     assert queue.occupancy_bytes == 0
 
@@ -105,7 +105,7 @@ def test_injected_byte_leak_trips_on_dequeue():
     assert queue.offer(0.0, Packet.data(0, 0, 1000))
     queue.occupancy_bytes -= 7  # leak in the other direction
     with pytest.raises(SanitizerError, match="byte conservation"):
-        queue.poll(0.0)
+        queue.poll()
 
 
 def test_reject_path_checks_conservation():
@@ -116,21 +116,16 @@ def test_reject_path_checks_conservation():
         queue.offer(0.0, Packet.data(0, 1, 1000))
 
 
-def test_codel_head_drops_stay_conserved():
-    sim = Simulator(sanitize=True)
-    queue = CoDelQueue(100_000, target=0.001, interval=0.002)
-    sim.sanitizer.watch_queue(queue)
+def test_resize_eviction_stays_conserved():
+    _, queue = _watched_queue(capacity=20_000)
     for seq in range(20):
         assert queue.offer(0.0, Packet.data(0, seq, 1000))
-    # Dequeue far past the sojourn target so CoDel head-drops some
-    # packets; the in-queue drop path must keep the ledger balanced.
-    polled = 0
-    for step in range(20):
-        if queue.poll(1.0 + step * 0.01) is not None:
-            polled += 1
-        if not len(queue):
-            break
-    assert queue.dropped_packets > 0
+    # Shrinking below the backlog evicts from the tail: the in-queue drop
+    # path must keep the ledger balanced through eviction and the drain.
+    queue.set_capacity(5_000, now=1.0)
+    assert queue.dropped_packets == 15
+    while queue.poll() is not None:
+        pass
     assert queue.occupancy_bytes == 0
 
 

@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.models.cubic_model import (
-    cubic_constant,
-    cubic_reno_crossover_p,
-    cubic_throughput,
-)
-from repro.models.mathis import mathis_throughput
+from repro.models.cubic_model import cubic_constant, cubic_throughput
 
 
 def test_leading_constant_value():
@@ -27,29 +22,6 @@ def test_weak_rtt_dependence():
     assert t1 / t2 == pytest.approx(16 ** 0.25, rel=1e-6)
 
 
-def test_crossover_separates_regimes():
-    """Below the crossover loss rate CUBIC beats Reno; above it the
-    TCP-friendly region (Reno behaviour) governs."""
-    import math
-
-    rtt = 0.1
-    p_star = cubic_reno_crossover_p(rtt)
-    reno_c = math.sqrt(3.0 / 2.0)
-    below = p_star / 10
-    above = min(p_star * 10, 0.9)
-    assert cubic_throughput(1448, rtt, below) > mathis_throughput(
-        1448, rtt, below, c=reno_c
-    )
-    assert cubic_throughput(1448, rtt, above) < mathis_throughput(
-        1448, rtt, above, c=reno_c
-    )
-
-
-def test_crossover_increases_with_rtt():
-    # Longer RTTs expand CUBIC's advantage region.
-    assert cubic_reno_crossover_p(0.2) > cubic_reno_crossover_p(0.02)
-
-
 def test_validation():
     with pytest.raises(ValueError):
         cubic_throughput(1448, 0.0, 0.01)
@@ -57,5 +29,3 @@ def test_validation():
         cubic_throughput(1448, 0.1, 0.0)
     with pytest.raises(ValueError):
         cubic_constant(c=0.0)
-    with pytest.raises(ValueError):
-        cubic_reno_crossover_p(0.0)

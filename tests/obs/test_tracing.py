@@ -1,6 +1,7 @@
 """Tests for structured JSONL trace export."""
 
 import io
+import json
 
 import pytest
 
@@ -9,7 +10,6 @@ from repro.obs.bus import EventBus
 from repro.obs.tracing import (
     TraceRecorder,
     health_rows,
-    read_jsonl,
     write_jsonl,
     write_trace_jsonl,
 )
@@ -83,8 +83,7 @@ def test_jsonl_round_trip():
     rows = [{"t": 1.0, "topic": "fault", "desc": "x"}, {"t": 2.0, "topic": "cwnd"}]
     buf = io.StringIO()
     assert write_jsonl(rows, buf) == 2
-    buf.seek(0)
-    assert read_jsonl(buf) == rows
+    assert [json.loads(line) for line in buf.getvalue().splitlines()] == rows
 
 
 def test_write_trace_jsonl_appends_health(tmp_path):
@@ -100,7 +99,8 @@ def test_write_trace_jsonl_appends_health(tmp_path):
     )
     dest = str(tmp_path / "trace.jsonl")
     written = write_trace_jsonl(recorder, dest, result=_Result(health))
-    rows = read_jsonl(dest)
+    with open(dest) as fh:
+        rows = [json.loads(line) for line in fh]
     assert written == len(rows) == 3  # fault event + health row + timeline row
     health_row = rows[1]
     assert health_row["topic"] == "health"

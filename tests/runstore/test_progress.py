@@ -1,10 +1,7 @@
-"""Tests for progress events, JSONL progress logs and sweep counters."""
-
-import io
-import json
+"""Tests for progress events and sweep counters."""
 
 from repro.core.results import RunHealth
-from repro.runstore.progress import JobEvent, SweepStats, jsonl_progress
+from repro.runstore.progress import JobEvent, SweepStats
 
 
 class _Result:
@@ -45,18 +42,6 @@ def test_job_event_to_json_inlines_degraded_health():
     # A healthy payload contributes no health key.
     ok = JobEvent(kind="done", key="k", name="n", payload=_Result(None))
     assert "health" not in ok.to_json()
-
-
-def test_jsonl_progress_writes_one_row_per_event():
-    buf = io.StringIO()
-    callback = jsonl_progress(buf)
-    callback(JobEvent(kind="start", key="a", name="x"))
-    callback(JobEvent(kind="done", key="a", name="x", wall_seconds=0.5))
-    lines = buf.getvalue().strip().splitlines()
-    assert len(lines) == 2
-    rows = [json.loads(line) for line in lines]
-    assert rows[0]["kind"] == "start"
-    assert rows[1]["wall_seconds"] == 0.5
 
 
 def test_sweep_stats_observe_folds_event_kinds():

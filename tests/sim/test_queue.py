@@ -6,7 +6,7 @@ import pytest
 
 from repro.obs import EventBus
 from repro.sim.packet import Packet
-from repro.sim.queue import CoDelQueue, DropTailQueue, REDQueue
+from repro.sim.queue import DropTailQueue, REDQueue
 
 
 def pkt(flow=0, size=1500):
@@ -267,16 +267,7 @@ def _drive_droptail(q):
 def _drive_red(q):
     for seq in range(200):
         if q.offer(0.01 * seq, Packet.data(seq % 4, seq)) and q.occupancy_bytes > 30_000:
-            q.poll(0.01 * seq)
-
-
-def _drive_codel(q):
-    for seq in range(60):
-        q.offer(0.0, Packet.data(seq % 3, seq))
-    t = 0.5
-    for _ in range(40):
-        q.poll(t)
-        t += 0.05
+            q.poll()
 
 
 def _drive_shrink(q):
@@ -296,10 +287,9 @@ def _drive_shrink(q):
             ),
             _drive_red,
         ),
-        (lambda: CoDelQueue(1_000_000), _drive_codel),
         (lambda: DropTailQueue(12_000), _drive_shrink),
     ],
-    ids=["droptail", "red", "codel", "set_capacity"],
+    ids=["droptail", "red", "set_capacity"],
 )
 def test_counters_match_bus_subscriber(make_queue, drive):
     """Every drop path updates the counters exactly as the bus reports it."""

@@ -214,8 +214,6 @@ def test_profile_subcommand(capsys):
 
 
 def test_run_with_trace_writes_jsonl(tmp_path, capsys):
-    from repro.obs.tracing import read_jsonl
-
     dest = str(tmp_path / "trace.jsonl")
     code, _ = run_cli(
         capsys,
@@ -223,7 +221,8 @@ def test_run_with_trace_writes_jsonl(tmp_path, capsys):
         "--warmup", "1", "--trace", dest,
     )
     assert code == 0
-    rows = read_jsonl(dest)
+    with open(dest) as fh:
+        rows = [json.loads(line) for line in fh]
     assert rows
     topics = {row["topic"] for row in rows}
     assert "cwnd" in topics

@@ -6,21 +6,13 @@ from repro import units
 
 
 def test_rate_conversions():
-    assert units.kbps(5) == 5_000
     assert units.mbps(100) == 100_000_000
     assert units.gbps(10) == 10_000_000_000
     assert units.to_mbps(units.mbps(42)) == 42
 
 
 def test_size_conversions():
-    assert units.kilobytes(3) == 3_000
     assert units.megabytes(3) == 3_000_000
-
-
-def test_time_conversions():
-    assert units.ms(20) == 0.020
-    assert units.us(500) == pytest.approx(0.0005)
-    assert units.to_ms(0.1) == 100.0
 
 
 def test_bdp():
@@ -34,12 +26,6 @@ def test_bdp_validation():
         units.bdp_bytes(-1, 0.1)
     with pytest.raises(ValueError):
         units.bdp_packets(units.mbps(1), 0.1, packet_bytes=0)
-
-
-def test_transmission_time():
-    assert units.transmission_time(1500, units.mbps(12)) == pytest.approx(0.001)
-    with pytest.raises(ValueError):
-        units.transmission_time(1500, 0)
 
 
 def test_paper_constants():
