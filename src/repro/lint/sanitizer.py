@@ -20,7 +20,8 @@ around it hook their mutation points into it:
   SACK scoreboard (one :class:`~repro.tcp.rangeset.RangeSet`)
   structurally consistent, holding exactly ``sacked_out`` sequences,
   all within ``[snd_una, snd_nxt)``; every lost packet lies below the
-  loss-scan watermark (``lost_out <= max(0, _lost_scan - snd_una)``).
+  loss-scan watermark (``lost_out <= max(0, _lost_scan - snd_una)``);
+  a set RTO timer handle refers to a pending event.
 
 Failures raise :class:`SanitizerError` immediately (fail-fast) with a
 diagnostic naming the offending component, the flow where applicable,
@@ -260,6 +261,19 @@ class SimSanitizer:
                 f"[snd_una, snd_nxt) = [{sender.snd_una}, {sender.snd_nxt})",
                 flow_id=flow,
             )
+        # The ACK handler re-arms the RTO by storing a deadline whenever
+        # the handle is set, so a handle to a fired or cancelled event
+        # would leave the connection with no retransmission timer.
+        rto_event = sender._rto_event
+        if rto_event is not None:
+            from ..sim.engine import event_pending  # import cycle guard
+
+            if not event_pending(rto_event):
+                self._fail(
+                    "TcpSender",
+                    "RTO timer handle is set but its event is no longer pending",
+                    flow_id=flow,
+                )
         lost_bound = max(0, sender._lost_scan - sender.snd_una)
         if sender.lost_out > lost_bound:
             self._fail(

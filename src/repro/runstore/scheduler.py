@@ -287,6 +287,13 @@ def run_jobs(
 
     Returns a :class:`SweepOutcome` whose ``results`` align with
     ``jobs`` (duplicates share one result object).
+
+    Inline runs execute misses in input order. Pool runs dispatch them
+    costliest first, by ``scenario.duration * scenario.bottleneck_bw_bps``
+    (proportional to the packets simulated), with ties kept in input
+    order: the batch then ends on short jobs instead of waiting for a
+    long one that started last. ``results`` align with ``jobs`` either
+    way.
     """
     sweep_start = time.perf_counter()  # repro-lint: disable=RPR001
     stats = SweepStats(jobs=len(jobs))
@@ -390,6 +397,12 @@ def run_jobs(
     return SweepOutcome(results=results, stats=stats, failures=failures)
 
 
+def _cost(job: Job) -> float:
+    """Dispatch cost of a job: the bits its bottleneck can carry in the
+    run, which is proportional to the packets it simulates."""
+    return job.scenario.duration * job.scenario.bottleneck_bw_bps
+
+
 def _run_pool(
     pending: List[str],
     job_by_key: Dict[str, Job],
@@ -408,6 +421,10 @@ def _run_pool(
 ) -> None:
     """The ``submit`` + per-future loop with crash recovery.
 
+    Pending jobs are dispatched costliest first (see :func:`_cost`), so
+    the longest simulations start while every worker is still free
+    instead of trailing the batch. Retries join the queue as they occur.
+
     Submission is deferred through ``to_submit`` so that a pool broken
     by a dying worker — whether detected from a future's result or from
     ``submit`` itself — is always recovered in one place: rebuild the
@@ -416,7 +433,10 @@ def _run_pool(
     """
     attempts: Dict[str, int] = {}
     executor = ProcessPoolExecutor(max_workers=workers)
-    to_submit: List[str] = list(reversed(pending))  # popped LIFO -> input order
+    # Costliest first (sorted() is stable, so equal costs keep input
+    # order), reversed because to_submit is popped LIFO.
+    by_cost = sorted(pending, key=lambda key: _cost(job_by_key[key]), reverse=True)
+    to_submit: List[str] = list(reversed(by_cost))
     futures: Dict["Future[_Outcome]", str] = {}
 
     def _submit(pool: ProcessPoolExecutor, key: str) -> "Future[_Outcome]":

@@ -157,7 +157,7 @@ class Link:
             return
         if self.queue.offer(self.sim.now, packet):
             if not self.busy and self.up:
-                self._start_next()
+                self._finish(None)
 
     def set_down(self) -> None:
         """Take the link down (blackout). Idempotent."""
@@ -169,7 +169,7 @@ class Link:
             return
         self.up = True
         if not self.busy:
-            self._start_next()
+            self._finish(None)
 
     def set_rate(self, rate_bps: float) -> None:
         """Change the link rate; applies from the next serialisation."""
@@ -178,7 +178,30 @@ class Link:
         self.rate_bps = rate_bps
         self._tx_times.clear()
 
-    def _start_next(self) -> None:
+    def _finish(self, done: Optional[Packet]) -> None:
+        """Transmit-complete handler, which also starts the transmitter.
+
+        ``done`` is the packet whose serialisation just completed: it is
+        counted and handed to the sink (after the propagation delay).
+        Then the next queued packet, if any, starts serialising. An
+        arrival or :meth:`set_up` that finds the transmitter idle calls
+        this with ``done=None`` to run only the second half, so the
+        drain code exists once and a busy link costs one call per
+        packet.
+        """
+        if done is not None:
+            self.transmitted_packets += 1
+            self.transmitted_bytes += done.size
+            if self._sanitizer is not None:
+                self._sanitizer.on_link_finish(self, done)
+            sink = self.sink
+            if sink is None:
+                raise RuntimeError("Link has no sink attached")
+            # <= rather than ==: see DelayLink.send.
+            if self.delay <= 0.0:
+                sink.send(done)
+            else:
+                self._schedule(self.delay, sink.send, done)
         if not self.up:
             self.busy = False
             return
@@ -193,21 +216,6 @@ class Link:
             tx_time = size * 8.0 / self.rate_bps
             self._tx_times[size] = tx_time
         self._schedule(tx_time, self._finish, packet)
-
-    def _finish(self, packet: Packet) -> None:
-        self.transmitted_packets += 1
-        self.transmitted_bytes += packet.size
-        if self._sanitizer is not None:
-            self._sanitizer.on_link_finish(self, packet)
-        sink = self.sink
-        if sink is None:
-            raise RuntimeError("Link has no sink attached")
-        # <= rather than ==: see DelayLink.send.
-        if self.delay <= 0.0:
-            sink.send(packet)
-        else:
-            self._schedule(self.delay, sink.send, packet)
-        self._start_next()
 
     @property
     def utilization_possible_bytes(self) -> int:

@@ -37,13 +37,13 @@ class CongestionControl:
     #: Absolute floor on the congestion window.
     MIN_CWND = 2.0
 
+    #: Pacing rate in bits/second, or ``None`` for ACK clocking. A plain
+    #: class attribute, read on every send attempt; a pacing CCA such as
+    #: BBR overrides it with a property.
+    pacing_rate: Optional[float] = None
+
     def __init__(self) -> None:
         self.cwnd: float = self.INITIAL_CWND
-
-    @property
-    def pacing_rate(self) -> Optional[float]:
-        """Pacing rate in bits/second, or ``None`` for ACK clocking."""
-        return None
 
     def on_ack(self, rs: RateSample, conn: "TcpSender") -> None:
         """Process one ACK. ``rs.newly_acked`` packets were delivered."""

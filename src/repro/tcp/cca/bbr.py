@@ -92,7 +92,7 @@ class Bbr(CongestionControl):
     # ------------------------------------------------------------------
 
     @property
-    def pacing_rate(self) -> Optional[float]:
+    def pacing_rate(self) -> Optional[float]:  # type: ignore[override]
         """Pacing rate in bits/second."""
         bw = self.btlbw
         if bw is None:

@@ -46,7 +46,7 @@ class Cubic(CongestionControl):
     def on_ack(self, rs: RateSample, conn: "TcpSender") -> None:
         if rs.newly_acked <= 0 or conn.in_recovery:
             return
-        if self.in_slow_start:
+        if self.cwnd < self.ssthresh:  # in_slow_start, without the call
             self.cwnd += rs.newly_acked
             if self.cwnd > self.ssthresh:
                 self.cwnd = self.ssthresh

@@ -35,11 +35,14 @@ class WindowedFilter:
 
     def update(self, value: float, time: float) -> float:
         """Insert a sample observed at ``time``; returns the new extremum."""
-        better = (lambda a, b: a >= b) if self._is_max else (lambda a, b: a <= b)
         samples = self._samples
         # Evict samples dominated by the new one.
-        while samples and better(value, samples[-1][1]):
-            samples.pop()
+        if self._is_max:
+            while samples and value >= samples[-1][1]:
+                samples.pop()
+        else:
+            while samples and value <= samples[-1][1]:
+                samples.pop()
         samples.append((time, value))
         # Evict samples that have aged out of the window.
         horizon = time - self.window

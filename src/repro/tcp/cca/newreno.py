@@ -41,7 +41,7 @@ class NewReno(CongestionControl):
             # No growth while recovering (the SACK pipe rule governs
             # transmission; cwnd stays at the post-halving value).
             return
-        if self.in_slow_start:
+        if self.cwnd < self.ssthresh:  # in_slow_start, without the call
             self.cwnd += rs.newly_acked
             if self.cwnd > self.ssthresh:
                 self.cwnd = self.ssthresh

@@ -30,45 +30,12 @@ from ..sim.packet import Packet, SackBlock
 from ..units import ACK_PACKET_BYTES, DATA_PACKET_BYTES
 from .cca.base import CongestionControl
 from .rangeset import RangeSet
-from .rate_sample import DeliveryRateEstimator, RateSample
+from .rate_sample import DeliveryRateEstimator, PacketMeta, RateSample
 from .rtt import RttEstimator
 
 #: The bus forwarder, called as ``fn(now, kind, cwnd)`` where kind is
 #: one of "ack", "loss_event", "rto", "recovery_exit".
 CwndForwarder = Callable[[float, str, float], None]
-
-
-class PacketMeta:
-    """Per-in-flight-packet scoreboard state."""
-
-    __slots__ = (
-        "sent_time",
-        "first_sent_time",
-        "delivered",
-        "delivered_time",
-        "is_app_limited",
-        "retransmitted",
-        "retx_pending",
-        "in_retrans_out",
-        "sacked",
-        "lost",
-    )
-
-    def __init__(self) -> None:
-        self.sent_time = 0.0
-        self.first_sent_time = 0.0
-        self.delivered = 0
-        self.delivered_time: Optional[float] = 0.0
-        self.is_app_limited = False
-        # 'retransmitted' is sticky (Karn's rule: never RTT-sample such a
-        # packet); 'in_retrans_out' tracks whether it currently counts in
-        # the pipe's retrans_out term; 'retx_pending' means it sits in the
-        # retransmission queue.
-        self.retransmitted = False
-        self.retx_pending = False
-        self.in_retrans_out = False
-        self.sacked = False
-        self.lost = False
 
 
 class ConnectionStats:
@@ -252,20 +219,34 @@ class TcpSender:
         return None
 
     def _try_send(self) -> None:
+        """Send while the window and the pacing clock allow.
+
+        Runs at the end of every ACK, as the pacing-timer handler and at
+        start. Each transmission is folded into the loop rather than
+        made a method call of its own.
+        """
         if not self.started or self.completed or self.path is None:
             return
         now = self.sim.now
         pacing_rate = self.cca.pacing_rate
         # cwnd and pacing_rate only change inside ACK/loss processing,
-        # never while this send loop runs, so both — and the pipe
-        # estimate, which grows by exactly one per transmission — are
-        # safe to fold into locals for the duration of the loop.
-        cwnd_packets = max(1, int(self.cca.cwnd))
+        # never while this send loop runs, so both are safe to fold into
+        # locals for the duration of the loop, and so is the pipe
+        # estimate, which grows by exactly one per transmission.
+        cwnd_packets = int(self.cca.cwnd)
+        if cwnd_packets < 1:
+            cwnd_packets = 1
         total_packets = self.total_packets
         in_flight = (
             self.snd_nxt - self.snd_una - self.sacked_out - self.lost_out
             + self.retrans_out
         )
+        meta_map = self._meta
+        on_packet_sent = self.rate_estimator.on_packet_sent
+        stats = self.stats
+        path_send = self.path.send
+        flow_id = self.flow_id
+        mss = self.mss
         while True:
             if in_flight >= cwnd_packets:
                 break
@@ -273,16 +254,40 @@ class TcpSender:
                 self._arm_send_timer(self._pacing_next)
                 break
             seq = self._next_retransmit() if self._retx_heap else None
-            retransmission = seq is not None
             if seq is None:
                 seq = self.snd_nxt
                 if total_packets is not None and seq >= total_packets:
                     break
-            self._transmit(seq, retransmission)
+                self.snd_nxt = seq + 1
+                meta = None
+            else:
+                meta = meta_map[seq]
+                meta.retransmitted = True
+                meta.retx_pending = False
+                meta.in_retrans_out = True
+                self.retrans_out += 1
+                stats.retransmits += 1
+            # The pipe after this transmission, minus the packet itself:
+            # the draft's SendPacket stamps the pipe it joins.
+            meta = on_packet_sent(
+                meta,
+                now,
+                self.snd_nxt - self.snd_una - self.sacked_out - self.lost_out
+                + self.retrans_out - 1,
+            )
+            meta_map[seq] = meta
+            stats.packets_sent += 1
+            path_send(Packet(flow_id, seq, mss))
+            if self._rto_deadline is None:
+                self._set_rto_deadline(now + self.rtt.rto)
             in_flight += 1
             if pacing_rate is not None and pacing_rate > 0:
-                gap = self.mss * 8.0 / pacing_rate
-                self._pacing_next = max(now, self._pacing_next) + gap
+                gap = mss * 8.0 / pacing_rate
+                # max(now, _pacing_next) + gap, without the builtin call.
+                pacing_next = self._pacing_next
+                if pacing_next < now:
+                    pacing_next = now
+                self._pacing_next = pacing_next + gap
 
     def _arm_send_timer(self, at: float) -> None:
         if self._send_timer is not None and event_pending(self._send_timer):
@@ -291,47 +296,22 @@ class TcpSender:
             self.sim.cancel(self._send_timer)
         self._send_timer = self.sim.schedule_at(at, self._try_send)
 
-    def _transmit(self, seq: int, retransmission: bool) -> None:
-        now = self.sim.now
-        if retransmission:
-            meta = self._meta[seq]
-            meta.retransmitted = True
-            meta.retx_pending = False
-            meta.in_retrans_out = True
-            self.retrans_out += 1
-            self.stats.retransmits += 1
-        else:
-            meta = PacketMeta()
-            self._meta[seq] = meta
-            self.snd_nxt += 1
-        # self.in_flight inlined (property chain is hot here).
-        in_flight = (
-            self.snd_nxt - self.snd_una - self.sacked_out - self.lost_out
-            + self.retrans_out
-        )
-        self.rate_estimator.on_packet_sent(meta, now, in_flight - 1)
-        self.stats.packets_sent += 1
-        assert self.path is not None
-        self.path.send(Packet(self.flow_id, seq, self.mss))
-        if self._rto_deadline is None:
-            self._set_rto_deadline(now + self.rtt.rto)
-
     # ------------------------------------------------------------------
     # ACK processing (entry point: reverse path delivers ACKs here)
     # ------------------------------------------------------------------
 
-    def send(self, packet: Packet) -> None:
-        """Sink interface — the reverse path hands ACKs to the sender."""
-        if not packet.is_ack:
-            raise ValueError("TcpSender received a non-ACK packet")
-        self._on_ack(packet)
+    def send(self, ack: Packet) -> None:
+        """Sink interface: the reverse path hands ACKs to the sender.
 
-    def _on_ack(self, ack: Packet) -> None:
-        # This method runs once per received ACK and dominates the whole
-        # simulation profile, so the property chains (in_flight,
-        # packets_out) and repeated attribute lookups are folded into
-        # locals. Every arithmetic expression is kept identical to the
-        # straightforward form — results must stay byte-for-byte equal.
+        This is the ACK handler. It runs once per received ACK and
+        dominates the whole simulation profile, so the property chains
+        (in_flight, packets_out) and repeated attribute lookups are
+        folded into locals. Every arithmetic expression is kept
+        identical to the straightforward form: results must stay
+        byte-for-byte equal.
+        """
+        if not ack.is_ack:
+            raise ValueError("TcpSender received a non-ACK packet")
         now = self.sim.now
         self.stats.acks_received += 1
         prior_una = self.snd_una
@@ -421,7 +401,7 @@ class TcpSender:
             self.retrans_out = retrans_out
 
         # --- loss detection -------------------------------------------
-        newly_lost = self._mark_lost_from_sack()
+        newly_lost = self._mark_lost_from_sack() if self.sacked_out else 0
 
         # Spurious-RTO detection: an RTT sample during RTO recovery can
         # only come from a never-retransmitted packet, meaning the
@@ -457,18 +437,23 @@ class TcpSender:
         if self.total_packets is not None and self.snd_una >= self.total_packets:
             if not self.completed:
                 self.completed = True
-                self._clear_rto_deadline()
+                self._rto_deadline = None
                 if self.completion_listener is not None:
                     self.completion_listener(self)
             return
         if self.snd_nxt > self.snd_una:
             # RFC 6298 §5.3: restart the timer only when new data is
             # acknowledged — dupACKs must not keep pushing it out, or a
-            # lost retransmission would never time out.
+            # lost retransmission would never time out. With a timer
+            # already pending (the steady state) re-arming is one store;
+            # _on_rto_timer re-checks the deadline when it fires.
             if ack_seq > prior_una or self._rto_deadline is None:
-                self._set_rto_deadline(now + self.rtt.rto)
+                deadline = now + self.rtt.rto
+                self._rto_deadline = deadline
+                if self._rto_event is None:
+                    self._rto_event = self.sim.schedule_at(deadline, self._on_rto_timer)
         else:
-            self._clear_rto_deadline()
+            self._rto_deadline = None
         self._try_send()
 
     def _enter_recovery(self) -> None:
@@ -491,10 +476,10 @@ class TcpSender:
         ``_lost_scan`` watermark makes this incremental: each un-SACKed
         sequence is walked at most once over the connection's lifetime.
         Only the holes of ``_sacked`` above the watermark are visited,
-        and the watermark then rises to the threshold.
+        and the watermark then rises to the threshold. The ACK handler
+        calls it only while ``sacked_out`` is non-zero: with nothing
+        SACKed there is no threshold.
         """
-        if not self.sacked_out:
-            return 0
         sacked_set = self._sacked
         if self.loss_marking == "rack":
             threshold: Optional[int] = sacked_set.max_value()
@@ -525,15 +510,16 @@ class TcpSender:
 
     # ------------------------------------------------------------------
     # RTO machinery (lazy re-arm to avoid heap churn)
+    #
+    # ``_rto_event`` is None exactly when no RTO event is pending: the
+    # handler clears it on entry and nothing cancels it, so a non-None
+    # handle needs no event_pending() test. The sanitizer checks this.
     # ------------------------------------------------------------------
 
     def _set_rto_deadline(self, deadline: float) -> None:
         self._rto_deadline = deadline
-        if self._rto_event is None or not event_pending(self._rto_event):
+        if self._rto_event is None:
             self._rto_event = self.sim.schedule_at(deadline, self._on_rto_timer)
-
-    def _clear_rto_deadline(self) -> None:
-        self._rto_deadline = None
 
     def _on_rto_timer(self) -> None:
         self._rto_event = None
@@ -594,7 +580,7 @@ class TcpSender:
     def _notify_cwnd(self, kind: str) -> None:
         """Forward a rare-kind cwnd event to the bus, if one is bound.
 
-        The per-ACK "ack" notification is inlined in :meth:`_on_ack`.
+        The per-ACK "ack" notification is inlined in :meth:`send`.
         """
         if self.forwarder is not None:
             self.forwarder(self.sim.now, kind, self.cca.cwnd)
@@ -643,6 +629,9 @@ class TcpReceiver:
         self.acks_sent = 0
         self._ooo = RangeSet()
         self._unacked_segments = 0
+        # None exactly when no delayed-ACK timer is pending: _on_delack
+        # clears it on entry and _send_ack clears it when it cancels, so
+        # arming tests the handle instead of calling event_pending().
         self._delack_event: Optional[Event] = None
 
     def send(self, packet: Packet) -> None:
@@ -663,17 +652,17 @@ class TcpReceiver:
             # is identical to the general path for this case.
             self.rcv_nxt = rcv_nxt + 1
             if not self.delayed_ack:
-                self._send_ack(triggering_seq=seq)
+                self._send_ack(seq)
                 return
             self._unacked_segments += 1
             if self._unacked_segments >= self.ACK_QUOTA:
-                self._send_ack(triggering_seq=seq)
-            else:
-                self._arm_delack()
+                self._send_ack(seq)
+            elif self._delack_event is None:
+                self._delack_event = self.sim.schedule(self.delack_timeout, self._on_delack)
             return
         if seq < rcv_nxt or seq in self._ooo:
             self.duplicate_packets += 1
-            self._send_ack(triggering_seq=seq)
+            self._send_ack(seq)
             return
         self._ooo.add_point(seq)
         filled_hole = False
@@ -687,23 +676,18 @@ class TcpReceiver:
             self._ooo.remove_below(new_nxt)
         out_of_order = seq >= self.rcv_nxt  # still above the cumulative point
         if out_of_order or filled_hole or self._ooo._starts or not self.delayed_ack:
-            self._send_ack(triggering_seq=seq)
+            self._send_ack(seq)
             return
         self._unacked_segments += 1
         if self._unacked_segments >= self.ACK_QUOTA:
-            self._send_ack(triggering_seq=seq)
-        else:
-            self._arm_delack()
-
-    def _arm_delack(self) -> None:
-        if self._delack_event is not None and event_pending(self._delack_event):
-            return
-        self._delack_event = self.sim.schedule(self.delack_timeout, self._on_delack)
+            self._send_ack(seq)
+        elif self._delack_event is None:
+            self._delack_event = self.sim.schedule(self.delack_timeout, self._on_delack)
 
     def _on_delack(self) -> None:
         self._delack_event = None
         if self._unacked_segments > 0:
-            self._send_ack(triggering_seq=None)
+            self._send_ack(None)
 
     def _sack_blocks(self, triggering_seq: Optional[int]) -> Tuple[SackBlock, ...]:
         """Up to :attr:`MAX_SACK_BLOCKS` out-of-order ranges.
@@ -735,15 +719,16 @@ class TcpReceiver:
         if self.reverse_path is None:
             raise RuntimeError("TcpReceiver has no reverse path attached")
         self._unacked_segments = 0
-        if self._delack_event is not None and event_pending(self._delack_event):
+        if self._delack_event is not None:
             self.sim.cancel(self._delack_event)
             self._delack_event = None
         ack = Packet(
             self.flow_id,
-            size=ACK_PACKET_BYTES,
-            is_ack=True,
-            ack_seq=self.rcv_nxt,
-            sack_blocks=self._sack_blocks(triggering_seq) if self._ooo._starts else (),
+            0,
+            ACK_PACKET_BYTES,
+            True,
+            self.rcv_nxt,
+            self._sack_blocks(triggering_seq) if self._ooo._starts else (),
         )
         self.acks_sent += 1
         self.reverse_path.send(ack)

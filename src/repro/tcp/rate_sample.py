@@ -47,10 +47,52 @@ class RateSample:
         self.newly_lost = 0
 
 
+class PacketMeta:
+    """Per-in-flight-packet state: the draft's send stamps plus the
+    sender's scoreboard flags.
+
+    There is no ``__init__``: :meth:`DeliveryRateEstimator.on_packet_sent`
+    builds every instance and stamps it in the same call, so a new
+    transmission costs one Python call rather than two.
+    """
+
+    __slots__ = (
+        "sent_time",
+        "first_sent_time",
+        "delivered",
+        "delivered_time",
+        "is_app_limited",
+        "retransmitted",
+        "retx_pending",
+        "in_retrans_out",
+        "sacked",
+        "lost",
+    )
+
+    # Stamped by on_packet_sent on every (re)transmission;
+    # delivered_time becomes None once the packet has been counted.
+    sent_time: float
+    first_sent_time: float
+    delivered: int
+    delivered_time: Optional[float]
+    is_app_limited: bool
+    # Scoreboard flags, owned by the sender and all False on a new
+    # packet. 'retransmitted' is sticky (Karn's rule: never RTT-sample
+    # such a packet); 'in_retrans_out' tracks whether it currently
+    # counts in the pipe's retrans_out term; 'retx_pending' means it
+    # sits in the retransmission queue.
+    retransmitted: bool
+    retx_pending: bool
+    in_retrans_out: bool
+    sacked: bool
+    lost: bool
+
+
 class DeliveryRateEstimator:
     """Per-connection delivery accounting.
 
-    The owning connection calls :meth:`on_packet_sent` when transmitting.
+    The owning connection calls :meth:`on_packet_sent` when transmitting,
+    which for a new packet also builds its :class:`PacketMeta`.
     Per ACK it builds a :class:`RateSample`, calls
     :meth:`on_packet_delivered` for each packet newly cumulatively ACKed
     or SACKed, then :meth:`finish_sample` to complete the sample.
@@ -64,18 +106,33 @@ class DeliveryRateEstimator:
         self.first_sent_time = 0.0
         self.app_limited_until = 0  # 'delivered' marker; 0 = not app limited
 
-    def on_packet_sent(self, pkt_state, now: float, in_flight: int) -> None:
-        """Stamp per-packet send state (draft's ``SendPacket``)."""
+    def on_packet_sent(
+        self, pkt_state: Optional[PacketMeta], now: float, in_flight: int
+    ) -> PacketMeta:
+        """Stamp per-packet send state (draft's ``SendPacket``).
+
+        ``pkt_state`` is a retransmitted packet's state, or ``None`` for
+        a new packet, whose :class:`PacketMeta` is built here with every
+        scoreboard flag clear. Returns the stamped state.
+        """
         if in_flight == 0:
             self.first_sent_time = now
             self.delivered_time = now
+        if pkt_state is None:
+            pkt_state = PacketMeta.__new__(PacketMeta)
+            pkt_state.retransmitted = False
+            pkt_state.retx_pending = False
+            pkt_state.in_retrans_out = False
+            pkt_state.sacked = False
+            pkt_state.lost = False
         pkt_state.sent_time = now
         pkt_state.first_sent_time = self.first_sent_time
         pkt_state.delivered = self.delivered
         pkt_state.delivered_time = self.delivered_time
         pkt_state.is_app_limited = self.app_limited_until > 0
+        return pkt_state
 
-    def on_packet_delivered(self, rs: RateSample, pkt_state, now: float) -> None:
+    def on_packet_delivered(self, rs: RateSample, pkt_state: PacketMeta, now: float) -> None:
         """Account one newly delivered packet (draft's ``UpdateRateSample``)."""
         if pkt_state.delivered_time is None:
             return  # already accounted through an earlier SACK

@@ -28,6 +28,7 @@ class RttEstimator:
         "rttvar",
         "latest_rtt",
         "min_rtt",
+        "rto",
         "_rto",
         "_backoff",
     )
@@ -51,11 +52,12 @@ class RttEstimator:
         self.min_rtt: Optional[float] = None
         self._rto = initial_rto
         self._backoff = 1
-
-    @property
-    def rto(self) -> float:
-        """Current retransmission timeout, including backoff."""
-        return min(self._rto * self._backoff, self.max_rto)
+        #: Current retransmission timeout, including backoff. A stored
+        #: attribute, not a property, because the sender reads it on
+        #: every transmission that arms the timer and every ACK that
+        #: re-arms it; each method that moves ``_rto`` or ``_backoff``
+        #: recomputes it.
+        self.rto = min(self._rto * self._backoff, self.max_rto)
 
     def on_measurement(self, rtt: float) -> None:
         """Incorporate a new RTT sample (from a non-retransmitted packet)."""
@@ -74,12 +76,15 @@ class RttEstimator:
         self._rto = self.srtt + max(self.granularity, self.K * self.rttvar)
         self._rto = min(max(self._rto, self.min_rto), self.max_rto)
         self._backoff = 1  # a valid sample clears backoff
+        self.rto = min(self._rto * self._backoff, self.max_rto)
 
     def on_timeout(self) -> None:
         """Apply exponential backoff after an RTO fires (RFC 6298 §5.5)."""
         if self._backoff < 64:
             self._backoff *= 2
+        self.rto = min(self._rto * self._backoff, self.max_rto)
 
     def reset_backoff(self) -> None:
         """Clear backoff (e.g. when new data is ACKed after recovery)."""
         self._backoff = 1
+        self.rto = min(self._rto * self._backoff, self.max_rto)

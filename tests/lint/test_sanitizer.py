@@ -234,6 +234,19 @@ def test_lost_above_loss_scan_watermark_trips():
         sim.sanitizer.check_sender(sender)
 
 
+def test_stale_rto_handle_trips():
+    sim = Simulator(sanitize=True)
+    sender, _, _ = make_pipe(sim, NewReno(), total_packets=20)
+    sender.start()  # the first transmission arms the RTO timer
+    assert sender._rto_event is not None
+    sim.sanitizer.check_sender(sender)  # handle set, event pending: clean
+    # Cancelled behind the handle's back: the ACK handler would keep
+    # storing deadlines for a timer that can never fire.
+    sim.cancel(sender._rto_event)
+    with pytest.raises(SanitizerError, match="RTO timer handle is set"):
+        sim.sanitizer.check_sender(sender)
+
+
 def test_diagnostic_names_flow_and_time():
     sim = Simulator(sanitize=True)
     sender, _, _ = make_pipe(sim, _BrokenCca(), total_packets=50)

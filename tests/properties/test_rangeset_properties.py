@@ -4,7 +4,7 @@ Every RangeSet operation has an obvious meaning on a set of covered
 integers; Hypothesis generates arbitrary interleavings of mutators and
 checks each query against the model after every step. This is the
 correctness net under the SACK scoreboard batching in
-``TcpSender._on_ack`` — the scoreboard's RangeSets are exactly what the
+``TcpSender.send`` — the scoreboard's RangeSets are exactly what the
 hot path now updates through fewer, larger calls.
 
 Derandomized with ``database=None`` (see test_engine_properties).

@@ -1,5 +1,7 @@
 """Fault-tolerant scheduler tests: dedup, hits, crash retry, timeouts."""
 
+from concurrent.futures import Future
+
 import pytest
 
 from repro.core.scenarios import FlowGroup
@@ -11,6 +13,7 @@ from repro.runstore import (
     job_key,
     run_jobs,
 )
+from repro.runstore import scheduler
 
 from . import fakes
 from .fakes import scenario
@@ -174,6 +177,52 @@ def test_progress_event_stream(tmp_path):
     run_jobs(jobs, store=store, workers=1, run_fn=fakes.quick_run, progress=events.append)
     assert [e.kind for e in events] == ["hit", "hit"]
     assert all(e.payload is not None for e in events)
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records the order jobs are
+    submitted in and runs each one at once, in this process."""
+
+    submitted = []
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+
+    def submit(self, fn, key, scenario, *args):
+        self.submitted.append(scenario.name)
+        future = Future()
+        future.set_result(fn(key, scenario, *args))
+        return future
+
+    def shutdown(self, wait=True):
+        pass
+
+
+def test_pool_dispatches_costliest_first(monkeypatch):
+    monkeypatch.setattr(scheduler, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "submitted", [])
+
+    def sized(name, duration, mbps):
+        base = scenario(0, name=name)
+        return base.with_overrides(duration=duration, bottleneck_bw_bps=mbps * 1e6)
+
+    # Cost is duration * bottleneck rate: d 40, b and c tie at 20 (b
+    # first in the input), a and e tie at 10 (a first).
+    jobs = [
+        Job(sized("a", 1.0, 10)),
+        Job(sized("b", 2.0, 10)),
+        Job(sized("c", 1.0, 20)),
+        Job(sized("d", 4.0, 10)),
+        Job(sized("e", 1.0, 10)),
+        Job(sized("b", 2.0, 10)),  # a duplicate runs once
+    ]
+    events = []
+    out = run_jobs(jobs, workers=2, run_fn=fakes.quick_run, progress=events.append)
+    assert _RecordingPool.submitted == ["d", "b", "c", "a", "e"]
+    assert [e.name for e in events if e.kind == "start"] == ["d", "b", "c", "a", "e"]
+    assert [r["name"] for r in out.results] == ["a", "b", "c", "d", "e", "b"]
+    assert out.results[1] is out.results[5]
+    assert out.failures == []
 
 
 def test_empty_job_list():

@@ -251,15 +251,17 @@ class TestPacing:
             def pacing_rate(self):
                 return 1_500 * 8 * 100.0  # 100 packets per second
 
-        sender, _, _ = make_pipe(sim, PacedReno(), total_packets=1000)
+        sender, _, wire = make_pipe(sim, PacedReno(), total_packets=1000)
         times = []
-        original = sender._transmit
 
-        def spy(seq, retx):
-            times.append(sim.now)
-            original(seq, retx)
+        class SpySink:
+            """Records each transmission's time, then forwards it on."""
 
-        sender._transmit = spy
+            def send(self, packet):
+                times.append(sim.now)
+                wire.send(packet)
+
+        sender.path = SpySink()
         sender.start()
         sim.run(until=0.2)
         gaps = [b - a for a, b in zip(times, times[1:])]

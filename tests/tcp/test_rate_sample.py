@@ -2,14 +2,11 @@
 
 import pytest
 
-from repro.tcp.connection import PacketMeta
 from repro.tcp.rate_sample import DeliveryRateEstimator, RateSample
 
 
 def send(est, now, in_flight):
-    meta = PacketMeta()
-    est.on_packet_sent(meta, now, in_flight)
-    return meta
+    return est.on_packet_sent(None, now, in_flight)
 
 
 def test_send_stamps_connection_state():
@@ -19,6 +16,24 @@ def test_send_stamps_connection_state():
     assert meta.delivered_time == 1.0  # idle restart resets to now
     assert meta.first_sent_time == 1.0
     assert meta.is_app_limited is False
+
+
+def test_new_packet_state_has_clear_scoreboard_flags():
+    meta = send(DeliveryRateEstimator(), 1.0, 0)
+    assert not (
+        meta.retransmitted or meta.retx_pending or meta.in_retrans_out
+        or meta.sacked or meta.lost
+    )
+
+
+def test_retransmission_restamps_the_same_state():
+    est = DeliveryRateEstimator()
+    meta = send(est, 1.0, 0)
+    meta.retransmitted = True
+    assert est.on_packet_sent(meta, 2.0, 3) is meta
+    assert meta.sent_time == 2.0
+    assert meta.first_sent_time == 1.0  # pipe not empty: no idle restart
+    assert meta.retransmitted  # scoreboard flags are left alone
 
 
 def test_steady_rate_measured_exactly():
@@ -65,7 +80,7 @@ def test_interval_below_min_rtt_rejected():
     est.delivered = 5
     est.delivered_time = 0.9998
     est.first_sent_time = 0.9995
-    meta = PacketMeta()
+    meta = send(DeliveryRateEstimator(), 0.0, 0)
     meta.sent_time = 1.0
     meta.first_sent_time = 0.9995
     meta.delivered = 5
@@ -79,7 +94,7 @@ def test_interval_below_min_rtt_rejected():
     est2.delivered = 5
     est2.delivered_time = 0.9998
     est2.first_sent_time = 0.9995
-    meta2 = PacketMeta()
+    meta2 = send(DeliveryRateEstimator(), 0.0, 0)
     meta2.sent_time = 1.0
     meta2.first_sent_time = 0.9995
     meta2.delivered = 5

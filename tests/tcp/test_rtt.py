@@ -1,6 +1,8 @@
 """Tests for the RFC 6298 RTT estimator."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.tcp.rtt import RttEstimator
 
@@ -107,3 +109,34 @@ def test_invalid_configuration_rejected():
         RttEstimator(min_rto=0.0)
     with pytest.raises(ValueError):
         RttEstimator(min_rto=2.0, max_rto=1.0)
+
+
+_STEPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("measure"), st.floats(min_value=1e-6, max_value=100.0)),
+        st.tuples(st.just("timeout"), st.none()),
+        st.tuples(st.just("reset"), st.none()),
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(
+    steps=_STEPS,
+    initial_rto=st.floats(min_value=0.01, max_value=100.0),
+    max_rto=st.floats(min_value=0.2, max_value=100.0),
+)
+def test_stored_rto_matches_its_formula(steps, initial_rto, max_rto):
+    # ``rto`` is stored, not computed on read: after every mutator it
+    # must equal the formula exactly, not approximately.
+    est = RttEstimator(initial_rto=initial_rto, max_rto=max_rto)
+    assert est.rto == min(est._rto * est._backoff, est.max_rto)
+    for kind, value in steps:
+        if kind == "measure":
+            est.on_measurement(value)
+        elif kind == "timeout":
+            est.on_timeout()
+        else:
+            est.reset_backoff()
+        assert est.rto == min(est._rto * est._backoff, est.max_rto)

@@ -57,7 +57,7 @@ def edge_bbr() -> Scenario:
 CASES: Dict[str, Callable[[], Scenario]] = {"core-loss": core_loss, "edge-bbr": edge_bbr}
 
 #: Pinned src/repro calls per executed event.
-BUDGETS = {"core-loss": 11.9559, "edge-bbr": 12.6042}
+BUDGETS = {"core-loss": 9.3938, "edge-bbr": 9.9996}
 
 
 def repro_calls_per_event(scenario: Scenario) -> float:
