@@ -20,7 +20,7 @@ underlying experiments are expensive (packet-level simulation), so:
   simulation), but the directory is listed in ``.gitignore`` so entries
   *you* generate — new scenarios, bumped ``CACHE_VERSION`` — never
   churn in diffs. To publish refreshed seeds after a physics change,
-  ``git add -f benchmarks/_cache/objects/<key>.pkl`` plus the manifest;
+  ``git add -f benchmarks/_cache/objects/<key>.pkl``;
 - ``REPRO_BENCH_STATS=<path>`` writes an aggregate scheduler-stats JSON
   (hits/misses/retries/events-per-sec) at interpreter exit — CI uses it
   to assert a warm run performs zero simulations;

@@ -25,9 +25,9 @@ returns a *partial* result whose ``health`` record carries the stalled
 flows, the fault timeline and the truncation time. Budget exhaustion
 without a watchdog raises :class:`~repro.sim.engine.SimulationError`.
 
-Deterministic fault injection (:mod:`repro.faults`) is driven either by
-the scenario's own ``faults`` field or an explicit ``fault_schedule=``
-override; the injector's RNG derives solely from the scenario seed, so
+Deterministic fault injection (:mod:`repro.faults`) is driven by the
+scenario's own ``faults`` field, which is part of the run-store cache
+key; the injector's RNG derives solely from the scenario seed, so
 faulted runs are bit-reproducible and cacheable.
 """
 
@@ -55,6 +55,10 @@ from .scenarios import Scenario
 #: fault stream is independent of the flow-setup stream: adding faults
 #: never perturbs the draws an unfaulted run would make.
 _FAULT_SEED_SALT = 0xFA17
+
+#: The convergence check's window, as a fraction of the post-warm-up
+#: duration.
+CONVERGENCE_WINDOW_FRACTION = 0.25
 
 
 def default_event_budget(scenario: Scenario) -> int:
@@ -86,9 +90,7 @@ def run_experiment(
     scenario: Scenario,
     record_drop_times: bool = True,
     convergence_check: bool = False,
-    convergence_window_fraction: float = 0.25,
     convergence_tolerance: float = 0.01,
-    fault_schedule: Optional[FaultSchedule] = None,
     watchdog: Optional[WatchdogConfig] = None,
     max_events: Optional[int] = None,
     bus: Optional[EventBus] = None,
@@ -104,12 +106,8 @@ def run_experiment(
     convergence_check:
         Enable the paper's early-stop rule: once past warm-up, stop when
         aggregate delivered throughput changes by less than
-        ``convergence_tolerance`` over ``convergence_window_fraction``
+        ``convergence_tolerance`` over :data:`CONVERGENCE_WINDOW_FRACTION`
         of the post-warm-up duration.
-    fault_schedule:
-        Fault timeline to inject; overrides ``scenario.faults``. Prefer
-        putting faults on the scenario so they participate in run-store
-        cache keys.
     watchdog:
         Arm a :class:`~repro.faults.watchdog.SimWatchdog` with this
         config: flows with no delivery progress for a stall budget are
@@ -176,14 +174,11 @@ def run_experiment(
         bus.bind_queue(queue)
     flow_mon = FlowMonitor(sim, senders)
 
-    schedule = fault_schedule
-    if schedule is None and scenario.faults:
-        schedule = FaultSchedule(scenario.faults)
     injector: Optional[FaultInjector] = None
-    if schedule is not None and schedule.events:
+    if scenario.faults:
         injector = FaultInjector(
             sim,
-            schedule,
+            FaultSchedule(scenario.faults),
             dumbbell,
             rng=random.Random(scenario.seed ^ _FAULT_SEED_SALT),
             bus=bus,
@@ -219,7 +214,7 @@ def run_experiment(
         flow_mon.open_window()
         if convergence_check:
             measured_span = scenario.duration - scenario.warmup
-            window = max(convergence_window_fraction * measured_span, 1e-9)
+            window = max(CONVERGENCE_WINDOW_FRACTION * measured_span, 1e-9)
             tracker = ConvergenceTracker(window, convergence_tolerance)
             tick = max(measured_span / 60.0, 1e-3)
             stop_at = {"time": scenario.duration}

@@ -101,11 +101,6 @@ class Scenario:
     def total_flows(self) -> int:
         return sum(g.count for g in self.groups)
 
-    @property
-    def buffer_bdp_fraction(self) -> float:
-        """Buffer size in units of the 200 ms-BDP the paper sizes against."""
-        return self.buffer_bytes / bdp_bytes(self.bottleneck_bw_bps, 0.200)
-
     def with_overrides(self, **kwargs) -> "Scenario":
         """A copy of this scenario with some fields replaced."""
         return replace(self, **kwargs)

@@ -3,14 +3,12 @@
 The paper reports per-flow throughput with the first five minutes of
 every experiment discarded. :class:`FlowMonitor` implements that
 measurement: it snapshots each sender's cumulative delivered count at a
-warm-up cut and computes goodput over the measured window. It can also
-record an interval time series for convergence detection (the paper's
-"metric changes by less than 1% over 20 minutes" stop rule).
+warm-up cut and computes goodput over the measured window.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from ..sim.engine import Simulator
 from ..tcp.connection import TcpSender
@@ -21,68 +19,16 @@ class FlowMonitor:
     """Measures per-flow goodput over a configurable window.
 
     Goodput counts cumulatively ACKed packets (application bytes at
-    ``payload_bytes`` each), i.e. retransmissions do not inflate it.
+    ``MSS`` each), i.e. retransmissions do not inflate it.
     """
 
-    def __init__(
-        self,
-        sim: Simulator,
-        senders: Sequence[TcpSender],
-        payload_bytes: int = MSS,
-        sample_interval: Optional[float] = None,
-        max_samples: Optional[int] = None,
-    ) -> None:
-        """``max_samples`` bounds the recorded series: when set, the
-        retained samples are decimated (every other one dropped, the
-        sampling stride doubled) whenever the cap is reached, so memory
-        stays O(max_samples) over arbitrarily long runs while coverage
-        still spans the whole run — 5000-flow CoreScale runs need this."""
+    def __init__(self, sim: Simulator, senders: Sequence[TcpSender]) -> None:
         self.sim = sim
         self.senders = list(senders)
-        self.payload_bytes = payload_bytes
         self.window_start: Optional[float] = None
         self.window_end: Optional[float] = None
         self._start_delivered: Dict[int, int] = {}
         self._end_delivered: Dict[int, int] = {}
-        self.sample_interval = sample_interval
-        self.sample_times: List[float] = []
-        self.samples: List[List[int]] = []  # snd_una snapshots per tick
-        self.max_samples = max_samples
-        self._sample_stride = 1
-        self._ticks = 0
-        self._sampling_stopped = False
-        if max_samples is not None and max_samples < 2:
-            raise ValueError("max_samples must be at least 2")
-        if sample_interval is not None:
-            if sample_interval <= 0:
-                raise ValueError("sample_interval must be positive")
-            sim.schedule(sample_interval, self._tick)
-
-    def _tick(self) -> None:
-        # Stop once the measurement window has closed or every finite
-        # flow has completed: an immortal tick would otherwise keep the
-        # event heap alive forever, burning the run's max_events budget
-        # and growing `samples` without bound.
-        if self._sampling_stopped or self.window_end is not None:
-            self._sampling_stopped = True
-            return
-        tick_index = self._ticks
-        self._ticks += 1
-        if tick_index % self._sample_stride == 0:
-            self.sample_times.append(self.sim.now)
-            self.samples.append([s.snd_una for s in self.senders])
-            if self.max_samples is not None and len(self.samples) >= self.max_samples:
-                self.sample_times = self.sample_times[::2]
-                self.samples = self.samples[::2]
-                self._sample_stride *= 2
-        if self.senders and all(s.completed for s in self.senders):
-            self._sampling_stopped = True
-            return
-        self.sim.schedule(self.sample_interval, self._tick)
-
-    def stop_sampling(self) -> None:
-        """Stop the periodic series (any pending tick becomes a no-op)."""
-        self._sampling_stopped = True
 
     def progress_marks(self) -> Dict[int, Tuple[int, int]]:
         """Per-flow ``(delivered, acks_received)`` counters, keyed by id.
@@ -123,12 +69,4 @@ class FlowMonitor:
     def goodput_bps(self, flow_id: int) -> float:
         """Application goodput of one flow in bits/second."""
         duration = self._require_window()
-        return self.delivered_packets(flow_id) * self.payload_bytes * 8.0 / duration
-
-    def goodputs(self) -> Dict[int, float]:
-        """Goodput of every flow, keyed by flow id."""
-        return {s.flow_id: self.goodput_bps(s.flow_id) for s in self.senders}
-
-    def aggregate_goodput_bps(self) -> float:
-        """Sum of all flows' goodput."""
-        return sum(self.goodputs().values())
+        return self.delivered_packets(flow_id) * MSS * 8.0 / duration

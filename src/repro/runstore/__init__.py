@@ -6,7 +6,8 @@ The subsystem has four layers:
 - :mod:`repro.runstore.keys` — canonical JSON serialization of a
   (scenario, options, :data:`CACHE_VERSION`) job and its sha256 key;
 - :mod:`repro.runstore.store` — the on-disk content-addressed store
-  (atomic writes, corruption-tolerant loads, manifest index, ``gc``);
+  (atomic writes, corruption-tolerant loads, listing from the
+  self-describing objects, ``gc``);
 - :mod:`repro.runstore.scheduler` — deduplicating, crash-retrying,
   checkpoint/resuming process-pool execution (:func:`run_jobs`);
 - :mod:`repro.runstore.progress` — per-job events and sweep counters.
@@ -22,7 +23,7 @@ Typical use::
 
 from __future__ import annotations
 
-from .keys import CACHE_VERSION, DEFAULT_OPTIONS, canonical_json, job_key
+from .keys import CACHE_VERSION, canonical_json, job_key
 from .progress import JobEvent, ProgressCallback, SweepStats, print_progress
 from .scheduler import (
     DEFAULT_RETRIES,
@@ -37,7 +38,6 @@ from .store import GcReport, RunStore, StoreEntry
 
 __all__ = [
     "CACHE_VERSION",
-    "DEFAULT_OPTIONS",
     "DEFAULT_RETRIES",
     "GcReport",
     "Job",

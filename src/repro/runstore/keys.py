@@ -44,20 +44,13 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Dict, Mapping
 
 from ..core.scenarios import Scenario
 
 #: Cache epoch. Bump when simulator physics or the key scheme change so
 #: previously stored results can never be returned for a new-physics run.
 CACHE_VERSION = 8
-
-#: The ``run_experiment`` options a bare ``Scenario`` run implies; keys
-#: computed without explicit options hash these.
-DEFAULT_OPTIONS: Dict[str, Any] = {
-    "record_drop_times": True,
-    "convergence_check": False,
-}
 
 
 def canonical_json(obj: Any) -> str:
@@ -82,12 +75,16 @@ def scenario_to_canonical(scenario: Scenario) -> Dict[str, Any]:
 
 def job_key(
     scenario: Scenario,
-    options: Optional[Mapping[str, Any]] = None,
+    options: Mapping[str, Any],
     version: int = CACHE_VERSION,
 ) -> str:
-    """The content address for one (scenario, options, version) job."""
+    """The content address for one (scenario, options, version) job.
+
+    ``options`` is the canonical form of the job's run options
+    (:meth:`repro.runstore.scheduler.RunOptions.to_canonical`).
+    """
     payload = {
-        "options": dict(options) if options is not None else dict(DEFAULT_OPTIONS),
+        "options": dict(options),
         "scenario": scenario_to_canonical(scenario),
         "version": version,
     }

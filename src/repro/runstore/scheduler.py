@@ -44,7 +44,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 from ..core.experiment import run_experiment
 from ..core.scenarios import Scenario
 from ..faults.watchdog import WatchdogConfig
-from .keys import CACHE_VERSION, job_key
+from .keys import job_key
 from .progress import JobEvent, ProgressCallback, SweepStats
 from .store import RunStore
 
@@ -58,9 +58,10 @@ DEFAULT_RETRIES = 2
 class RunOptions:
     """The ``run_experiment`` keyword options that shape a result.
 
-    ``watchdog`` and ``max_events`` default to ``None`` and are omitted
-    from both the kwargs and the canonical (hashed) form when unset, so
-    pre-existing cache keys are unaffected by their introduction.
+    Each field is one keyword. A field left at ``None`` (``watchdog``
+    and ``max_events`` by default) is omitted from both the kwargs and
+    the canonical (hashed) form, so cache keys written before those
+    options existed stay valid.
     """
 
     record_drop_times: bool = True
@@ -69,27 +70,17 @@ class RunOptions:
     max_events: Optional[int] = None
 
     def to_kwargs(self) -> Dict[str, Any]:
-        kwargs: Dict[str, Any] = {
-            "record_drop_times": self.record_drop_times,
-            "convergence_check": self.convergence_check,
+        """The set options, as ``run_experiment`` keywords."""
+        return {
+            f.name: getattr(self, f.name)
+            for f in dataclasses.fields(self)
+            if getattr(self, f.name) is not None
         }
-        if self.watchdog is not None:
-            kwargs["watchdog"] = self.watchdog
-        if self.max_events is not None:
-            kwargs["max_events"] = self.max_events
-        return kwargs
 
     def to_canonical(self) -> Dict[str, Any]:
-        """The dict hashed into the cache key."""
-        canonical: Dict[str, Any] = {
-            "record_drop_times": self.record_drop_times,
-            "convergence_check": self.convergence_check,
-        }
-        if self.watchdog is not None:
-            canonical["watchdog"] = dataclasses.asdict(self.watchdog)
-        if self.max_events is not None:
-            canonical["max_events"] = self.max_events
-        return canonical
+        """The set options as plain JSON data: the dict hashed into the
+        cache key."""
+        return {k: v for k, v in dataclasses.asdict(self).items() if v is not None}
 
 
 @dataclass(frozen=True)
@@ -99,8 +90,8 @@ class Job:
     scenario: Scenario
     options: RunOptions = RunOptions()
 
-    def key(self, version: int = CACHE_VERSION) -> str:
-        return job_key(self.scenario, self.options.to_canonical(), version)
+    def key(self) -> str:
+        return job_key(self.scenario, self.options.to_canonical())
 
 
 @dataclass(frozen=True)
@@ -198,7 +189,6 @@ def _execute(
     run_fn: RunFn,
     timeout: Optional[float],
     store_root: Optional[str],
-    version: int,
 ) -> _Outcome:
     """Run one job in the current process; never raises (crashes aside)."""
     # Host-clock reads are intentional throughout: they time the *real*
@@ -234,7 +224,6 @@ def _execute(
         # reproduce the same partial result the slow way.
         meta: Dict[str, Any] = {
             "name": scenario.name,
-            "version": version,
             "wall_seconds": wall,
             "events": events,
         }
@@ -261,7 +250,6 @@ def run_jobs(
     run_fn: RunFn = run_experiment,
     progress: Optional[ProgressCallback] = None,
     strict: bool = True,
-    version: int = CACHE_VERSION,
 ) -> SweepOutcome:
     """Execute ``jobs`` (deduplicated, cached, fault-tolerant).
 
@@ -304,7 +292,7 @@ def run_jobs(
     job_by_key: Dict[str, Job] = {}
     order: List[str] = []
     for i, job in enumerate(jobs):
-        k = job.key(version)
+        k = job.key()
         if k not in index_map:
             index_map[k] = []
             job_by_key[k] = job
@@ -378,7 +366,7 @@ def run_jobs(
                 _emit(JobEvent("start", k, _name(k)))
                 outcome = _execute(
                     k, job.scenario, job.options.to_kwargs(),
-                    run_fn, timeout, store_root, version,
+                    run_fn, timeout, store_root,
                 )
                 # Timeouts are not retried inline: the run is
                 # deterministic, a second inline attempt would simply
@@ -387,7 +375,7 @@ def run_jobs(
         else:
             _run_pool(
                 pending, job_by_key, workers, timeout, retries, run_fn,
-                store, store_root, version, _emit, _fill, _name, _settle,
+                store, store_root, _emit, _fill, _name, _settle,
                 failures,
             )
 
@@ -412,7 +400,6 @@ def _run_pool(
     run_fn: RunFn,
     store: Optional[RunStore],
     store_root: Optional[str],
-    version: int,
     _emit: Callable[[JobEvent], None],
     _fill: Callable[[str, Any], None],
     _name: Callable[[str], str],
@@ -445,7 +432,7 @@ def _run_pool(
         _emit(JobEvent("start", key, _name(key), attempt=attempts[key]))
         return pool.submit(
             _execute, key, job.scenario, job.options.to_kwargs(),
-            run_fn, timeout, store_root, version,
+            run_fn, timeout, store_root,
         )
 
     def _fail(key: str, kind: str, message: str) -> None:

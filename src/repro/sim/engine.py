@@ -131,12 +131,6 @@ class Simulator:
         """Number of events executed so far (cancelled events excluded)."""
         return self._events_processed
 
-    @property
-    def pending_events(self) -> int:
-        """Number of events still queued, including lazily cancelled
-        entries that have not been compacted away yet."""
-        return len(self._heap)
-
     def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` to run ``delay`` seconds from now."""
         if delay < 0:
@@ -304,32 +298,3 @@ class Simulator:
             next_due = self._next_pending_time()
             if next_due is None or next_due > until:
                 self.now = until
-
-    def step(self) -> bool:
-        """Execute the single next pending event.
-
-        Returns ``True`` if an event was executed, ``False`` if the queue
-        was empty (cancelled events are skipped silently).
-        """
-        heap = self._heap
-        while heap:
-            event = _heappop(heap)
-            fn = event[_FN]
-            if fn is None:
-                self._cancelled -= 1
-                continue
-            if self.sanitizer is not None:
-                self.sanitizer.on_execute(event[_TIME])
-            self.now = event[_TIME]
-            args = event[_ARGS]
-            event[_FN] = None
-            event[_ARGS] = ()
-            if self.profiler is not None:
-                start = self.profiler.clock()
-                fn(*args)
-                self.profiler.record(fn, self.profiler.clock() - start)
-            else:
-                fn(*args)
-            self._events_processed += 1
-            return True
-        return False

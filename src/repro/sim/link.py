@@ -216,8 +216,3 @@ class Link:
             tx_time = size * 8.0 / self.rate_bps
             self._tx_times[size] = tx_time
         self._schedule(tx_time, self._finish, packet)
-
-    @property
-    def utilization_possible_bytes(self) -> int:
-        """Bytes this link could have carried since t=0 (for utilisation math)."""
-        return int(self.rate_bps * self.sim.now / 8.0)

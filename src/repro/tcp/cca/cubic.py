@@ -39,14 +39,10 @@ class Cubic(CongestionControl):
         self.w_est = 0.0
         self._ack_count = 0.0
 
-    @property
-    def in_slow_start(self) -> bool:
-        return self.cwnd < self.ssthresh
-
     def on_ack(self, rs: RateSample, conn: "TcpSender") -> None:
         if rs.newly_acked <= 0 or conn.in_recovery:
             return
-        if self.cwnd < self.ssthresh:  # in_slow_start, without the call
+        if self.cwnd < self.ssthresh:  # slow start
             self.cwnd += rs.newly_acked
             if self.cwnd > self.ssthresh:
                 self.cwnd = self.ssthresh

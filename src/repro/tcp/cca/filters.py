@@ -55,13 +55,3 @@ class WindowedFilter:
         if not self._samples:
             return None
         return self._samples[0][1]
-
-    def oldest_time(self) -> Optional[float]:
-        """Timestamp of the sample currently defining the extremum."""
-        if not self._samples:
-            return None
-        return self._samples[0][0]
-
-    def reset(self) -> None:
-        """Forget all samples."""
-        self._samples.clear()

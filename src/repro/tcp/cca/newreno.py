@@ -32,16 +32,12 @@ class NewReno(CongestionControl):
         self.beta = beta
         self.ssthresh = float("inf")
 
-    @property
-    def in_slow_start(self) -> bool:
-        return self.cwnd < self.ssthresh
-
     def on_ack(self, rs: RateSample, conn: "TcpSender") -> None:
         if rs.newly_acked <= 0 or conn.in_recovery:
             # No growth while recovering (the SACK pipe rule governs
             # transmission; cwnd stays at the post-halving value).
             return
-        if self.cwnd < self.ssthresh:  # in_slow_start, without the call
+        if self.cwnd < self.ssthresh:  # slow start
             self.cwnd += rs.newly_acked
             if self.cwnd > self.ssthresh:
                 self.cwnd = self.ssthresh

@@ -4,7 +4,7 @@ This is the transport substrate of the reproduction: a from-scratch TCP
 data-transfer engine with the pieces that matter for congestion-control
 measurement —
 
-- SACK scoreboard with RFC 6675-style loss marking and pipe accounting
+- SACK scoreboard with RACK-style loss marking and RFC 6675 pipe accounting
   (limited transmit emerges naturally from pipe-based sending);
 - fast recovery entered once per loss *event* (per window), which is the
   "CWND halving" the paper counts via tcpprobe;
@@ -100,8 +100,6 @@ class TcpSender:
         and ``completion_listener`` fires.
     """
 
-    DUPTHRESH = 3
-
     def __init__(
         self,
         sim: Simulator,
@@ -111,26 +109,13 @@ class TcpSender:
         total_packets: Optional[int] = None,
         mss: int = DATA_PACKET_BYTES,
         rtt_estimator: Optional[RttEstimator] = None,
-        loss_marking: str = "rack",
     ) -> None:
-        """``loss_marking`` selects the loss-detection rule:
-
-        - ``"rack"`` (default): any hole below a delivered (SACKed)
-          packet is marked lost. This is what Linux RACK-TLP converges
-          to on a non-reordering path, and it is essential in the
-          paper's CoreScale regime where per-flow windows of ~4 packets
-          can never produce three duplicate ACKs.
-        - ``"dupthresh"``: classic RFC 6675 three-dupACK marking.
-        """
-        if loss_marking not in ("rack", "dupthresh"):
-            raise ValueError("loss_marking must be 'rack' or 'dupthresh'")
         self.sim = sim
         self.flow_id = flow_id
         self.cca = cca
         self.path = path
         self.total_packets = total_packets
         self.mss = mss
-        self.loss_marking = loss_marking
         self.rtt = rtt_estimator or RttEstimator()
         self.rate_estimator = DeliveryRateEstimator()
         self.stats = ConnectionStats()
@@ -468,11 +453,13 @@ class TcpSender:
         self._notify_cwnd("loss_event")
 
     def _mark_lost_from_sack(self) -> int:
-        """RFC 6675 IsLost marking.
+        """RACK loss marking: any hole below the highest SACKed sequence
+        that is neither SACKed nor already marked is lost.
 
-        A sequence is lost once >= DupThresh SACKed packets sit above
-        it; equivalently, everything below the DupThresh-th-highest
-        SACKed sequence that is neither SACKed nor already marked. The
+        This is what Linux RACK-TLP converges to on a non-reordering
+        path, and it is essential in the paper's CoreScale regime, where
+        per-flow windows of ~4 packets can never produce the three
+        duplicate ACKs classic RFC 6675 marking waits for. The
         ``_lost_scan`` watermark makes this incremental: each un-SACKed
         sequence is walked at most once over the connection's lifetime.
         Only the holes of ``_sacked`` above the watermark are visited,
@@ -481,12 +468,7 @@ class TcpSender:
         SACKed there is no threshold.
         """
         sacked_set = self._sacked
-        if self.loss_marking == "rack":
-            threshold: Optional[int] = sacked_set.max_value()
-        else:
-            threshold = sacked_set.nth_from_top(self.DUPTHRESH)
-        if threshold is None:
-            return 0
+        threshold = sacked_set.max_value()
         lo = self._lost_scan
         if lo < self.snd_una:
             lo = self.snd_una

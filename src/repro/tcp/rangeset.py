@@ -147,20 +147,3 @@ class RangeSet:
         if cursor < end:
             holes.append((cursor, end))
         return holes
-
-    def nth_from_top(self, n: int) -> Optional[int]:
-        """The ``n``-th largest covered integer (1-indexed), or ``None``
-        if fewer than ``n`` integers are covered.
-
-        Used by RFC 6675 loss marking: with DupThresh = 3, every hole
-        below the 3rd-highest SACKed sequence is deemed lost.
-        """
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        remaining = n
-        for i in range(len(self._starts) - 1, -1, -1):
-            size = self._ends[i] - self._starts[i]
-            if size >= remaining:
-                return self._ends[i] - remaining
-            remaining -= size
-        return None

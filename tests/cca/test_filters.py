@@ -33,21 +33,6 @@ def test_min_filter():
 def test_empty_filter():
     f = WindowedFilter(1.0)
     assert f.get() is None
-    assert f.oldest_time() is None
-
-
-def test_reset():
-    f = WindowedFilter(1.0)
-    f.update(3.0, 0.0)
-    f.reset()
-    assert f.get() is None
-
-
-def test_oldest_time_is_extremum_timestamp():
-    f = WindowedFilter(10.0, mode="max")
-    f.update(9.0, 1.0)
-    f.update(5.0, 2.0)
-    assert f.oldest_time() == 1.0
 
 
 def test_invalid_configuration():

@@ -23,7 +23,7 @@ class TestUnit:
     def test_initial_window(self):
         cca = NewReno()
         assert cca.cwnd == 10.0
-        assert cca.in_slow_start
+        assert cca.cwnd < cca.ssthresh  # slow start
 
     def test_slow_start_grows_per_acked_packet(self):
         cca = NewReno()
@@ -53,7 +53,7 @@ class TestUnit:
         cca.on_loss_event(FakeConn())
         assert cca.cwnd == 20.0
         assert cca.ssthresh == 20.0
-        assert not cca.in_slow_start
+        assert cca.cwnd >= cca.ssthresh  # congestion avoidance
 
     def test_halving_floor(self):
         cca = NewReno()

@@ -79,14 +79,13 @@ def make_pipe(
     total_packets=None,
     drop_indices=(),
     delayed_ack: bool = True,
-    loss_marking: str = "rack",
 ):
     """Wire a sender/receiver pair over a perfect (or lossy) pipe.
 
     No bandwidth limit: purely delay-based, which makes timing assertions
     exact. Returns (sender, receiver, wire).
     """
-    sender = TcpSender(sim, 0, cca, total_packets=total_packets, loss_marking=loss_marking)
+    sender = TcpSender(sim, 0, cca, total_packets=total_packets)
     receiver = TcpReceiver(sim, 0, delayed_ack=delayed_ack)
     wire = LossyWire(sim, one_way_delay, sink=receiver, drop_indices=drop_indices)
     sender.path = wire

@@ -36,10 +36,6 @@ class TestScenario:
         sc = self.base(groups=(FlowGroup("bbr", 3), FlowGroup("cubic", 4)))
         assert sc.total_flows == 7
 
-    def test_buffer_bdp_fraction(self):
-        sc = self.base(buffer_bytes=bdp_bytes(mbps(10), 0.2))
-        assert sc.buffer_bdp_fraction == pytest.approx(1.0)
-
     def test_with_overrides(self):
         sc = self.base()
         sc2 = sc.with_overrides(seed=99)
@@ -88,7 +84,10 @@ class TestPresets:
         per_flow_full = full.bottleneck_bw_bps / full.total_flows
         per_flow_scaled = scaled.bottleneck_bw_bps / scaled.total_flows
         assert per_flow_full == pytest.approx(per_flow_scaled)
-        assert full.buffer_bdp_fraction == pytest.approx(scaled.buffer_bdp_fraction)
+        # The buffer stays the same number of BDPs.
+        assert full.buffer_bytes / full.bottleneck_bw_bps == pytest.approx(
+            scaled.buffer_bytes / scaled.bottleneck_bw_bps
+        )
 
     def test_core_scale_validation(self):
         with pytest.raises(ValueError):

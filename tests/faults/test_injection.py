@@ -111,14 +111,6 @@ class TestInjection:
         assert faulted.health.ok
         assert faulted.queue_drops > 0
 
-    def test_fault_schedule_param_overrides_scenario(self):
-        schedule = FaultSchedule([FaultEvent("link_down", time=2.0, duration=1.0)])
-        result = run_experiment(tiny(), fault_schedule=schedule)
-        assert result.health is not None
-        assert [entry for _, entry in result.health.fault_timeline] == [
-            "link down", "link up",
-        ]
-
     def test_double_arm_rejected(self):
         from repro.sim.engine import Simulator
         from repro.sim.topology import FlowSpec, build_dumbbell

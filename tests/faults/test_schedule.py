@@ -12,7 +12,8 @@ from repro.faults.schedule import (
     FaultEvent,
     FaultSchedule,
 )
-from repro.runstore.keys import job_key, scenario_to_canonical
+from repro.runstore import Job
+from repro.runstore.keys import scenario_to_canonical
 
 
 class TestFaultEvent:
@@ -128,7 +129,7 @@ class TestScenarioIntegration:
         before the faults field existed still resolves."""
         scenario = edge_scale(flows=2, seed=3)
         assert "faults" not in scenario_to_canonical(scenario)
-        assert job_key(scenario) == job_key(scenario.with_overrides(faults=()))
+        assert Job(scenario).key() == Job(scenario.with_overrides(faults=())).key()
 
     def test_faulted_scenario_changes_cache_key(self):
         scenario = edge_scale(flows=2, seed=3, duration=30.0)
@@ -136,13 +137,13 @@ class TestScenarioIntegration:
             faults=(FaultEvent("link_down", time=8.0, duration=2.0),)
         )
         assert "faults" in scenario_to_canonical(faulted)
-        assert job_key(faulted) != job_key(scenario)
+        assert Job(faulted).key() != Job(scenario).key()
 
     def test_different_fault_values_change_cache_key(self):
         base = edge_scale(flows=2, duration=30.0)
         one = base.with_overrides(faults=(FaultEvent("bandwidth", time=5.0, value=0.5),))
         two = base.with_overrides(faults=(FaultEvent("bandwidth", time=5.0, value=0.25),))
-        assert job_key(one) != job_key(two)
+        assert Job(one).key() != Job(two).key()
 
 
 class TestPresets:

@@ -2,9 +2,8 @@
 
 Three equivalences the optimized engine must preserve:
 
-- ``step()`` single-stepping executes the exact same event sequence as
-  a ``run()`` loop (the bare fast-path loop and the step path share
-  semantics, not code);
+- a run paused by its ``max_events`` budget and then resumed executes
+  the exact same event sequence as one uninterrupted ``run()``;
 - a sanitized run (``REPRO_SANITIZE=1``) produces a byte-identical
   result digest to a bare run — the sanitizer observes, never perturbs;
 - a profiled run (``repro ... --profile`` wires a
@@ -46,32 +45,9 @@ def _pipe_fingerprint(sim, sender, receiver):
     }
 
 
-def test_step_loop_matches_run(sim):
-    """Driving the whole simulation through step() must reproduce a
-    run() execution exactly (state fingerprints match event for event)."""
-    sender_a, receiver_a, _ = make_pipe(sim, NewReno(), total_packets=300, drop_indices=(25, 90))
-    sender_a.start()
-    sim.run(until=30.0)
-
-    sim_b = Simulator(sanitize=False)
-    sender_b, receiver_b, _ = make_pipe(sim_b, NewReno(), total_packets=300, drop_indices=(25, 90))
-    sender_b.start()
-    while sim_b.step():
-        pass
-
-    fp_a = _pipe_fingerprint(sim, sender_a, receiver_a)
-    fp_b = _pipe_fingerprint(sim_b, sender_b, receiver_b)
-    assert sender_a.completed  # the workload actually drains
-    # run(until=...) advances the clock to the horizon on completion;
-    # step() leaves it at the last event. Everything else must agree.
-    fp_a.pop("now")
-    fp_b.pop("now")
-    assert fp_a == fp_b
-
-
-def test_interleaved_step_and_run_matches_run(sim):
-    """A hybrid driver — a burst of step() calls, then run() — lands in
-    the same state as a single run()."""
+def test_paused_and_resumed_run_matches_run(sim):
+    """A run cut short by its event budget, then resumed, lands in the
+    same state as a single run()."""
     sender_a, receiver_a, _ = make_pipe(sim, NewReno(), total_packets=200)
     sender_a.start()
     sim.run(until=20.0)
@@ -79,9 +55,8 @@ def test_interleaved_step_and_run_matches_run(sim):
     sim_b = Simulator(sanitize=False)
     sender_b, receiver_b, _ = make_pipe(sim_b, NewReno(), total_packets=200)
     sender_b.start()
-    for _ in range(137):
-        if not sim_b.step():
-            break
+    sim_b.run(max_events=137)
+    assert sim_b.events_processed == 137
     sim_b.run(until=20.0)
 
     assert _pipe_fingerprint(sim, sender_a, receiver_a) == _pipe_fingerprint(

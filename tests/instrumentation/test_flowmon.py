@@ -42,7 +42,7 @@ def test_zero_duration_window_rejected(sim):
 
 def test_aggregate_and_per_flow(sim):
     s1, _, _ = make_pipe(sim, NewReno(), total_packets=50)
-    s2, _, _ = make_pipe(sim, NewReno(), total_packets=50)
+    s2, _, _ = make_pipe(sim, NewReno(), total_packets=80)
     s2.flow_id = 1
     mon = FlowMonitor(sim, [s1, s2])
     mon.open_window()
@@ -50,82 +50,6 @@ def test_aggregate_and_per_flow(sim):
     s2.start()
     sim.run(until=5.0)
     mon.close_window()
-    gp = mon.goodputs()
-    assert set(gp) == {0, 1}
-    assert mon.aggregate_goodput_bps() == pytest.approx(sum(gp.values()))
-
-
-def _endless_pipe(sim):
-    """An unbounded flow with slow start capped, so it keeps the sampler
-    alive for a whole run without the no-loss pipe exploding cwnd."""
-    cca = NewReno()
-    cca.ssthresh = 8.0
-    return make_pipe(sim, cca, total_packets=None)
-
-
-def test_sampling_series(sim):
-    # An unbounded flow keeps the sampler live for the whole run window.
-    sender, _, _ = _endless_pipe(sim)
-    mon = FlowMonitor(sim, [sender], sample_interval=0.05)
-    sender.start()
-    sim.run(until=0.5)
-    assert len(mon.sample_times) == 10
-    series = [row[0] for row in mon.samples]
-    assert series == sorted(series)  # cumulative, non-decreasing
-
-
-def test_sampling_validation(sim):
-    sender, _, _ = make_pipe(sim, NewReno())
-    with pytest.raises(ValueError):
-        FlowMonitor(sim, [sender], sample_interval=0.0)
-    with pytest.raises(ValueError):
-        FlowMonitor(sim, [sender], sample_interval=0.05, max_samples=1)
-
-
-def test_sampling_stops_when_all_flows_complete(sim):
-    # A 100-packet flow finishes in ~0.1s; the sampler must not keep
-    # ticking (and growing its series) for the remaining ~10 simulated
-    # seconds of run time.
-    sender, _, _ = make_pipe(sim, NewReno(), total_packets=100)
-    mon = FlowMonitor(sim, [sender], sample_interval=0.05)
-    sender.start()
-    sim.run(until=10.0)
-    assert sender.completed
-    assert len(mon.sample_times) < 10  # nowhere near 200 ticks
-    assert mon.sample_times[-1] < 1.0
-
-
-def test_sampling_stops_when_window_closes(sim):
-    sender, _, _ = _endless_pipe(sim)
-    mon = FlowMonitor(sim, [sender], sample_interval=0.05)
-    sender.start()
-    mon.open_window()
-    sim.run(until=0.5)
-    mon.close_window()
-    count_at_close = len(mon.sample_times)
-    sim.run(until=2.0)
-    assert len(mon.sample_times) == count_at_close
-
-
-def test_sampling_decimates_at_max_samples(sim):
-    sender, _, _ = _endless_pipe(sim)
-    mon = FlowMonitor(sim, [sender], sample_interval=0.01, max_samples=8)
-    sender.start()
-    sim.run(until=1.0)
-    # ~100 raw ticks were offered; retention stays bounded while the
-    # series still spans the whole run.
-    assert len(mon.sample_times) <= 8
-    assert mon.sample_times == sorted(mon.sample_times)
-    assert mon.sample_times[0] < 0.1
-    assert mon.sample_times[-1] > 0.5
-
-
-def test_stop_sampling_is_immediate(sim):
-    sender, _, _ = _endless_pipe(sim)
-    mon = FlowMonitor(sim, [sender], sample_interval=0.05)
-    sender.start()
-    sim.run(until=0.2)
-    mon.stop_sampling()
-    count = len(mon.sample_times)
-    sim.run(until=1.0)
-    assert len(mon.sample_times) == count
+    assert [mon.delivered_packets(0), mon.delivered_packets(1)] == [50, 80]
+    total = mon.goodput_bps(0) + mon.goodput_bps(1)
+    assert total == pytest.approx((50 + 80) * 1448 * 8 / 5.0)

@@ -58,14 +58,6 @@ def test_profiler_counts_engine_events():
     assert profiler.to_json()["events"] == 5
 
 
-def test_profiler_step_path_also_records():
-    sim = Simulator()
-    profiler = SimProfiler().install(sim)
-    sim.schedule(0.1, lambda: None)
-    assert sim.step()
-    assert profiler.events == 1
-
-
 def test_report_renders_and_truncates():
     sim = Simulator()
     profiler = SimProfiler().install(sim)

@@ -104,17 +104,6 @@ def test_holes_and_covers_match_model(ops, start, end):
 
 
 @PROPERTY_SETTINGS
-@given(ops=_OPS, n=st.integers(min_value=1, max_value=130))
-def test_nth_from_top_matches_model(ops, n):
-    rs, model = RangeSet(), set()
-    for op in ops:
-        _apply(rs, model, op)
-    ordered = sorted(model, reverse=True)
-    expected = ordered[n - 1] if n <= len(ordered) else None
-    assert rs.nth_from_top(n) == expected
-
-
-@PROPERTY_SETTINGS
 @given(ops=_OPS)
 def test_ranges_roundtrip(ops):
     """ranges() is a faithful, canonical representation: rebuilding a

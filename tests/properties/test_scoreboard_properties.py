@@ -6,13 +6,12 @@ with one bisect. Both are incremental shortcuts, so each is checked
 here against the obvious construction over plain Python sets and
 lists:
 
-- **Sender.** Hypothesis drives a live :class:`TcpSender` (``rack`` and
-  ``dupthresh`` marking) with random ACK streams — a cumulative point,
-  up to three SACK blocks, and an occasional RTO — and after every step
-  compares the marked-lost set, ``lost_out``, ``sacked_out`` and the
-  retransmission order against a reference written over a set of ints:
-  RFC 6675 IsLost (at least DupThresh SACKed sequences above) for
-  ``dupthresh``, "below the highest SACKed sequence" for ``rack``.
+- **Sender.** Hypothesis drives a live :class:`TcpSender` with random
+  ACK streams — a cumulative point, up to three SACK blocks, and an
+  occasional RTO — and after every step compares the marked-lost set,
+  ``lost_out``, ``sacked_out`` and the retransmission order against a
+  reference written over a set of ints: RACK marks every sequence
+  below the highest SACKed one.
 - **Receiver.** ``TcpReceiver._sack_blocks`` must equal the original
   list-scan construction for random fragment sets and triggering
   sequences.
@@ -63,18 +62,14 @@ class _Wire:
 class _Reference:
     """The scoreboard recomputed from scratch over sets of ints."""
 
-    def __init__(self, loss_marking: str) -> None:
-        self.loss_marking = loss_marking
+    def __init__(self) -> None:
         self.sacked: Set[int] = set()
         self.lost: Set[int] = set()
         #: Lost and not yet retransmitted since it was marked.
         self.pending: Set[int] = set()
 
     def is_lost(self, seq: int) -> bool:
-        above = sum(1 for s in self.sacked if s > seq)
-        if self.loss_marking == "rack":
-            return above >= 1
-        return above >= TcpSender.DUPTHRESH
+        return any(s > seq for s in self.sacked)
 
     def on_ack(self, una: int, nxt: int, blocks: List[Tuple[int, int]]) -> None:
         for name in ("sacked", "lost", "pending"):
@@ -120,12 +115,12 @@ def _check(sender: TcpSender, ref: _Reference) -> None:
 
 
 @PROPERTY_SETTINGS
-@given(marking=st.sampled_from(["rack", "dupthresh"]), steps=_STEPS)
-def test_sender_scoreboard_matches_brute_force(marking, steps):
+@given(steps=_STEPS)
+def test_sender_scoreboard_matches_brute_force(steps):
     sim = Simulator(sanitize=False)
     wire = _Wire()
-    sender = TcpSender(sim, 0, NewReno(), path=wire, loss_marking=marking)
-    ref = _Reference(marking)
+    sender = TcpSender(sim, 0, NewReno(), path=wire)
+    ref = _Reference()
     sender.start()
     for kind, advance, raw_blocks in steps:
         una, nxt = sender.snd_una, sender.snd_nxt

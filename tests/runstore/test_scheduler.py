@@ -10,7 +10,6 @@ from repro.runstore import (
     RunOptions,
     RunStore,
     SweepError,
-    job_key,
     run_jobs,
 )
 from repro.runstore import scheduler
@@ -65,7 +64,7 @@ def test_resume_runs_only_missing_keys(tmp_path):
 def test_results_are_persisted_per_job(tmp_path):
     store = _store(tmp_path)
     run_jobs([Job(scenario(5))], store=store, workers=1, run_fn=fakes.quick_run)
-    assert store.get(job_key(scenario(5))) == {"name": "s5", "seed": 5}
+    assert store.get(Job(scenario(5)).key()) == {"name": "s5", "seed": 5}
 
 
 def test_deterministic_error_not_retried_and_strict_raises(tmp_path):
@@ -106,7 +105,7 @@ def test_worker_crash_is_retried(tmp_path, monkeypatch):
     assert out.stats.retries >= 3  # every job crashed (at least) once
     assert out.stats.failures == 0
     # Results written by retried workers are persisted like any other.
-    assert store.get(job_key(scenario(0)))["recovered"] is True
+    assert store.get(Job(scenario(0)).key())["recovered"] is True
 
 
 def test_crash_beyond_retry_budget_fails_but_keeps_other_results(tmp_path, monkeypatch):
@@ -132,7 +131,7 @@ def test_crash_beyond_retry_budget_fails_but_keeps_other_results(tmp_path, monke
     assert err.failures[0].attempts == 2  # initial try + one retry
     assert err.results[0] == {"name": "s0"}
     assert err.results[1] is None
-    assert store.get(job_key(scenario(0))) == {"name": "s0"}
+    assert store.get(Job(scenario(0)).key()) == {"name": "s0"}
 
 
 def test_pool_timeout_fails_job_without_killing_sweep(tmp_path):

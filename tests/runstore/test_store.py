@@ -1,8 +1,8 @@
-"""RunStore durability, indexing and gc tests."""
+"""RunStore durability, listing and gc tests."""
 
 import os
 
-from repro.runstore import CACHE_VERSION, RunStore, job_key
+from repro.runstore import CACHE_VERSION, Job, RunStore
 
 from .fakes import scenario
 
@@ -11,8 +11,12 @@ def _store(tmp_path):
     return RunStore(str(tmp_path / "store"))
 
 
+def _exists(store, key):
+    return os.path.exists(os.path.join(store.objects_dir, key + ".pkl"))
+
+
 def _put(store, i, **meta):
-    key = job_key(scenario(i))
+    key = Job(scenario(i)).key()
     store.put(key, {"seed": i}, meta={"name": f"s{i}", **meta})
     return key
 
@@ -20,7 +24,7 @@ def _put(store, i, **meta):
 def test_roundtrip_and_meta(tmp_path):
     store = _store(tmp_path)
     key = _put(store, 1, wall_seconds=1.5, events=42)
-    assert store.contains(key)
+    assert _exists(store, key)
     assert store.get(key) == {"seed": 1}
     payload, meta = store.fetch(key)
     assert payload == {"seed": 1}
@@ -36,7 +40,7 @@ def test_missing_key_returns_none(tmp_path):
     store = _store(tmp_path)
     assert store.get("0" * 64) is None
     assert store.fetch("0" * 64) is None
-    assert not store.contains("0" * 64)
+    assert not _exists(store, "0" * 64)
 
 
 def test_corrupt_object_dropped_not_raised(tmp_path):
@@ -54,7 +58,7 @@ def test_corrupt_object_dropped_not_raised(tmp_path):
 
 def test_wrong_key_envelope_rejected(tmp_path):
     store = _store(tmp_path)
-    key_a, key_b = job_key(scenario(1)), job_key(scenario(2))
+    key_a, key_b = Job(scenario(1)).key(), Job(scenario(2)).key()
     store.put(key_a, {"seed": 1})
     # Simulate a mis-filed object: key_b's slot holds key_a's envelope.
     with open(os.path.join(store.objects_dir, key_a + ".pkl"), "rb") as fh:
@@ -73,22 +77,34 @@ def test_put_leaves_no_temp_files(tmp_path):
     assert leftovers == []
 
 
-def test_delete(tmp_path):
+def test_ls_lists_what_put_wrote_without_a_manifest(tmp_path):
     store = _store(tmp_path)
-    key = _put(store, 1)
-    assert store.delete(key) is True
-    assert store.get(key) is None
-    assert store.delete(key) is False
+    older = _put(store, 1, wall_seconds=1.5, events=42, created=100.0)
+    newer = _put(store, 2, wall_seconds=0.5, events=7, created=200.0)
+    tie = _put(store, 3, created=100.0)
+    corrupt = os.path.join(store.objects_dir, "a" * 64 + ".pkl")
+    with open(corrupt, "wb") as fh:
+        fh.write(b"junk")
 
-
-def test_ls_and_manifest_rebuild(tmp_path):
-    store = _store(tmp_path)
-    keys = {_put(store, i) for i in range(3)}
-    assert {e.key for e in store.ls()} == keys
-    os.unlink(store.manifest_path)
-    fresh = RunStore(store.root)  # manifest gone -> rebuilt from objects
-    assert {e.key for e in fresh.ls()} == keys
-    assert all(e.name.startswith("s") for e in fresh.ls())
+    rows = RunStore(store.root).ls()
+    # Most recent first, ties broken by key; the corrupt object is
+    # skipped, and left in place for gc.
+    assert [e.key for e in rows] == [newer] + sorted([older, tie])
+    assert os.path.exists(corrupt)
+    by_key = {e.key: e for e in rows}
+    assert by_key[older].to_json() == {
+        "key": older,
+        "name": "s1",
+        "version": CACHE_VERSION,
+        "size": os.path.getsize(os.path.join(store.objects_dir, older + ".pkl")),
+        "wall_seconds": 1.5,
+        "events": 42,
+        "created": 100.0,
+    }
+    assert (by_key[newer].name, by_key[newer].events) == ("s2", 7)
+    # The objects are the only record: no index or lock file appears.
+    written = [name for _, _, names in os.walk(store.root) for name in names]
+    assert not [name for name in written if name.startswith("manifest")]
 
 
 def test_resolve_prefix(tmp_path):
@@ -111,12 +127,13 @@ def test_gc_collects_trash_and_stale_versions(tmp_path):
 
     dry = store.gc(dry_run=True)
     assert dry.kept == 1 and len(dry.removed) == 3
-    assert store.contains(stale)  # dry run removed nothing real
+    assert _exists(store, stale)  # dry run removed nothing real
 
     report = store.gc()
     assert report.kept == 1
-    assert store.contains(keep)
-    assert not store.contains(stale)
+    assert report.bytes_freed == dry.bytes_freed
+    assert _exists(store, keep)
+    assert not _exists(store, stale)
     assert not os.path.exists(tmp_file)
     assert not os.path.exists(corrupt)
     assert [e.key for e in store.ls()] == [keep]
@@ -127,4 +144,21 @@ def test_gc_all_versions_keeps_old_entries(tmp_path):
     stale = _put(store, 2, version=CACHE_VERSION - 1)
     report = store.gc(all_versions=True)
     assert report.kept == 1
-    assert store.contains(stale)
+    assert _exists(store, stale)
+
+
+def test_gc_dry_run_keeps_and_counts_corrupt_objects(tmp_path):
+    store = _store(tmp_path)
+    corrupt = os.path.join(store.objects_dir, "b" * 64 + ".pkl")
+    os.makedirs(store.objects_dir)
+    with open(corrupt, "wb") as fh:
+        fh.write(b"\x80\x04 not a pickle")
+    size = os.path.getsize(corrupt)
+
+    dry = store.gc(dry_run=True)
+    assert os.path.exists(corrupt)
+    assert dry.removed == [corrupt] and dry.bytes_freed == size
+
+    report = store.gc()
+    assert not os.path.exists(corrupt)
+    assert report.removed == [corrupt] and report.bytes_freed == size

@@ -9,7 +9,6 @@ def test_initial_state():
     sim = Simulator()
     assert sim.now == 0.0
     assert sim.events_processed == 0
-    assert sim.pending_events == 0
 
 
 def test_schedule_and_run_single_event():
@@ -136,28 +135,6 @@ def test_max_events_safety_valve():
     sim.schedule(0.0, forever)
     sim.run(max_events=100)
     assert sim.events_processed == 100
-
-
-def test_step_executes_one_event():
-    sim = Simulator()
-    fired = []
-    sim.schedule(1.0, fired.append, 1)
-    sim.schedule(2.0, fired.append, 2)
-    assert sim.step() is True
-    assert fired == [1]
-    assert sim.step() is True
-    assert sim.step() is False
-    assert fired == [1, 2]
-
-
-def test_step_skips_cancelled():
-    sim = Simulator()
-    fired = []
-    ev = sim.schedule(1.0, fired.append, "no")
-    sim.schedule(2.0, fired.append, "yes")
-    sim.cancel(ev)
-    assert sim.step() is True
-    assert fired == ["yes"]
 
 
 def test_reentrant_run_rejected():

@@ -162,23 +162,6 @@ class TestLossRecovery:
         assert cut_sender.stats.halvings == 1
         assert cut_sender.stats.rtos == cut_sender.stats.rto_events == 0
 
-    def test_dupthresh_marking_mode(self, sim):
-        sender, receiver, _ = make_pipe(
-            sim,
-            NewReno(),
-            total_packets=200,
-            drop_indices={20},
-            loss_marking="dupthresh",
-        )
-        sender.start()
-        sim.run(until=10.0)
-        assert sender.completed
-        assert sender.stats.retransmits == 1
-
-    def test_invalid_loss_marking_rejected(self, sim):
-        with pytest.raises(ValueError):
-            make_pipe(sim, NewReno(), loss_marking="bogus")
-
     def test_karn_no_rtt_sample_from_retransmission(self, sim):
         sender, _, _ = make_pipe(
             sim, NewReno(), total_packets=50, drop_indices={5}, one_way_delay=0.05

@@ -18,16 +18,15 @@ TRANSFER = 80
 drop_sets = st.sets(st.integers(0, TRANSFER + 20), max_size=12)
 
 
-@given(drop_sets, st.sampled_from(["rack", "dupthresh"]))
+@given(drop_sets)
 @settings(max_examples=40, deadline=None)
-def test_transfer_completes_under_any_loss_pattern(drops, marking):
+def test_transfer_completes_under_any_loss_pattern(drops):
     sim = Simulator()
     sender, receiver, _ = make_pipe(
         sim,
         NewReno(),
         total_packets=TRANSFER,
         drop_indices=drops,
-        loss_marking=marking,
     )
     sender.start()
     sim.run(until=120.0)

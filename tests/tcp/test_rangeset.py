@@ -90,16 +90,6 @@ class TestQueries:
         assert rs.contiguous_end_from(5) == 5  # not covered
         assert rs.contiguous_end_from(7) == 9
 
-    def test_nth_from_top(self):
-        rs = RangeSet([(2, 5), (8, 10)])  # {2,3,4,8,9}
-        assert rs.nth_from_top(1) == 9
-        assert rs.nth_from_top(2) == 8
-        assert rs.nth_from_top(3) == 4
-        assert rs.nth_from_top(5) == 2
-        assert rs.nth_from_top(6) is None
-        with pytest.raises(ValueError):
-            rs.nth_from_top(0)
-
     def test_holes_between(self):
         rs = RangeSet([(2, 4), (6, 8)])
         assert rs.holes_between(0, 10) == [(0, 2), (4, 6), (8, 10)]
@@ -166,14 +156,6 @@ class TestProperties:
         model = as_set(rs)
         rs.remove_below(cutoff)
         assert as_set(rs) == {v for v in model if v >= cutoff}
-
-    @given(ranges_strategy, st.integers(1, 10))
-    @settings(max_examples=100, deadline=None)
-    def test_nth_from_top_matches_model(self, ranges, n):
-        rs = RangeSet(ranges)
-        model = sorted(as_set(rs), reverse=True)
-        expected = model[n - 1] if len(model) >= n else None
-        assert rs.nth_from_top(n) == expected
 
     @given(ranges_strategy, st.integers(0, 250), st.integers(0, 250))
     @settings(max_examples=100, deadline=None)
