@@ -6,7 +6,7 @@ from .burstiness import burstiness_score, inter_event_times, windowed_burstiness
 from .convergence import ConvergenceTracker
 from .fairness import jains_fairness_index
 from .mathis_fit import FlowObservation, MathisFit, fit_mathis
-from .stats import mean, median, percentile
+from .stats import mean, median
 from .throughput import group_shares, loss_to_halving_ratio
 
 __all__ = [
@@ -21,6 +21,5 @@ __all__ = [
     "loss_to_halving_ratio",
     "median",
     "mean",
-    "percentile",
     "ConvergenceTracker",
 ]

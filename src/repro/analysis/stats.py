@@ -17,22 +17,6 @@ def median(values: Sequence[float]) -> float:
     return (ordered[mid - 1] + ordered[mid]) / 2.0
 
 
-def percentile(values: Sequence[float], q: float) -> float:
-    """Linear-interpolation percentile, ``q`` in [0, 100]."""
-    if not values:
-        raise ValueError("percentile of empty sequence")
-    if not 0.0 <= q <= 100.0:
-        raise ValueError("q must be in [0, 100]")
-    ordered = sorted(values)
-    if len(ordered) == 1:
-        return ordered[0]
-    rank = q / 100.0 * (len(ordered) - 1)
-    lo = int(rank)
-    hi = min(lo + 1, len(ordered) - 1)
-    frac = rank - lo
-    return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
-
-
 def mean(values: Sequence[float]) -> float:
     """Arithmetic mean of a non-empty sequence."""
     if not values:

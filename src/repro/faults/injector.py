@@ -15,19 +15,14 @@ Everything the injector does is recorded in ``timeline`` as
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 from ..obs.bus import EventBus
 from ..sim.engine import Simulator
-from ..sim.link import DelayLink
 from ..sim.netem import NetemDelay
 from ..sim.topology import Dumbbell
 from .gilbert import GilbertElliott
 from .schedule import DEFAULT_GE_TRANSITIONS, FaultEvent, FaultSchedule
-
-#: Reverse-path element types the RTT fault knows how to impair.
-_ReverseElement = Union[NetemDelay, DelayLink]
-
 
 class FaultInjector:
     """Schedules a fault timeline against one built dumbbell.
@@ -62,10 +57,10 @@ class FaultInjector:
         self._base_rate = link.rate_bps
         self._base_capacity = link.queue.capacity_bytes
         self._base_delays: Dict[int, float] = {}
-        self._reverse: Dict[int, _ReverseElement] = {}
+        self._reverse: Dict[int, NetemDelay] = {}
         for flow in dumbbell.flows:
             element = flow.receiver.reverse_path
-            if isinstance(element, (NetemDelay, DelayLink)):
+            if isinstance(element, NetemDelay):
                 self._reverse[flow.flow_id] = element
                 self._base_delays[flow.flow_id] = element.delay
 
@@ -124,21 +119,14 @@ class FaultInjector:
     def _apply_rtt(self, event: FaultEvent) -> None:
         flows = self._target_flows(event)
         for fid in flows:
-            self._set_delay(fid, self._base_delays[fid] * event.value)
+            self._reverse[fid].set_delay(self._base_delays[fid] * event.value)
         self._record(f"rtt x{event.value:g} on {len(flows)} flow(s)")
 
     def _restore_rtt(self, event: FaultEvent) -> None:
         flows = self._target_flows(event)
         for fid in flows:
-            self._set_delay(fid, self._base_delays[fid])
+            self._reverse[fid].set_delay(self._base_delays[fid])
         self._record("rtt restored")
-
-    def _set_delay(self, flow_id: int, delay: float) -> None:
-        element = self._reverse[flow_id]
-        if isinstance(element, NetemDelay):
-            element.set_delay(delay)
-        else:
-            element.delay = delay
 
     # -- Gilbert–Elliott burst loss -----------------------------------
 

@@ -54,31 +54,6 @@ class JobEvent:
             return 0.0
         return self.events / self.wall_seconds
 
-    def to_json(self) -> Dict[str, Any]:
-        """The event as a JSON-serialisable row (for JSONL progress logs).
-
-        ``payload`` itself is not serialisable, but for ``degraded``
-        runs its health record — why the run was truncated, which flows
-        stalled, the fault timeline — is the part worth keeping, so it
-        is inlined under ``"health"``.
-        """
-        row: Dict[str, Any] = {
-            "kind": self.kind,
-            "key": self.key,
-            "name": self.name,
-            "attempt": self.attempt,
-        }
-        if self.wall_seconds > 0.0:
-            row["wall_seconds"] = self.wall_seconds
-        if self.events > 0:
-            row["events"] = self.events
-        if self.error:
-            row["error"] = self.error
-        health = getattr(self.payload, "health", None)
-        if health is not None:
-            row["health"] = health.to_json()
-        return row
-
     def render(self) -> str:
         """One human-readable progress line."""
         bits = [f"[{self.kind:>8s}]", self.name or self.key[:12]]

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .engine import Event, SimulationError, Simulator
-from .link import DelayLink, Link
+from .link import Link
 from .netem import NetemDelay
 from .packet import Packet
 from .queue import DropTailQueue, Queue, REDQueue
@@ -18,7 +18,6 @@ __all__ = [
     "DropTailQueue",
     "REDQueue",
     "Link",
-    "DelayLink",
     "NetemDelay",
     "Dumbbell",
     "Flow",

@@ -1,18 +1,16 @@
-"""Network path elements: rate-limited links and pure-delay links.
+"""The rate-limited link, and the interfaces path elements share.
 
 Every element forwards packets toward a *sink* — any object with a
 ``send(packet)`` method (another element or an endpoint). This composes
 into per-flow paths built by :mod:`repro.sim.topology`.
 
-Two element types cover the dumbbell testbed:
-
-- :class:`Link` — finite-rate link with a queue discipline in front of
-  the transmitter and a propagation delay behind it. Used for the
-  bottleneck (the BESS switch port in the paper).
-- :class:`DelayLink` — infinite-rate, pure propagation delay. Used for
-  the 25 Gbps edge links, which by construction never congest in the
-  paper's testbed, so modelling their serialisation would only add
-  events without changing behaviour.
+:class:`Link` is a finite-rate link with a queue discipline in front of
+the transmitter and a propagation delay behind it: the bottleneck (the
+BESS switch port in the paper). The other element of the dumbbell,
+:class:`~repro.sim.netem.NetemDelay`, adds pure delay. The 25 Gbps edge
+links never congest in the paper's testbed, so modelling their
+serialisation would only add events without changing behaviour; their
+propagation delay is folded into the bottleneck and netem delays.
 """
 
 from __future__ import annotations
@@ -38,38 +36,6 @@ class LossModel(Protocol):
     determinism."""
 
     def should_drop(self, packet: Packet) -> bool: ...
-
-
-class DelayLink:
-    """A fixed propagation delay with unlimited bandwidth.
-
-    Zero-delay instances forward synchronously, avoiding a heap event —
-    useful to splice monitors into a path for free.
-    """
-
-    __slots__ = ("sim", "delay", "sink", "forwarded_packets", "_schedule")
-
-    def __init__(self, sim: Simulator, delay: float, sink: Optional[Sink] = None) -> None:
-        if delay < 0:
-            raise ValueError("delay must be non-negative")
-        self.sim = sim
-        self.delay = delay
-        self.sink = sink
-        self.forwarded_packets = 0
-        # Bound-method fast path: one per-packet attribute hop instead
-        # of two (the simulator is fixed for the element's lifetime).
-        self._schedule = sim.schedule
-
-    def send(self, packet: Packet) -> None:
-        if self.sink is None:
-            raise RuntimeError("DelayLink has no sink attached")
-        self.forwarded_packets += 1
-        # <= rather than ==: the constructor guarantees delay >= 0, and an
-        # ordering guard keeps the fast path safe against float noise.
-        if self.delay <= 0.0:
-            self.sink.send(packet)
-        else:
-            self._schedule(self.delay, self.sink.send, packet)
 
 
 class Link:
@@ -119,7 +85,6 @@ class Link:
         delay: float = 0.0,
         queue: Optional[Queue] = None,
         sink: Optional[Sink] = None,
-        queue_capacity_bytes: int = 1_000_000,
     ) -> None:
         if rate_bps <= 0:
             raise ValueError("link rate must be positive")
@@ -128,7 +93,7 @@ class Link:
         self.sim = sim
         self.rate_bps = rate_bps
         self.delay = delay
-        self.queue = queue if queue is not None else DropTailQueue(queue_capacity_bytes)
+        self.queue = queue if queue is not None else DropTailQueue(1_000_000)
         self.sink = sink
         self.busy = False
         self.up = True
@@ -197,7 +162,7 @@ class Link:
             sink = self.sink
             if sink is None:
                 raise RuntimeError("Link has no sink attached")
-            # <= rather than ==: see DelayLink.send.
+            # <= rather than ==: see NetemDelay.send.
             if self.delay <= 0.0:
                 sink.send(done)
             else:

@@ -1,10 +1,12 @@
-"""netem-style impairment element.
+"""netem-style delay element.
 
 The paper sets each flow's base RTT by adding delay with Linux ``netem``
 at the receiver. :class:`NetemDelay` reproduces that: a per-flow element
-adding constant delay, optional jitter, and optional random loss (the
-paper uses pure delay; jitter/loss are extensions for sensitivity
-studies).
+adding constant delay and optional jitter (the paper uses pure delay;
+jitter is an extension that desynchronises flows). It is the only
+pure-delay element: the edge links never congest, so they need no
+element of their own, and channel loss attaches to the bottleneck
+:class:`~repro.sim.link.Link`, not here.
 """
 
 from __future__ import annotations
@@ -13,12 +15,12 @@ import random
 from typing import Optional
 
 from .engine import Simulator
-from .link import LossModel, Sink
+from .link import Sink
 from .packet import Packet
 
 
 class NetemDelay:
-    """Constant extra delay with optional uniform jitter and random loss.
+    """Constant extra delay with optional uniform jitter.
 
     Parameters
     ----------
@@ -29,8 +31,6 @@ class NetemDelay:
         ``[delay - jitter, delay + jitter]``. Packet reordering is
         possible under jitter, exactly as with real netem without
         reorder protection.
-    loss_rate:
-        Probability in [0, 1) of silently dropping each packet.
     rng:
         The element's RNG. Callers on the experiment path derive this
         from the scenario/flow seed (see ``build_dumbbell``); when
@@ -38,20 +38,13 @@ class NetemDelay:
         deterministic seed stream (:meth:`Simulator.next_seed`) so that
         two elements never share a sequence. (Previously every default
         instance used the same fixed seed, which perfectly correlated
-        loss/jitter across flows.)
+        jitter across flows.)
+
+    A zero-delay, zero-jitter element forwards synchronously, without a
+    heap event.
     """
 
-    __slots__ = (
-        "sim",
-        "delay",
-        "jitter",
-        "loss_rate",
-        "sink",
-        "dropped_packets",
-        "loss_model",
-        "_rng",
-        "_schedule",
-    )
+    __slots__ = ("sim", "delay", "jitter", "sink", "_rng", "_schedule")
 
     def __init__(
         self,
@@ -59,54 +52,36 @@ class NetemDelay:
         delay: float,
         sink: Optional[Sink] = None,
         jitter: float = 0.0,
-        loss_rate: float = 0.0,
         rng: Optional[random.Random] = None,
     ) -> None:
         if delay < 0 or jitter < 0:
             raise ValueError("delay and jitter must be non-negative")
         if jitter > delay:
             raise ValueError("jitter must not exceed the base delay")
-        if not 0.0 <= loss_rate < 1.0:
-            raise ValueError("loss_rate must be in [0, 1)")
         self.sim = sim
         self.delay = delay
         self.jitter = jitter
-        self.loss_rate = loss_rate
         self.sink = sink
-        self.dropped_packets = 0
-        #: Channel-loss element (e.g. Gilbert–Elliott burst loss),
-        #: consulted before the independent ``loss_rate`` draw.
-        self.loss_model: Optional[LossModel] = None
         self._rng = rng or random.Random(sim.next_seed(0x4E45))
-        # Bound-method fast path (see DelayLink): the element schedules
-        # once per forwarded packet.
+        # Bound-method fast path: one per-packet attribute hop instead
+        # of two (the simulator is fixed for the element's lifetime).
         self._schedule = sim.schedule
 
-    def set_delay(self, delay: float, jitter: Optional[float] = None) -> None:
+    def set_delay(self, delay: float) -> None:
         """Change the base delay (fault-injection hook: RTT step/spike).
 
-        ``jitter`` defaults to the current jitter clamped to the new
-        delay, preserving the construction-time invariant. Packets
-        already in flight keep the delay they were scheduled with.
+        The jitter is clamped to the new delay, preserving the
+        construction-time invariant. Packets already in flight keep the
+        delay they were scheduled with.
         """
         if delay < 0:
             raise ValueError("delay must be non-negative")
-        if jitter is None:
-            jitter = min(self.jitter, delay)
-        if jitter < 0 or jitter > delay:
-            raise ValueError("jitter must be in [0, delay]")
         self.delay = delay
-        self.jitter = jitter
+        self.jitter = min(self.jitter, delay)
 
     def send(self, packet: Packet) -> None:
         if self.sink is None:
             raise RuntimeError("NetemDelay has no sink attached")
-        if self.loss_model is not None and self.loss_model.should_drop(packet):
-            self.dropped_packets += 1
-            return
-        if self.loss_rate > 0.0 and self._rng.random() < self.loss_rate:
-            self.dropped_packets += 1
-            return
         delay = self.delay
         jitter = self.jitter
         if jitter > 0.0:
@@ -114,6 +89,8 @@ class NetemDelay:
             # CPython's own arithmetic, a + (b - a) * random(): same
             # draw, same rounding, one call less.
             delay += -jitter + (jitter - -jitter) * self._rng.random()
+        # <= rather than ==: the constructor guarantees delay >= 0, and an
+        # ordering guard keeps the fast path safe against float noise.
         if delay <= 0.0:
             self.sink.send(packet)
         else:

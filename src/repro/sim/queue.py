@@ -192,13 +192,16 @@ class REDQueue(Queue):
     mechanism behind the loss-rate/halving-rate divergence at scale.
     """
 
+    #: Drop probability at the upper threshold (Floyd's recommended 0.1).
+    MAX_P = 0.1
+    #: EWMA weight of the average queue size (Floyd's recommended 0.002).
+    WEIGHT = 0.002
+
     def __init__(
         self,
         capacity_bytes: int,
         min_thresh_bytes: Optional[int] = None,
         max_thresh_bytes: Optional[int] = None,
-        max_p: float = 0.1,
-        weight: float = 0.002,
         rng: Optional[random.Random] = None,
     ) -> None:
         super().__init__(capacity_bytes)
@@ -206,10 +209,6 @@ class REDQueue(Queue):
         self.max_thresh = max_thresh_bytes if max_thresh_bytes is not None else capacity_bytes // 2
         if not 0 < self.min_thresh < self.max_thresh <= capacity_bytes:
             raise ValueError("require 0 < min_thresh < max_thresh <= capacity")
-        if not 0.0 < max_p <= 1.0:
-            raise ValueError("max_p must be in (0, 1]")
-        self.max_p = max_p
-        self.weight = weight
         self.avg_bytes = 0.0
         self._count_since_drop = -1
         self._rng = rng or random.Random(0x52ED)
@@ -226,21 +225,21 @@ class REDQueue(Queue):
     def _admit(self, now: float, packet: Packet) -> bool:
         if self.occupancy_bytes + packet.size > self.capacity_bytes:
             return False
-        self.avg_bytes += self.weight * (self.occupancy_bytes - self.avg_bytes)
+        self.avg_bytes += self.WEIGHT * (self.occupancy_bytes - self.avg_bytes)
         if self.avg_bytes < self.min_thresh:
             self._count_since_drop = -1
             return True
         if self.avg_bytes >= 2 * self.max_thresh:
             self._count_since_drop = 0
             return False
-        # Gentle RED: probability ramps from 0..max_p over [min, max), and
-        # from max_p..1 over [max, 2*max).
+        # Gentle RED: probability ramps from 0..MAX_P over [min, max), and
+        # from MAX_P..1 over [max, 2*max).
         if self.avg_bytes < self.max_thresh:
             fraction = (self.avg_bytes - self.min_thresh) / (self.max_thresh - self.min_thresh)
-            p_base = fraction * self.max_p
+            p_base = fraction * self.MAX_P
         else:
             fraction = (self.avg_bytes - self.max_thresh) / self.max_thresh
-            p_base = self.max_p + fraction * (1.0 - self.max_p)
+            p_base = self.MAX_P + fraction * (1.0 - self.MAX_P)
         self._count_since_drop += 1
         denominator = max(1e-9, 1.0 - self._count_since_drop * p_base)
         p_actual = min(1.0, p_base / denominator)

@@ -4,9 +4,10 @@ Reconstructs the paper's testbed (Figure 1): sender/receiver node pairs
 on either side of a single bottleneck — the BESS software switch in the
 paper, a rate-limited :class:`repro.sim.link.Link` with a drop-tail
 queue here. Edge links are uncongested by construction (25 Gbps in the
-paper), so they are modelled as pure propagation delays; per-flow base
-RTT is set with a netem-style delay element on the ACK path, exactly
-where the paper inserts it (at the receiver).
+paper), so their propagation is folded into the bottleneck's delivery
+delay and the reverse path's delay; per-flow base RTT is set with a
+netem-style delay element on the ACK path, exactly where the paper
+inserts it (at the receiver).
 
 The builder wires one :class:`~repro.tcp.connection.TcpSender` /
 :class:`~repro.tcp.connection.TcpReceiver` pair per flow and returns a
@@ -22,11 +23,14 @@ from typing import List, Optional, Sequence
 
 from ..tcp.cca.base import CongestionControl
 from ..tcp.connection import TcpReceiver, TcpSender
-from ..units import DATA_PACKET_BYTES
 from .engine import Simulator
-from .link import DelayLink, Link
+from .link import Link
 from .netem import NetemDelay
 from .queue import DropTailQueue, Queue
+
+#: One-way propagation delay of each bottleneck hop, seconds. A flow's
+#: base RTT must be at least four of them (two each way).
+BOTTLENECK_PROP_DELAY = 0.0005
 
 
 @dataclass
@@ -102,8 +106,6 @@ def build_dumbbell(
     bottleneck_bw_bps: float,
     buffer_bytes: int,
     queue: Optional[Queue] = None,
-    mss: int = DATA_PACKET_BYTES,
-    bottleneck_prop_delay: float = 0.0005,
     delayed_ack: bool = True,
 ) -> Dumbbell:
     """Build the paper's dumbbell for the given flows.
@@ -112,7 +114,7 @@ def build_dumbbell(
     ----------
     flow_specs:
         One :class:`FlowSpec` per flow. Each flow's base RTT must be at
-        least ``4 * bottleneck_prop_delay`` (the fixed propagation parts).
+        least ``4 * BOTTLENECK_PROP_DELAY`` (the fixed propagation parts).
     bottleneck_bw_bps:
         Bottleneck link rate (the paper varies this between 100 Mbps and
         10 Gbps).
@@ -133,25 +135,19 @@ def build_dumbbell(
     bottleneck = Link(
         sim,
         rate_bps=bottleneck_bw_bps,
-        delay=2 * bottleneck_prop_delay,
+        delay=2 * BOTTLENECK_PROP_DELAY,
         queue=queue,
         sink=demux,
     )
     dumbbell = Dumbbell(sim=sim, bottleneck=bottleneck)
-    fixed_component = 4 * bottleneck_prop_delay
+    fixed_component = 4 * BOTTLENECK_PROP_DELAY
     for flow_id, spec in enumerate(flow_specs):
         if spec.rtt < fixed_component:
             raise ValueError(
                 f"flow {flow_id}: rtt {spec.rtt} below fixed propagation "
                 f"{fixed_component}"
             )
-        sender = TcpSender(
-            sim,
-            flow_id,
-            spec.cca,
-            total_packets=spec.total_packets,
-            mss=mss,
-        )
+        sender = TcpSender(sim, flow_id, spec.cca, total_packets=spec.total_packets)
         receiver = TcpReceiver(sim, flow_id, delayed_ack=delayed_ack)
         # Forward path: sender -> bottleneck (access hop folded above).
         sender.path = bottleneck
@@ -159,20 +155,15 @@ def build_dumbbell(
         # Reverse path: one netem element carrying the flow's base-RTT
         # delay plus the fixed reverse propagation (paper: netem at the
         # receiver sets the base RTT).
-        netem_delay = spec.rtt - fixed_component
-        jitter = min(spec.jitter, netem_delay + 2 * bottleneck_prop_delay)
-        if netem_delay > 0 or jitter > 0:
-            reverse: object = NetemDelay(
-                sim,
-                netem_delay + 2 * bottleneck_prop_delay,
-                sink=sender,
-                jitter=jitter,
-                rng=random.Random(
-                    spec.jitter_seed if spec.jitter_seed is not None else flow_id
-                ),
-            )
-        else:
-            reverse = DelayLink(sim, 2 * bottleneck_prop_delay, sink=sender)
-        receiver.reverse_path = reverse
+        delay = spec.rtt - fixed_component + 2 * BOTTLENECK_PROP_DELAY
+        receiver.reverse_path = NetemDelay(
+            sim,
+            delay,
+            sink=sender,
+            jitter=min(spec.jitter, delay),
+            rng=random.Random(
+                spec.jitter_seed if spec.jitter_seed is not None else flow_id
+            ),
+        )
         dumbbell.flows.append(Flow(flow_id, spec, sender, receiver))
     return dumbbell

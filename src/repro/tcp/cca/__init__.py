@@ -2,8 +2,7 @@
 
 Provides the three CCAs the paper evaluates (NewReno, Cubic, BBRv1) plus
 BBRv2 as an extension, and :func:`make_cca`, the one name-based factory:
-``run_experiment`` and ``run_dynamic_workload`` build every flow's CCA
-through it.
+``run_experiment`` builds every flow's CCA through it.
 """
 
 from __future__ import annotations

@@ -19,6 +19,7 @@ from __future__ import annotations
 import random
 from typing import TYPE_CHECKING, Optional
 
+from ...units import DATA_PACKET_BYTES
 from ..rate_sample import RateSample
 from .base import CongestionControl
 from .filters import WindowedFilter
@@ -53,9 +54,8 @@ class Bbr(CongestionControl):
     #: 3 * TSO-quantum; with no offload the quantum is one packet).
     QUANTIZATION_BUDGET = 3.0
 
-    def __init__(self, mss: int = 1500, rng: Optional[random.Random] = None) -> None:
+    def __init__(self, rng: Optional[random.Random] = None) -> None:
         super().__init__()
-        self.mss = mss
         self._rng = rng or random.Random(0xBB12)
         # Filters and estimates.
         self.btlbw_filter = WindowedFilter(self.BTLBW_FILTER_LEN, mode="max")
@@ -100,7 +100,7 @@ class Bbr(CongestionControl):
             # assuming 1 ms until a measurement exists (draft §4.2.1).
             rtt = self.rtprop if self.rtprop else 0.001
             bw = self.INITIAL_CWND / rtt
-        return self.pacing_gain * bw * self.mss * 8.0
+        return self.pacing_gain * bw * DATA_PACKET_BYTES * 8.0
 
     def bdp_packets(self, gain: float = 1.0) -> float:
         """BDP estimate scaled by ``gain``, in packets."""

@@ -50,8 +50,8 @@ class Bbr2(Bbr):
     #: ProbeRTT cadence for v2.
     RTPROP_FILTER_LEN = 5.0
 
-    def __init__(self, mss: int = 1500, rng: Optional[random.Random] = None) -> None:
-        super().__init__(mss=mss, rng=rng)
+    def __init__(self, rng: Optional[random.Random] = None) -> None:
+        super().__init__(rng=rng)
         self.inflight_hi = float("inf")
         self._probe_wait = self.PROBE_WAIT_BASE
         self._phase_stamp = 0.0

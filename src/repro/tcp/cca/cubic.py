@@ -29,9 +29,8 @@ class Cubic(CongestionControl):
     C = 0.4
     BETA = 0.7
 
-    def __init__(self, fast_convergence: bool = True) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        self.fast_convergence = fast_convergence
         self.ssthresh = float("inf")
         self.w_max = 0.0
         self.k = 0.0
@@ -89,8 +88,9 @@ class Cubic(CongestionControl):
 
     def on_loss_event(self, conn: "TcpSender") -> None:
         self.epoch_start = None
-        if self.fast_convergence and self.cwnd < self.w_max:
-            # Release bandwidth faster when the available share shrank.
+        if self.cwnd < self.w_max:
+            # Fast convergence, always on as in Linux: release bandwidth
+            # faster when the available share shrank.
             self.w_max = self.cwnd * (2.0 - self.BETA) / 2.0
         else:
             self.w_max = self.cwnd

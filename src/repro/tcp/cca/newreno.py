@@ -25,11 +25,11 @@ class NewReno(CongestionControl):
 
     name = "newreno"
 
-    def __init__(self, beta: float = 0.5) -> None:
+    #: Multiplicative decrease on a loss event (RFC 5681's halving).
+    BETA = 0.5
+
+    def __init__(self) -> None:
         super().__init__()
-        if not 0.0 < beta < 1.0:
-            raise ValueError("beta must be in (0, 1)")
-        self.beta = beta
         self.ssthresh = float("inf")
 
     def on_ack(self, rs: RateSample, conn: "TcpSender") -> None:
@@ -45,9 +45,9 @@ class NewReno(CongestionControl):
             self.cwnd += rs.newly_acked / self.cwnd
 
     def on_loss_event(self, conn: "TcpSender") -> None:
-        self.ssthresh = max(self.cwnd * self.beta, self.MIN_CWND)
+        self.ssthresh = max(self.cwnd * self.BETA, self.MIN_CWND)
         self.cwnd = self.ssthresh
 
     def on_rto(self, conn: "TcpSender") -> None:
-        self.ssthresh = max(conn.in_flight * self.beta, self.MIN_CWND)
+        self.ssthresh = max(conn.in_flight * self.BETA, self.MIN_CWND)
         self.cwnd = 1.0

@@ -107,16 +107,13 @@ class TcpSender:
         cca: CongestionControl,
         path: Optional[Sink] = None,
         total_packets: Optional[int] = None,
-        mss: int = DATA_PACKET_BYTES,
-        rtt_estimator: Optional[RttEstimator] = None,
     ) -> None:
         self.sim = sim
         self.flow_id = flow_id
         self.cca = cca
         self.path = path
         self.total_packets = total_packets
-        self.mss = mss
-        self.rtt = rtt_estimator or RttEstimator()
+        self.rtt = RttEstimator()
         self.rate_estimator = DeliveryRateEstimator()
         self.stats = ConnectionStats()
 
@@ -231,7 +228,6 @@ class TcpSender:
         stats = self.stats
         path_send = self.path.send
         flow_id = self.flow_id
-        mss = self.mss
         while True:
             if in_flight >= cwnd_packets:
                 break
@@ -262,12 +258,12 @@ class TcpSender:
             )
             meta_map[seq] = meta
             stats.packets_sent += 1
-            path_send(Packet(flow_id, seq, mss))
+            path_send(Packet(flow_id, seq, DATA_PACKET_BYTES))
             if self._rto_deadline is None:
                 self._set_rto_deadline(now + self.rtt.rto)
             in_flight += 1
             if pacing_rate is not None and pacing_rate > 0:
-                gap = mss * 8.0 / pacing_rate
+                gap = DATA_PACKET_BYTES * 8.0 / pacing_rate
                 # max(now, _pacing_next) + gap, without the builtin call.
                 pacing_next = self._pacing_next
                 if pacing_next < now:
@@ -576,13 +572,14 @@ class TcpReceiver:
     #: SACK blocks per ACK (the TCP option space fits three alongside
     #: timestamps).
     MAX_SACK_BLOCKS = 3
+    #: Delayed-ACK timer, seconds (Linux's 40 ms minimum).
+    DELACK_TIMEOUT = 0.040
 
     __slots__ = (
         "sim",
         "flow_id",
         "reverse_path",
         "delayed_ack",
-        "delack_timeout",
         "rcv_nxt",
         "received_packets",
         "duplicate_packets",
@@ -598,13 +595,11 @@ class TcpReceiver:
         flow_id: int,
         reverse_path: Optional[Sink] = None,
         delayed_ack: bool = True,
-        delack_timeout: float = 0.040,
     ) -> None:
         self.sim = sim
         self.flow_id = flow_id
         self.reverse_path = reverse_path
         self.delayed_ack = delayed_ack
-        self.delack_timeout = delack_timeout
         self.rcv_nxt = 0
         self.received_packets = 0
         self.duplicate_packets = 0
@@ -640,7 +635,7 @@ class TcpReceiver:
             if self._unacked_segments >= self.ACK_QUOTA:
                 self._send_ack(seq)
             elif self._delack_event is None:
-                self._delack_event = self.sim.schedule(self.delack_timeout, self._on_delack)
+                self._delack_event = self.sim.schedule(self.DELACK_TIMEOUT, self._on_delack)
             return
         if seq < rcv_nxt or seq in self._ooo:
             self.duplicate_packets += 1
@@ -664,7 +659,7 @@ class TcpReceiver:
         if self._unacked_segments >= self.ACK_QUOTA:
             self._send_ack(seq)
         elif self._delack_event is None:
-            self._delack_event = self.sim.schedule(self.delack_timeout, self._on_delack)
+            self._delack_event = self.sim.schedule(self.DELACK_TIMEOUT, self._on_delack)
 
     def _on_delack(self) -> None:
         self._delack_event = None

@@ -60,17 +60,6 @@ def test_fast_convergence_lowers_wmax():
     assert cca.w_max == pytest.approx(80.0 * (2 - 0.7) / 2)
 
 
-def test_fast_convergence_disabled():
-    cca = Cubic(fast_convergence=False)
-    conn = FakeConn()
-    cca.cwnd = 100.0
-    cca.ssthresh = 50.0
-    cca.on_loss_event(conn)
-    cca.cwnd = 80.0
-    cca.on_loss_event(conn)
-    assert cca.w_max == pytest.approx(80.0)
-
-
 def test_k_computed_on_epoch_start():
     cca = Cubic()
     conn = FakeConn()

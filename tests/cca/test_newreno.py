@@ -74,18 +74,6 @@ class TestUnit:
         cca.on_ack(ack(5), FakeConn(in_recovery=True))
         assert cca.cwnd == before
 
-    def test_custom_beta(self):
-        cca = NewReno(beta=0.7)
-        cca.cwnd = 10.0
-        cca.on_loss_event(FakeConn())
-        assert cca.cwnd == pytest.approx(7.0)
-
-    def test_invalid_beta(self):
-        with pytest.raises(ValueError):
-            NewReno(beta=0.0)
-        with pytest.raises(ValueError):
-            NewReno(beta=1.0)
-
     def test_no_pacing(self):
         assert NewReno().pacing_rate is None
 

@@ -12,7 +12,6 @@ import os
 import pytest
 
 from repro.sim.engine import Simulator
-from repro.sim.link import DelayLink
 from repro.sim.netem import NetemDelay
 from repro.tcp.connection import TcpReceiver, TcpSender
 
@@ -89,5 +88,5 @@ def make_pipe(
     receiver = TcpReceiver(sim, 0, delayed_ack=delayed_ack)
     wire = LossyWire(sim, one_way_delay, sink=receiver, drop_indices=drop_indices)
     sender.path = wire
-    receiver.reverse_path = DelayLink(sim, one_way_delay, sink=sender)
+    receiver.reverse_path = NetemDelay(sim, one_way_delay, sink=sender)
     return sender, receiver, wire

@@ -1,9 +1,9 @@
-"""Unit tests for Link and DelayLink path elements."""
+"""Unit tests for the rate-limited Link."""
 
 import pytest
 
 from repro.sim.engine import Simulator
-from repro.sim.link import DelayLink, Link
+from repro.sim.link import Link
 from repro.sim.packet import Packet
 from repro.sim.queue import DropTailQueue
 
@@ -15,36 +15,6 @@ class Collector:
 
     def send(self, packet):
         self.received.append((self.sim.now, packet))
-
-
-def test_delaylink_delays_by_constant():
-    sim = Simulator()
-    sink = Collector(sim)
-    link = DelayLink(sim, 0.25, sink=sink)
-    link.send(Packet.data(0, 1))
-    sim.run()
-    assert sink.received[0][0] == pytest.approx(0.25)
-    assert link.forwarded_packets == 1
-
-
-def test_delaylink_zero_delay_is_synchronous():
-    sim = Simulator()
-    sink = Collector(sim)
-    link = DelayLink(sim, 0.0, sink=sink)
-    link.send(Packet.data(0, 1))
-    assert sink.received  # delivered without running the loop
-
-
-def test_delaylink_requires_sink():
-    sim = Simulator()
-    link = DelayLink(sim, 0.1)
-    with pytest.raises(RuntimeError):
-        link.send(Packet.data(0, 1))
-
-
-def test_delaylink_rejects_negative_delay():
-    with pytest.raises(ValueError):
-        DelayLink(Simulator(), -1.0)
 
 
 def test_link_serialisation_delay():

@@ -100,12 +100,11 @@ class TestRed:
             1_000_000,
             min_thresh_bytes=10_000,
             max_thresh_bytes=50_000,
-            max_p=0.5,
-            weight=1.0,  # avg tracks instantaneous occupancy
             rng=random.Random(1),
         )
         dropped = 0
-        for _ in range(200):
+        # Enough arrivals for the slow average (WEIGHT) to pass min_thresh.
+        for _ in range(2000):
             if not q.offer(0.0, pkt()):
                 dropped += 1
             else:
@@ -115,8 +114,6 @@ class TestRed:
     def test_invalid_thresholds(self):
         with pytest.raises(ValueError):
             REDQueue(1000, min_thresh_bytes=800, max_thresh_bytes=700)
-        with pytest.raises(ValueError):
-            REDQueue(1000, max_p=0.0)
 
 
 class TestSetCapacity:
@@ -265,7 +262,7 @@ def _drive_droptail(q):
 
 
 def _drive_red(q):
-    for seq in range(200):
+    for seq in range(2000):
         if q.offer(0.01 * seq, Packet.data(seq % 4, seq)) and q.occupancy_bytes > 30_000:
             q.poll()
 
@@ -283,7 +280,7 @@ def _drive_shrink(q):
         (
             lambda: REDQueue(
                 1_000_000, min_thresh_bytes=10_000, max_thresh_bytes=50_000,
-                max_p=0.5, weight=1.0, rng=random.Random(1),
+                rng=random.Random(1),
             ),
             _drive_red,
         ),

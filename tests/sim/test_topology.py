@@ -3,8 +3,9 @@
 import pytest
 
 from repro.sim.engine import Simulator
+from repro.sim.netem import NetemDelay
 from repro.sim.queue import REDQueue
-from repro.sim.topology import FlowSpec, build_dumbbell
+from repro.sim.topology import BOTTLENECK_PROP_DELAY, FlowSpec, build_dumbbell
 from repro.tcp.cca.newreno import NewReno
 from repro.units import mbps
 
@@ -29,6 +30,19 @@ def test_rtt_below_fixed_propagation_rejected(sim):
     specs = [FlowSpec(NewReno(), rtt=0.0001)]
     with pytest.raises(ValueError):
         build_dumbbell(sim, specs, bottleneck_bw_bps=mbps(10), buffer_bytes=100_000)
+
+
+def test_minimum_rtt_flow_reverse_path_is_pure_delay(sim):
+    """A flow whose RTT is all fixed propagation, with no jitter, still
+    gets a netem element: the bare reverse propagation, drawing nothing."""
+    spec = FlowSpec(NewReno(), rtt=4 * BOTTLENECK_PROP_DELAY)
+    d = build_dumbbell(sim, [spec], bottleneck_bw_bps=mbps(10), buffer_bytes=100_000)
+    reverse = d.flows[0].receiver.reverse_path
+    assert isinstance(reverse, NetemDelay)
+    # Exact: the element must schedule the very delay the bare hop did.
+    assert reverse.delay == 2 * BOTTLENECK_PROP_DELAY  # repro-lint: disable=RPR003
+    assert reverse.jitter == 0.0
+    assert reverse.sink is d.flows[0].sender
 
 
 def test_base_rtt_is_respected(sim):

@@ -15,8 +15,20 @@ Two scans apply the rule: one to public top-level functions and classes,
 one to the public methods and properties of public top-level classes.
 Both match by name only, not by type: a method whose name some live code
 reads on any object counts as reached. So a dead method that shares its
-name with a live one (``JobEvent.to_json`` next to the other
-``to_json`` methods, say) still passes.
+name with a live one (one more ``to_json`` next to the live ones, say)
+still passes.
+
+A third scan applies it to keyword parameters. A parameter whose default
+is a literal number or bool, and that no non-test call ever passes, is a
+second code path nothing drives: it becomes a constant or goes. The scan
+covers public top-level functions and the public methods and
+``__init__``s of public top-level classes. ``None`` defaults are
+injection seams (``rng=``, ``run_fn=``, ``total_packets=``) and are out
+of it. A call passes a parameter by keyword, by position, or through a
+``*``/``**`` splat that could reach it. The same two exemptions hold: a
+function or class in ``repro.__all__`` is the public API, so its call
+signature is too, and a CI workflow's inline script that calls the name
+with the keyword counts as a caller.
 """
 
 from __future__ import annotations
@@ -24,7 +36,7 @@ from __future__ import annotations
 import ast
 import pathlib
 import re
-from typing import Iterator, List, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 import repro
 
@@ -76,6 +88,89 @@ def public_methods() -> List[Tuple[str, str]]:
     return methods
 
 
+def _is_literal(node: ast.expr) -> bool:
+    """A number or bool literal, possibly negated."""
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        node = node.operand
+    return isinstance(node, ast.Constant) and isinstance(
+        node.value, (bool, int, float)
+    )
+
+
+def _knobs_of(
+    fn: ast.FunctionDef, callee: str, skip: int, where: str
+) -> Iterator[Tuple[str, str, Optional[int], str]]:
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    defaults = [None] * (len(positional) - len(args.defaults)) + list(args.defaults)
+    for index, (arg, default) in enumerate(zip(positional, defaults)):
+        if index >= skip and default is not None and _is_literal(default):
+            yield callee, arg.arg, index - skip, where
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None and _is_literal(default):
+            yield callee, arg.arg, None, where
+
+
+def keyword_knobs() -> List[Tuple[str, str, Optional[int], str]]:
+    """``(callee, parameter, position, "path:line")`` for each parameter
+    with a literal number or bool default.
+
+    ``callee`` is the name a call uses: the function's, the method's, or
+    the class's for ``__init__``. ``position`` is the parameter's index
+    among a call's positional arguments, ``None`` if keyword-only.
+    """
+    knobs: List[Tuple[str, str, Optional[int], str]] = []
+    for path in _sources(PACKAGE):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            where = f"{path.relative_to(ROOT)}:{node.lineno}"
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                knobs.extend(_knobs_of(node, node.name, 0, where))
+            elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                for fn in node.body:
+                    if not isinstance(fn, ast.FunctionDef):
+                        continue
+                    static = any(
+                        isinstance(d, ast.Name) and d.id == "staticmethod"
+                        for d in fn.decorator_list
+                    )
+                    at = f"{path.relative_to(ROOT)}:{fn.lineno}"
+                    if fn.name == "__init__":
+                        knobs.extend(_knobs_of(fn, node.name, 1, at))
+                    elif not fn.name.startswith("_"):
+                        knobs.extend(_knobs_of(fn, fn.name, 0 if static else 1, at))
+    return knobs
+
+
+def calls_by_name() -> Dict[str, List[ast.Call]]:
+    """Every call in non-test code, keyed by the called name."""
+    calls: Dict[str, List[ast.Call]] = {}
+    for directory in CONSUMER_DIRS:
+        for path in _sources(ROOT / directory):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                if isinstance(func, ast.Name):
+                    calls.setdefault(func.id, []).append(node)
+                elif isinstance(func, ast.Attribute):
+                    calls.setdefault(func.attr, []).append(node)
+    return calls
+
+
+def passes(call: ast.Call, parameter: str, position: Optional[int]) -> bool:
+    """Whether ``call`` passes ``parameter`` (or could, through a splat)."""
+    for keyword in call.keywords:
+        if keyword.arg is None or keyword.arg == parameter:
+            return True
+    if position is None:
+        return False
+    for index, arg in enumerate(call.args):
+        if isinstance(arg, ast.Starred) or index == position:
+            return True
+    return False
+
+
 def referenced_names() -> Set[str]:
     """Every identifier read as a name or an attribute by non-test code."""
     names: Set[str] = set()
@@ -102,6 +197,30 @@ def test_scan_sees_the_package():
     methods = {name for name, _ in public_methods()}
     assert {"Simulator.run", "RunStore.ls", "TcpSender.in_flight"} <= methods
     assert {"run_experiment", "run", "ls", "in_flight"} <= referenced_names()
+    knobs = {(callee, name) for callee, name, _, _ in keyword_knobs()}
+    assert {
+        ("build_dumbbell", "delayed_ack"),  # function
+        ("TcpReceiver", "delayed_ack"),     # __init__
+        ("run_jobs", "fresh"),              # public API function
+    } <= knobs
+    assert any(
+        passes(call, "delayed_ack", 3)
+        for call in calls_by_name()["build_dumbbell"]
+    )
+
+
+def test_passes_counts_keywords_positions_and_splats():
+    def call(source: str) -> ast.Call:
+        node = ast.parse(source, mode="eval").body
+        assert isinstance(node, ast.Call)
+        return node
+
+    assert passes(call("f(a, knob=1)"), "knob", 3)
+    assert passes(call("f(a, b)"), "knob", 1)
+    assert not passes(call("f(a, b)"), "knob", 2)
+    assert not passes(call("f(a, other=1)"), "knob", None)
+    assert passes(call("f(a, *rest)"), "knob", 4)
+    assert passes(call("f(a, **options)"), "knob", None)
 
 
 def test_every_public_def_is_reached():
@@ -133,4 +252,24 @@ def test_every_public_method_is_reached():
     assert not unused, (
         "public methods with no consumer outside the tests; delete them or "
         "give them one:\n  " + "\n  ".join(unused)
+    )
+
+
+def test_every_keyword_parameter_is_passed():
+    calls = calls_by_name()
+    exported = set(repro.__all__)
+    workflows = workflow_text()
+    unused = sorted(
+        f"{where} {callee}({name}=)"
+        for callee, name, position, where in keyword_knobs()
+        if callee not in exported
+        and not any(passes(call, name, position) for call in calls.get(callee, ()))
+        and not re.search(
+            rf"\b{re.escape(callee)}\((?:[^()]|\([^()]*\))*\b{re.escape(name)}\s*=",
+            workflows,
+        )
+    )
+    assert not unused, (
+        "keyword parameters that no non-test call passes; make each a "
+        "constant or give it a caller:\n  " + "\n  ".join(unused)
     )
