@@ -30,7 +30,6 @@ from .core import (
     FlowResult,
     RunHealth,
     Scenario,
-    competition,
     core_scale,
     edge_scale,
     run_experiment,
@@ -73,7 +72,6 @@ __all__ = [
     "FlowGroup",
     "edge_scale",
     "core_scale",
-    "competition",
     "run_experiment",
     "CACHE_VERSION",
     "Job",

@@ -6,7 +6,7 @@ Run single experiments or sweeps from the shell::
     repro run --setting edge --flows 30 --cca newreno --store benchmarks/_cache
     repro run --setting edge --flows 10 --faults blackout
     repro compete --setting core --flows 1000 --ccas bbr cubic --scale 50
-    repro profile --setting edge --flows 30 --cca cubic --top 10
+    repro run --setting edge --flows 30 --cca cubic --profile 10
     repro models --rtt 0.02 --p 0.001
     repro faults ls
     repro cache ls
@@ -42,7 +42,7 @@ from .lint.runner import main as lint_main
 from .models.cubic_model import cubic_throughput
 from .models.mathis import mathis_throughput
 from .models.padhye import padhye_throughput
-from .obs import EventBus, SimProfiler, TraceRecorder, write_trace_jsonl
+from .obs import EventBus, SimProfiler, TraceRecorder, trace_jsonl
 from .runstore import (
     CACHE_VERSION,
     Job,
@@ -159,9 +159,9 @@ def _run_one(
     in a worker process the parent's observers cannot see into.
     """
     watchdog = _watchdog_config(args)
-    max_events = getattr(args, "max_events", None)
-    profile = bool(getattr(args, "profile", False))
-    trace_path = getattr(args, "trace", None)
+    max_events = args.max_events
+    profile = args.profile is not None
+    trace_path = args.trace
     if args.store and (profile or trace_path):
         print("--profile/--trace require a direct run (drop --store)",
               file=sys.stderr)
@@ -181,7 +181,8 @@ def _run_one(
             profiler=profiler,
         )
         if recorder is not None:
-            write_trace_jsonl(recorder, trace_path, result=result)
+            with open(trace_path, "w", newline="") as fh:
+                fh.write(trace_jsonl(recorder, result))
         return result, None, profiler
     options = RunOptions(
         convergence_check=args.converge,
@@ -199,13 +200,16 @@ def _run_one(
     return outcome.results[0], outcome.stats, None
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    scenario = _base_scenario(args)
+def _run_and_emit(scenario: Scenario, args: argparse.Namespace) -> int:
     result, stats, profiler = _run_one(scenario, args)
     _emit(result, args, stats)
     if profiler is not None:
-        print(profiler.report())
+        print(profiler.report(top=args.profile or None))
     return 0
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    return _run_and_emit(_base_scenario(args), args)
 
 
 def _cmd_compete(args: argparse.Namespace) -> int:
@@ -221,27 +225,7 @@ def _cmd_compete(args: argparse.Namespace) -> int:
     scenario = base.with_overrides(
         groups=groups, name=f"compete-{'-'.join(args.ccas)}"
     )
-    result, stats, profiler = _run_one(scenario, args)
-    _emit(result, args, stats)
-    if profiler is not None:
-        print(profiler.report())
-    return 0
-
-
-def _cmd_profile(args: argparse.Namespace) -> int:
-    """Run one scenario under the simulator profiler and print the
-    per-handler event counts and wall-time table. Profiling is
-    observation-only: the result is byte-identical to an unprofiled run."""
-    if args.store:
-        print("profile always runs directly; drop --store", file=sys.stderr)
-        return 2
-    args.profile = True
-    scenario = _base_scenario(args)
-    result, _, profiler = _run_one(scenario, args)
-    _emit(result, args, None)
-    assert profiler is not None
-    print(profiler.report(top=args.top))
-    return 0
+    return _run_and_emit(scenario, args)
 
 
 def _cmd_models(args: argparse.Namespace) -> int:
@@ -372,6 +356,13 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return lint_main(args.paths, select=args.select or ())
 
 
+def _handler_count(text: str) -> int:
+    count = int(text)
+    if count < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {count}")
+    return count
+
+
 def _add_experiment_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--setting", choices=("edge", "core"), default="core")
     p.add_argument("--flows", type=int, default=1000,
@@ -397,9 +388,12 @@ def _add_experiment_args(p: argparse.ArgumentParser) -> None:
                    help="override the event-budget safety valve")
     p.add_argument("--mathis", action="store_true",
                    help="fit the Mathis constant from the run")
-    p.add_argument("--profile", action="store_true",
+    p.add_argument("--profile", nargs="?", type=_handler_count, const=0,
+                   default=None, metavar="TOP",
                    help="profile the simulator (per-handler event counts "
-                        "and wall time; results stay byte-identical)")
+                        "and wall time; results stay byte-identical) and "
+                        "print the TOP most expensive handlers (all when "
+                        "TOP is omitted)")
     p.add_argument("--trace", default=None, metavar="FILE",
                    help="export a structured JSONL event trace "
                         "(cwnd/enqueue/drop/fault rows plus the run "
@@ -432,19 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_experiment_args(p_compete)
     p_compete.add_argument("--ccas", nargs="+", default=["bbr", "newreno"])
     p_compete.set_defaults(fn=_cmd_compete)
-
-    p_profile = sub.add_parser(
-        "profile",
-        help="run one experiment under the simulator profiler",
-        description="Like 'repro run', but always profiles the event "
-        "loop and prints the per-handler count/wall-time table. "
-        "Profiling is observation-only, so the printed result is "
-        "byte-identical to an unprofiled run of the same scenario.",
-    )
-    _add_experiment_args(p_profile)
-    p_profile.add_argument("--top", type=int, default=None, metavar="N",
-                           help="only show the N most expensive handlers")
-    p_profile.set_defaults(fn=_cmd_profile)
 
     p_faults = sub.add_parser(
         "faults",

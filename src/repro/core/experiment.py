@@ -119,7 +119,7 @@ def run_experiment(
     bus:
         An :class:`~repro.obs.bus.EventBus` to bind every sender and the
         bottleneck queue to (and to publish fault events on), so callers
-        can subscribe observers — trace recorders, cwnd probes — before
+        can subscribe observers — trace recorders, ad-hoc samplers — before
         the run. Results never come from the bus: halvings and RTOs are
         read from each sender's stats and drops/arrivals from the
         queue's own counters, all cut at ``scenario.warmup``. Without a

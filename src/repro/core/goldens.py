@@ -25,11 +25,11 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from ..faults.schedule import FaultSchedule
 from ..obs.bus import EventBus
-from ..obs.tracing import TraceRecorder, health_rows
+from ..obs.tracing import TraceRecorder, trace_jsonl
 from .experiment import run_experiment
 from .results import ExperimentResult
 from .scenarios import FlowGroup, Scenario, core_scale, edge_scale
@@ -98,11 +98,6 @@ def result_digest(result: ExperimentResult) -> str:
     return hashlib.sha256(canonical_result_json(result).encode("utf-8")).hexdigest()
 
 
-def trace_text(rows: List[Dict[str, Any]]) -> str:
-    """Trace rows as the exact JSONL text the trace digest covers."""
-    return "".join(json.dumps(row, separators=(",", ":")) + "\n" for row in rows)
-
-
 def trace_digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -167,7 +162,7 @@ def run_golden(
     result = run_experiment(scenario, bus=bus)
     text: Optional[str] = None
     if recorder is not None:
-        text = trace_text(list(recorder.events) + health_rows(result))
+        text = trace_jsonl(recorder, result)
     return result, result_digest(result), text
 
 

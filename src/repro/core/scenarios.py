@@ -24,12 +24,6 @@ from typing import Tuple
 from ..faults.schedule import FaultEvent
 from ..units import bdp_bytes, gbps, mbps, megabytes
 
-#: Flow-count sweep points from the paper.
-EDGE_FLOW_COUNTS = (10, 30, 50)
-CORE_FLOW_COUNTS = (1000, 3000, 5000)
-#: RTT sweep points from the fairness figures.
-RTT_SWEEP = (0.020, 0.100, 0.200)
-
 #: Default scale divisor for CoreScale runs (10 Gbps/25 = 400 Mbps,
 #: 1000-5000 flows -> 40-200 flows; per-flow share preserved).
 DEFAULT_CORE_SCALE = 25
@@ -158,12 +152,3 @@ def core_scale(
         stagger_max=min(5.0, warmup * 0.6),
         seed=seed,
     )
-
-
-def competition(
-    base: Scenario,
-    groups: Tuple[FlowGroup, ...],
-    name: str,
-) -> Scenario:
-    """Replace a scenario's flow groups (for inter-CCA experiments)."""
-    return base.with_overrides(groups=groups, name=name)

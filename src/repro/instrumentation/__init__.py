@@ -1,8 +1,7 @@
-"""Measurement instrumentation: tcpprobe cwnd traces, flow goodput."""
+"""Measurement instrumentation: per-flow goodput over the measured window."""
 
 from __future__ import annotations
 
 from .flowmon import FlowMonitor
-from .tcpprobe import CwndProbe
 
-__all__ = ["CwndProbe", "FlowMonitor"]
+__all__ = ["FlowMonitor"]

@@ -4,25 +4,20 @@ The optional measurement layer on top of a run (DESIGN.md §10). Run
 results never depend on it — they come from counters the senders and
 queues own — so everything here is observation-only:
 
-- :class:`EventBus` — typed topics fed by one forwarder per bound
-  sender or queue, any number of subscribers behind it;
+- :class:`EventBus` — one subscriber list per topic, fed by one
+  forwarder per bound sender or queue;
 - :class:`SimProfiler` — per-handler event counts and wall time,
   guaranteed not to perturb results;
-- :class:`TraceRecorder` — bounded structured event capture with JSONL
-  export, including run-health/fault timelines for degraded runs.
+- :class:`TraceRecorder` — bounded structured capture of every bus
+  event, rendered with the run's health/fault rows by
+  :func:`trace_jsonl`.
 """
 
 from __future__ import annotations
 
 from .bus import TOPICS, EventBus
 from .profiler import HandlerProfile, SimProfiler, handler_name
-from .tracing import (
-    DEFAULT_TOPICS,
-    TraceRecorder,
-    health_rows,
-    write_jsonl,
-    write_trace_jsonl,
-)
+from .tracing import TraceRecorder, health_rows, trace_jsonl
 
 __all__ = [
     "TOPICS",
@@ -30,9 +25,7 @@ __all__ = [
     "SimProfiler",
     "HandlerProfile",
     "handler_name",
-    "DEFAULT_TOPICS",
     "TraceRecorder",
     "health_rows",
-    "write_jsonl",
-    "write_trace_jsonl",
+    "trace_jsonl",
 ]

@@ -21,7 +21,7 @@ byte-identical :class:`~repro.core.results.ExperimentResult` to an
 unprofiled run — a tier-1 test and the CI obs-smoke job both assert
 it.
 
-Surfaced via ``repro profile <args>`` and ``repro run --profile``.
+Surfaced via ``repro run --profile [TOP]`` (and ``repro compete``).
 """
 
 from __future__ import annotations
@@ -39,13 +39,6 @@ class HandlerProfile:
         self.name = name
         self.count = 0
         self.wall_seconds = 0.0
-
-    def to_json(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "count": self.count,
-            "wall_seconds": self.wall_seconds,
-        }
 
 
 def handler_name(fn: Callable[..., Any]) -> str:
@@ -108,13 +101,6 @@ class SimProfiler:
         if self.wall_seconds <= 0.0:
             return 0.0
         return self.events / self.wall_seconds
-
-    def to_json(self) -> Dict[str, Any]:
-        return {
-            "events": self.events,
-            "wall_seconds": self.wall_seconds,
-            "handlers": [h.to_json() for h in self.handlers()],
-        }
 
     def report(self, top: Optional[int] = None) -> str:
         """A human-readable profile table."""

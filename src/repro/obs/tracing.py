@@ -3,10 +3,11 @@
 When a 5000-flow run degrades — the watchdog truncates it, a fault
 schedule bites harder than expected — the summary numbers say *that*
 something went wrong but not *when* or *to whom*. The
-:class:`TraceRecorder` subscribes to an :class:`~repro.obs.bus.EventBus`
-and keeps a structured, bounded record of every published event, then
-writes it as JSON Lines (one event object per line) so external tools
-(``jq``, pandas) can reconstruct the run's timeline.
+:class:`TraceRecorder` subscribes to every topic of an
+:class:`~repro.obs.bus.EventBus` and keeps a structured, bounded record
+of the published events; :func:`trace_jsonl` renders it as JSON Lines
+(one event object per line) so external tools (``jq``, pandas) can
+reconstruct the run's timeline.
 
 Event rows share a common shape::
 
@@ -15,35 +16,28 @@ Event rows share a common shape::
     {"t": <sim time>, "topic": "fault", "desc": "link down"}
 
 :func:`health_rows` renders a result's :class:`~repro.core.results.
-RunHealth` record (and its fault timeline) in the same row format, so a
-single JSONL file can carry the whole story of a degraded run — the
-``repro run --trace FILE`` CLI path appends it automatically.
+RunHealth` record (and its fault timeline) in the same row format, and
+:func:`trace_jsonl` appends them, so a single JSONL document carries the
+whole story of a degraded run. It is the one renderer: ``repro run
+--trace FILE`` writes its text, and the golden corpus hashes it.
 """
 
 from __future__ import annotations
 
+import functools
 import json
-from typing import IO, Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional
 
-from .bus import TOPICS, EventBus
-
-PathOrFile = Union[str, IO[str]]
-
-#: Topics a recorder captures by default. ``loss``/``rto`` are
-#: projections of ``cwnd`` events, so recording all three would store
-#: every loss twice; the default set is complete without duplication.
-DEFAULT_TOPICS: Tuple[str, ...] = ("cwnd", "enqueue", "drop", "fault")
+from .bus import EventBus
 
 
 class TraceRecorder:
-    """Records bus events as structured rows, with a hard memory cap.
+    """Records every bus event as a structured row, with a hard memory cap.
 
     Parameters
     ----------
     bus:
         The event bus to tap. Subscriptions are installed immediately.
-    topics:
-        Which topics to record (default: :data:`DEFAULT_TOPICS`).
     max_events:
         Retain at most this many rows; further events are counted in
         ``dropped_events`` but not stored (the cap keeps full tracing
@@ -55,29 +49,19 @@ class TraceRecorder:
     def __init__(
         self,
         bus: EventBus,
-        topics: Sequence[str] = DEFAULT_TOPICS,
         max_events: Optional[int] = None,
         start_time: float = 0.0,
     ) -> None:
-        unknown = [t for t in topics if t not in TOPICS]
-        if unknown:
-            raise ValueError(f"unknown topics: {unknown}; known: {list(TOPICS)}")
         if max_events is not None and max_events <= 0:
             raise ValueError("max_events must be positive")
-        self.topics = tuple(topics)
         self.max_events = max_events
         self.start_time = start_time
         self.events: List[Dict[str, Any]] = []
         self.dropped_events = 0
-        for topic in self.topics:
-            if topic in ("cwnd",):
-                bus.subscribe(topic, self._on_cwnd)
-            elif topic in ("loss", "rto"):
-                bus.subscribe(topic, self._make_flow_cwnd_handler(topic))
-            elif topic in ("enqueue", "drop"):
-                bus.subscribe(topic, self._make_packet_handler(topic))
-            else:  # fault
-                bus.subscribe(topic, self._on_fault)
+        bus.subscribe("cwnd", self._on_cwnd)
+        for topic in ("enqueue", "drop"):
+            bus.subscribe(topic, functools.partial(self._on_packet, topic))
+        bus.subscribe("fault", self._on_fault)
 
     # ------------------------------------------------------------------
     # Handlers (one per payload shape)
@@ -96,28 +80,12 @@ class TraceRecorder:
             {"t": now, "topic": "cwnd", "flow": flow_id, "kind": kind, "cwnd": cwnd}
         )
 
-    def _make_flow_cwnd_handler(self, topic: str) -> Any:
-        def handler(now: float, flow_id: int, cwnd: float) -> None:
-            if now < self.start_time:
-                return
-            self._record({"t": now, "topic": topic, "flow": flow_id, "cwnd": cwnd})
-
-        return handler
-
-    def _make_packet_handler(self, topic: str) -> Any:
-        def handler(now: float, packet: Any) -> None:
-            if now < self.start_time:
-                return
-            self._record(
-                {
-                    "t": now,
-                    "topic": topic,
-                    "flow": packet.flow_id,
-                    "seq": packet.seq,
-                }
-            )
-
-        return handler
+    def _on_packet(self, topic: str, now: float, packet: Any) -> None:
+        if now < self.start_time:
+            return
+        self._record(
+            {"t": now, "topic": topic, "flow": packet.flow_id, "seq": packet.seq}
+        )
 
     def _on_fault(self, now: float, description: str) -> None:
         # Fault events are never warm-up-cut: the whole point of the
@@ -162,33 +130,10 @@ def health_rows(result: Any) -> List[Dict[str, Any]]:
     return rows
 
 
-def _open(dest: PathOrFile) -> Tuple[IO[str], bool]:
-    if isinstance(dest, str):
-        return open(dest, "w", newline=""), True
-    return dest, False
-
-
-def write_jsonl(rows: Iterable[Dict[str, Any]], dest: PathOrFile) -> int:
-    """Write rows as JSON Lines; returns the number of rows written."""
-    fh, owned = _open(dest)
-    written = 0
-    try:
-        for row in rows:
-            json.dump(row, fh, separators=(",", ":"))
-            fh.write("\n")
-            written += 1
-    finally:
-        if owned:
-            fh.close()
-    return written
-
-
-def write_trace_jsonl(
-    recorder: TraceRecorder, dest: PathOrFile, result: Any = None
-) -> int:
-    """Write a recorder's events — plus, when ``result`` is given, its
-    health/fault rows — as one JSONL document. Returns rows written."""
-    rows: List[Dict[str, Any]] = list(recorder.events)
-    if result is not None:
-        rows.extend(health_rows(result))
-    return write_jsonl(rows, dest)
+def trace_jsonl(recorder: TraceRecorder, result: Any) -> str:
+    """A recorder's events plus ``result``'s health/fault rows as one
+    JSON Lines document (compact separators, one row per line)."""
+    return "".join(
+        json.dumps(row, separators=(",", ":")) + "\n"
+        for row in recorder.events + health_rows(result)
+    )

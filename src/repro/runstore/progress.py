@@ -11,9 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional
 
-#: Event kinds, in lifecycle order.
-EVENT_KINDS = ("hit", "start", "done", "degraded", "retry", "failed")
-
 ProgressCallback = Callable[["JobEvent"], None]
 
 

@@ -4,7 +4,7 @@ import pickle
 
 import pytest
 
-from repro.core.scenarios import FlowGroup, Scenario, competition, core_scale, edge_scale
+from repro.core.scenarios import FlowGroup, Scenario, core_scale, edge_scale
 from repro.units import bdp_bytes, gbps, mbps, megabytes
 
 
@@ -97,8 +97,8 @@ class TestPresets:
 
     def test_competition_replaces_groups(self):
         base = core_scale(flows=1000, scale=50)
-        sc = competition(
-            base, (FlowGroup("bbr", 10), FlowGroup("cubic", 10)), name="mix"
+        sc = base.with_overrides(
+            groups=(FlowGroup("bbr", 10), FlowGroup("cubic", 10)), name="mix"
         )
         assert sc.name == "mix"
         assert sc.total_flows == 20

@@ -55,7 +55,6 @@ def test_profiler_counts_engine_events():
     assert profile.count == 5
     assert "tick" in profile.name
     assert profile.wall_seconds >= 0.0
-    assert profiler.to_json()["events"] == 5
 
 
 def test_report_renders_and_truncates():

@@ -1,18 +1,15 @@
 """Tests for structured JSONL trace export."""
 
-import io
 import json
 
 import pytest
 
 from repro.core.results import RunHealth
+from repro.faults.watchdog import SimWatchdog, WatchdogConfig
+from repro.instrumentation.flowmon import FlowMonitor
 from repro.obs.bus import EventBus
-from repro.obs.tracing import (
-    TraceRecorder,
-    health_rows,
-    write_jsonl,
-    write_trace_jsonl,
-)
+from repro.obs.tracing import TraceRecorder, health_rows, trace_jsonl
+from repro.sim.engine import Simulator
 from repro.sim.packet import Packet
 from repro.sim.queue import DropTailQueue
 from repro.tcp.cca.newreno import NewReno
@@ -24,17 +21,14 @@ class _Result:
         self.health = health
 
 
-def test_rejects_unknown_topics_and_bad_cap():
-    bus = EventBus()
+def test_rejects_bad_cap():
     with pytest.raises(ValueError):
-        TraceRecorder(bus, topics=("cwnd", "nope"))
-    with pytest.raises(ValueError):
-        TraceRecorder(bus, max_events=0)
+        TraceRecorder(EventBus(), max_events=0)
 
 
 def test_records_cwnd_rows_with_warmup_cut(sim):
     bus = EventBus()
-    recorder = TraceRecorder(bus, topics=("cwnd",), start_time=0.05)
+    recorder = TraceRecorder(bus, start_time=0.05)
     sender, _, _ = make_pipe(sim, NewReno(), total_packets=40)
     bus.bind_sender(sender)
     sender.start()
@@ -71,7 +65,7 @@ def test_fault_rows_are_never_warmup_cut():
 
 def test_max_events_caps_memory():
     bus = EventBus()
-    recorder = TraceRecorder(bus, topics=("fault",), max_events=2)
+    recorder = TraceRecorder(bus, max_events=2)
     for i in range(5):
         bus.publish("fault", float(i), f"f{i}")
     assert len(recorder.events) == 2
@@ -80,15 +74,20 @@ def test_max_events_caps_memory():
 
 
 def test_jsonl_round_trip():
-    rows = [{"t": 1.0, "topic": "fault", "desc": "x"}, {"t": 2.0, "topic": "cwnd"}]
-    buf = io.StringIO()
-    assert write_jsonl(rows, buf) == 2
-    assert [json.loads(line) for line in buf.getvalue().splitlines()] == rows
-
-
-def test_write_trace_jsonl_appends_health(tmp_path):
     bus = EventBus()
-    recorder = TraceRecorder(bus, topics=("fault",))
+    recorder = TraceRecorder(bus)
+    queue = DropTailQueue(2000)
+    bus.bind_queue(queue)
+    queue.offer(0.5, Packet(flow_id=2, seq=9, size=1000))
+    bus.publish("fault", 1.0, "x")
+    text = trace_jsonl(recorder, _Result(None))
+    assert text.endswith("\n") and " " not in text  # compact, newline-terminated
+    assert [json.loads(line) for line in text.splitlines()] == recorder.events
+
+
+def test_trace_jsonl_appends_health():
+    bus = EventBus()
+    recorder = TraceRecorder(bus)
     bus.publish("fault", 1.0, "link down")
     health = RunHealth(
         ok=False,
@@ -97,11 +96,11 @@ def test_write_trace_jsonl_appends_health(tmp_path):
         stalled_flows=[1, 2],
         fault_timeline=[(1.0, "link down")],
     )
-    dest = str(tmp_path / "trace.jsonl")
-    written = write_trace_jsonl(recorder, dest, result=_Result(health))
-    with open(dest) as fh:
-        rows = [json.loads(line) for line in fh]
-    assert written == len(rows) == 3  # fault event + health row + timeline row
+    rows = [
+        json.loads(line)
+        for line in trace_jsonl(recorder, _Result(health)).splitlines()
+    ]
+    assert len(rows) == 3  # fault event + health row + timeline row
     health_row = rows[1]
     assert health_row["topic"] == "health"
     assert health_row["reason"] == "stall"
@@ -111,3 +110,74 @@ def test_write_trace_jsonl_appends_health(tmp_path):
 
 def test_health_rows_empty_without_health():
     assert health_rows(_Result(None)) == []
+
+
+def test_cwnd_rows_match_live_sender_stats(sim):
+    # The trace is the cwnd log: its loss_event rows are the sender's
+    # halvings and its ack rows are the ACKs the sender processed.
+    sender, _, _ = make_pipe(sim, NewReno(), total_packets=300, drop_indices={40})
+    bus = EventBus()
+    bus.bind_sender(sender)
+    recorder = TraceRecorder(bus)
+    sender.start()
+    sim.run(until=20.0)
+    assert sender.completed
+    kinds = [row["kind"] for row in recorder.events if row["topic"] == "cwnd"]
+    assert kinds.count("loss_event") == sender.stats.halvings == 1
+    assert kinds.count("ack") == sender.stats.acks_received
+
+
+def _lossy_run(sim, observe=None):
+    """One deterministic lossy flow; ``observe(sender, bus)`` wires
+    observers before the run starts (no bus at all when omitted)."""
+    sender, _, _ = make_pipe(
+        sim, NewReno(), total_packets=400, drop_indices={40, 120, 250}
+    )
+    extras = None
+    if observe is not None:
+        bus = EventBus()
+        bus.bind_sender(sender)
+        extras = observe(sender, bus)
+    sender.start()
+    sim.run(until=30.0)
+    assert sender.completed
+    return sender, extras
+
+
+def test_three_observers_coexist_with_identical_counts():
+    # A trace recorder, the stall watchdog and an ad-hoc cwnd sampler
+    # all watch ONE sender; the recorder's congestion rows match the
+    # sender's own counters and an unobserved baseline run.
+    baseline, _ = _lossy_run(Simulator())
+    assert baseline.stats.congestion_events > 0
+
+    sim = Simulator()
+    sampled = {"acks": 0, "cwnd": []}
+
+    def wire(sender, bus):
+        recorder = TraceRecorder(bus)
+        monitor = FlowMonitor(sim, [sender])
+        dog = SimWatchdog(sim, monitor, [0.0], config=WatchdogConfig(stall_budget=5.0))
+        dog.arm()
+
+        def sample(now, fid, kind, cwnd):
+            if kind == "ack":
+                sampled["acks"] += 1
+            sampled["cwnd"].append(cwnd)
+
+        bus.subscribe("cwnd", sample)
+        return recorder, dog
+
+    sender, (recorder, dog) = _lossy_run(sim, wire)
+
+    # All three observers saw the run...
+    assert sampled["acks"] == sender.stats.acks_received > 0
+    assert len(sampled["cwnd"]) == len(recorder.events)
+    assert dog.checks > 0 and not dog.aborted
+    # ...and the recorder's counts are the sender's and the baseline's.
+    kinds = [row["kind"] for row in recorder.events]
+    assert kinds.count("loss_event") == sender.stats.halvings == baseline.stats.halvings
+    assert kinds.count("rto") == sender.stats.rtos == baseline.stats.rtos
+    # The simulation itself was untouched by observation.
+    assert sender.snd_una == baseline.snd_una
+    assert sender.stats.congestion_events == baseline.stats.congestion_events

@@ -145,7 +145,12 @@ class TestLossRecovery:
         losses = []
         bus = EventBus()
         bus.bind_sender(sender)
-        bus.subscribe("loss", lambda now, fid, cwnd: losses.append(now))
+
+        def on_cwnd(now, fid, kind, cwnd):
+            if kind == "loss_event":
+                losses.append(now)
+
+        bus.subscribe("cwnd", on_cwnd)
         sender.start()
         sim.run(until=60.0)
         assert sender.completed and len(losses) == 2

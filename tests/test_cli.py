@@ -5,6 +5,9 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core.experiment import run_experiment
+from repro.core.scenarios import edge_scale
+from repro.obs import EventBus, TraceRecorder, trace_jsonl
 
 
 def run_cli(capsys, *argv):
@@ -202,15 +205,18 @@ def test_run_with_profile_prints_report(capsys):
     assert "handler" in out
 
 
-def test_profile_subcommand(capsys):
+def test_run_with_profile_top_truncates_report(capsys):
     code, out = run_cli(
         capsys,
-        "profile", "--setting", "edge", "--flows", "2", "--duration", "3",
-        "--warmup", "1", "--top", "3",
+        "run", "--setting", "edge", "--flows", "2", "--duration", "3",
+        "--warmup", "1", "--profile", "3",
     )
     assert code == 0
     assert "profile:" in out
     assert "ev/s" in out
+    assert "more handler(s)" in out
+    with pytest.raises(SystemExit):
+        main(["run", "--setting", "edge", "--profile", "-1"])
 
 
 def test_run_with_trace_writes_jsonl(tmp_path, capsys):
@@ -228,6 +234,13 @@ def test_run_with_trace_writes_jsonl(tmp_path, capsys):
     assert "cwnd" in topics
     # Warm-up cut applies to the trace.
     assert all(row["t"] >= 1.0 for row in rows if "t" in row)
+    # The CLI writes exactly what the golden corpus hashes: one renderer.
+    scenario = edge_scale(flows=2, duration=3.0, warmup=1.0, seed=1)
+    bus = EventBus()
+    recorder = TraceRecorder(bus, start_time=scenario.warmup)
+    result = run_experiment(scenario, bus=bus)
+    with open(dest, "rb") as fh:
+        assert fh.read() == trace_jsonl(recorder, result).encode("utf-8")
 
 
 def test_profile_and_trace_reject_store(tmp_path):
@@ -236,8 +249,3 @@ def test_profile_and_trace_reject_store(tmp_path):
             "run", "--setting", "edge", "--flows", "2", "--duration", "2",
             "--warmup", "1", "--profile", "--store", str(tmp_path / "s"),
         ])
-    code = main([
-        "profile", "--setting", "edge", "--flows", "2", "--duration", "2",
-        "--warmup", "1", "--store", str(tmp_path / "s"),
-    ])
-    assert code == 2

@@ -29,6 +29,14 @@ of it. A call passes a parameter by keyword, by position, or through a
 function or class in ``repro.__all__`` is the public API, so its call
 signature is too, and a CI workflow's inline script that calls the name
 with the keyword counts as a caller.
+
+A fourth scan applies it to constants. A public UPPER_CASE name bound
+at module level in ``src/repro`` must be *loaded* (read as a name or an
+attribute) by some non-test code. Its own assignment is a store, not a
+load, and ``__all__`` strings and re-export imports are not references,
+so a constant that only its definition and its package's export list
+mention is dead. The same two exemptions hold: names in
+``repro.__all__``, and whole-word mentions in a CI workflow.
 """
 
 from __future__ import annotations
@@ -86,6 +94,29 @@ def public_methods() -> List[Tuple[str, str]]:
                         f"{path.relative_to(ROOT)}:{node.lineno}",
                     ))
     return methods
+
+
+def public_constants() -> List[Tuple[str, str]]:
+    """``(name, "path:line")`` for each public UPPER_CASE name bound by a
+    module-level assignment (plain or annotated)."""
+    constants: List[Tuple[str, str]] = []
+    for path in _sources(PACKAGE):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            for target in targets:
+                if isinstance(target, ast.Name) and re.fullmatch(
+                    r"[A-Z][A-Z0-9_]*", target.id
+                ):
+                    constants.append(
+                        (target.id, f"{path.relative_to(ROOT)}:{node.lineno}")
+                    )
+    return constants
 
 
 def _is_literal(node: ast.expr) -> bool:
@@ -184,6 +215,22 @@ def referenced_names() -> Set[str]:
     return names
 
 
+def loaded_names() -> Set[str]:
+    """Every identifier non-test code loads as a name or an attribute
+    (assignment targets are stores and do not count)."""
+    names: Set[str] = set()
+    for directory in CONSUMER_DIRS:
+        for path in _sources(ROOT / directory):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute) and isinstance(
+                    node.ctx, ast.Load
+                ):
+                    names.add(node.attr)
+    return names
+
+
 def workflow_text() -> str:
     return "\n".join(
         p.read_text(encoding="utf-8")
@@ -207,6 +254,9 @@ def test_scan_sees_the_package():
         passes(call, "delayed_ack", 3)
         for call in calls_by_name()["build_dumbbell"]
     )
+    constants = {name for name, _ in public_constants()}
+    assert {"TOPICS", "DEFAULT_STORE", "BOTTLENECK_PROP_DELAY"} <= constants
+    assert {"TOPICS", "BOTTLENECK_PROP_DELAY"} <= loaded_names()
 
 
 def test_passes_counts_keywords_positions_and_splats():
@@ -272,4 +322,21 @@ def test_every_keyword_parameter_is_passed():
     assert not unused, (
         "keyword parameters that no non-test call passes; make each a "
         "constant or give it a caller:\n  " + "\n  ".join(unused)
+    )
+
+
+def test_every_public_constant_is_loaded():
+    loaded = loaded_names()
+    exported = set(repro.__all__)
+    workflows = workflow_text()
+    unused = sorted(
+        f"{where} {name}"
+        for name, where in public_constants()
+        if name not in loaded
+        and name not in exported
+        and not re.search(rf"\b{re.escape(name)}\b", workflows)
+    )
+    assert not unused, (
+        "public constants that no non-test code loads; delete them or "
+        "give them a reader:\n  " + "\n  ".join(unused)
     )
