@@ -11,8 +11,8 @@ underlying experiments are expensive (packet-level simulation), so:
   ``REPRO_BENCH_FRESH=1`` forces re-simulation;
 - batches go through the fault-tolerant scheduler: identical scenarios
   shared between benches simulate once, scenarios fan out over worker
-  processes (``REPRO_BENCH_PARALLEL``, default: CPU count; ``1`` runs
-  inline), each completed result is persisted atomically as it
+  processes (``REPRO_BENCH_PARALLEL``, default: one per simulation
+  up to the CPU count; ``1`` runs inline), each completed result is persisted atomically as it
   finishes, and an interrupted bench resumes from what completed;
 
   *Cache tracking policy*: the seed results shipped with the repo stay
@@ -142,13 +142,6 @@ def edge_scenario(
     )
 
 
-def _bench_workers(pending: int) -> int:
-    raw = os.environ.get("REPRO_BENCH_PARALLEL", "")
-    if raw:
-        return max(1, int(raw))
-    return min(pending, os.cpu_count() or 1) or 1
-
-
 def _maybe_dump_stats() -> None:
     path = os.environ.get("REPRO_BENCH_STATS")
     if path:
@@ -170,20 +163,16 @@ def run_batch(scenarios: Sequence[Scenario]) -> Dict[str, ExperimentResult]:
     names = [sc.name for sc in scenarios]
     if len(set(names)) != len(names):
         raise ValueError("scenario names within a batch must be unique")
+    parallel = os.environ.get("REPRO_BENCH_PARALLEL")
     outcome = run_jobs(
         [Job(sc) for sc in scenarios],
         store=STORE,
-        workers=_bench_workers(len(scenarios)),
+        workers=int(parallel) if parallel else None,
         fresh=bool(os.environ.get("REPRO_BENCH_FRESH")),
         progress=print_progress if os.environ.get("REPRO_BENCH_PROGRESS") else None,
     )
     STATS.merge(outcome.stats)
     return dict(zip(names, outcome.results))
-
-
-def run_one(scenario: Scenario) -> ExperimentResult:
-    """Single-scenario convenience wrapper over :func:`run_batch`."""
-    return run_batch([scenario])[scenario.name]
 
 
 def print_table(title: str, headers: Sequence[str], rows: Sequence[Sequence[object]]) -> None:

@@ -13,11 +13,13 @@ Run single experiments or sweeps from the shell::
     repro cache gc --dry-run
 
 Output is a human-readable experiment summary plus optional JSON
-(``--json``) for scripting. ``--store DIR`` routes an experiment
-through the content-addressed run store (``repro.runstore``): a warm
-key is served from disk instead of re-simulating, and fresh results
-are persisted atomically. ``repro cache`` inspects and maintains the
-same store; its default location is ``$REPRO_STORE`` or
+(``--json``) for scripting. Every experiment runs inline through the
+run-store scheduler (``repro.runstore.run_jobs``); ``--store DIR``
+attaches its content-addressed store: a warm key is served from disk
+instead of re-simulating, and fresh results are persisted atomically.
+A run that fails (an unknown CCA, ``--timeout``) prints its failure to
+stderr and exits 1. ``repro cache`` inspects and maintains the same
+store; its default location is ``$REPRO_STORE`` or
 ``benchmarks/_cache``. Performance is measured outside the CLI, by
 ``python3 perfbench/run.py`` (see ``perfbench/README.md``).
 """
@@ -27,6 +29,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import datetime
+import functools
 import json
 import os
 import sys
@@ -48,6 +51,7 @@ from .runstore import (
     Job,
     RunOptions,
     RunStore,
+    SweepError,
     SweepStats,
     print_progress,
     run_jobs,
@@ -56,6 +60,10 @@ from .units import MSS
 
 #: Where ``repro cache`` (and ``--store`` without a value) looks by default.
 DEFAULT_STORE = os.environ.get("REPRO_STORE") or os.path.join("benchmarks", "_cache")
+
+#: Rows ``--trace`` keeps in memory; later events are counted as
+#: dropped, so a CoreScale trace cannot exhaust the host's memory.
+TRACE_MAX_EVENTS = 100_000
 
 
 def _base_scenario(args: argparse.Namespace) -> Scenario:
@@ -151,57 +159,56 @@ def _emit(
 def _run_one(
     scenario: Scenario, args: argparse.Namespace
 ) -> Tuple[ExperimentResult, Optional[SweepStats], Optional[SimProfiler]]:
-    """Run a scenario directly, or through the store when ``--store``.
+    """Run a scenario through :func:`run_jobs`, served from the run
+    store when ``--store`` holds it; stats are returned with ``--store``.
 
-    ``--profile`` and ``--trace`` attach in-process observers (a
-    :class:`SimProfiler` / a bus-fed :class:`TraceRecorder`), so they
-    only work on the direct path: with ``--store`` the simulation runs
-    in a worker process the parent's observers cannot see into.
+    ``--profile`` and ``--trace`` observe the simulation in this process
+    (a :class:`SimProfiler` / a bus-fed :class:`TraceRecorder`), so they
+    refuse ``--store``: a store hit simulates nothing to observe.
     """
-    watchdog = _watchdog_config(args)
-    max_events = args.max_events
     profile = args.profile is not None
-    trace_path = args.trace
-    if args.store and (profile or trace_path):
-        print("--profile/--trace require a direct run (drop --store)",
-              file=sys.stderr)
+    if args.store and (profile or args.trace):
+        print("--profile/--trace observe a simulation, and a --store hit "
+              "runs none (drop --store)", file=sys.stderr)
         raise SystemExit(2)
-    if not args.store:
-        profiler = SimProfiler() if profile else None
-        bus = recorder = None
-        if trace_path:
-            bus = EventBus()
-            recorder = TraceRecorder(bus, start_time=scenario.warmup)
-        result = run_experiment(
-            scenario,
-            convergence_check=args.converge,
-            watchdog=watchdog,
-            max_events=max_events,
-            bus=bus,
-            profiler=profiler,
+    profiler = SimProfiler() if profile else None
+    bus = recorder = None
+    if args.trace:
+        bus = EventBus()
+        recorder = TraceRecorder(
+            bus, max_events=TRACE_MAX_EVENTS, start_time=scenario.warmup
         )
-        if recorder is not None:
-            with open(trace_path, "w", newline="") as fh:
-                fh.write(trace_jsonl(recorder, result))
-        return result, None, profiler
     options = RunOptions(
         convergence_check=args.converge,
-        watchdog=watchdog,
-        max_events=max_events,
+        watchdog=_watchdog_config(args),
+        max_events=args.max_events,
     )
     outcome = run_jobs(
         [Job(scenario, options)],
-        store=RunStore(args.store),
+        store=RunStore(args.store) if args.store else None,
         workers=1,
         timeout=args.timeout,
         fresh=args.fresh,
+        run_fn=functools.partial(run_experiment, bus=bus, profiler=profiler),
         progress=print_progress if args.progress else None,
     )
-    return outcome.results[0], outcome.stats, None
+    result = outcome.results[0]
+    if recorder is not None:
+        with open(args.trace, "w", newline="") as fh:
+            fh.write(trace_jsonl(recorder, result))
+        if recorder.dropped_events:
+            print(f"--trace: kept the first {len(recorder.events)} rows, "
+                  f"dropped {recorder.dropped_events}", file=sys.stderr)
+    return result, outcome.stats if args.store else None, profiler
 
 
 def _run_and_emit(scenario: Scenario, args: argparse.Namespace) -> int:
-    result, stats, profiler = _run_one(scenario, args)
+    try:
+        result, stats, profiler = _run_one(scenario, args)
+    except SweepError as exc:
+        for failure in exc.failures:
+            print(failure.render(), file=sys.stderr)
+        return 1
     _emit(result, args, stats)
     if profiler is not None:
         print(profiler.report(top=args.profile or None))
@@ -406,9 +413,11 @@ def _add_experiment_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--fresh", action="store_true",
                    help="with --store: ignore a stored result and re-simulate")
     p.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
-                   help="with --store: per-run wall-clock limit")
+                   help="per-run wall-clock limit; a run that exceeds it "
+                        "fails (exit 1)")
     p.add_argument("--progress", action="store_true",
-                   help="with --store: print per-job scheduler events")
+                   help="print the run's scheduler events "
+                        "(hit/start/done/failed)")
 
 
 def build_parser() -> argparse.ArgumentParser:

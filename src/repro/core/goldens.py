@@ -68,12 +68,7 @@ def _canon(obj: Any) -> Any:
 
 
 def canonical_result_dict(result: ExperimentResult) -> Dict[str, Any]:
-    """Every result field that must stay byte-identical, canonicalised.
-
-    ``wall_seconds`` is deliberately excluded — it is host-performance
-    metadata (always 0.0 on the direct :func:`run_experiment` path, set
-    by the run-store scheduler otherwise), not a simulation output.
-    """
+    """Every result field that must stay byte-identical, canonicalised."""
     return {
         "scenario": _canon(dataclasses.asdict(result.scenario)),
         "flows": [_canon(dataclasses.asdict(f)) for f in result.flows],

@@ -123,7 +123,6 @@ class ExperimentResult:
     queue_arrivals: int
     drop_times: List[float] = field(default_factory=list)
     events_processed: int = 0
-    wall_seconds: float = 0.0
     # Plain class-level default (not a factory) so instances unpickled
     # from pre-fault-subsystem stores fall back to the class attribute.
     health: Optional[RunHealth] = None

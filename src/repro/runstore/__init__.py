@@ -8,8 +8,9 @@ The subsystem has four layers:
 - :mod:`repro.runstore.store` — the on-disk content-addressed store
   (atomic writes, corruption-tolerant loads, listing from the
   self-describing objects, ``gc``);
-- :mod:`repro.runstore.scheduler` — deduplicating, crash-retrying,
-  checkpoint/resuming process-pool execution (:func:`run_jobs`);
+- :mod:`repro.runstore.scheduler` — :func:`run_jobs`, the one way a
+  job runs: deduplicating, checkpoint/resuming execution, inline or
+  over a process pool that resubmits only the jobs whose worker died;
 - :mod:`repro.runstore.progress` — per-job events and sweep counters.
 
 Typical use::
@@ -26,7 +27,6 @@ from __future__ import annotations
 from .keys import CACHE_VERSION, canonical_json, job_key
 from .progress import JobEvent, ProgressCallback, SweepStats, print_progress
 from .scheduler import (
-    DEFAULT_RETRIES,
     Job,
     JobFailure,
     RunOptions,
@@ -38,7 +38,6 @@ from .store import GcReport, RunStore, StoreEntry
 
 __all__ = [
     "CACHE_VERSION",
-    "DEFAULT_RETRIES",
     "GcReport",
     "Job",
     "JobEvent",

@@ -27,8 +27,8 @@ class JobEvent:
     - ``"degraded"`` — like ``done``, but the run was truncated by its
       watchdog or event budget; the (partial) result carries a
       ``health`` record explaining why;
-    - ``"retry"``  — a worker crash or timeout consumed one attempt and
-      the job was resubmitted;
+    - ``"retry"``  — the job's worker process died, consuming one
+      attempt, and the job was resubmitted;
     - ``"failed"`` — the job exhausted its attempts (or failed
       deterministically) and produced no result.
     """
@@ -74,7 +74,7 @@ class SweepStats:
     hits: int = 0            #: unique keys served from the store
     misses: int = 0          #: unique keys that had to simulate
     degraded: int = 0        #: simulated keys truncated by watchdog/budget
-    retries: int = 0         #: attempts consumed by crashes/timeouts
+    retries: int = 0         #: attempts consumed by worker crashes
     failures: int = 0        #: unique keys that produced no result
     wall_seconds: float = 0.0  #: summed per-job simulation wall time
     events: int = 0          #: summed simulator events processed

@@ -16,17 +16,20 @@
   ``submit`` with per-future handling: one worker dying (OOM-kill,
   segfault, ``SIGKILL``) breaks the pool, which is rebuilt, and only
   the unfinished jobs are resubmitted, each within a bounded retry
-  budget. Other jobs' completed results are never discarded;
-- **per-job timeout** — enforced *inside* the worker with a POSIX
-  interval timer, so a runaway simulation cannot wedge the sweep;
+  budget (:data:`CRASH_RETRIES`). Other jobs' completed results are
+  never discarded;
+- **per-job timeout** — enforced where the job runs (the worker, or
+  this process inline) with a POSIX interval timer, so a runaway
+  simulation cannot wedge the sweep;
 - **observability** — every lifecycle step emits a
   :class:`~repro.runstore.progress.JobEvent` (wall time, events/sec)
   and the call returns aggregate
   :class:`~repro.runstore.progress.SweepStats`.
 
-Exceptions raised *by the simulation itself* are deterministic, so they
-are not retried: the job is marked failed immediately. Retries cover
-infrastructure faults only (worker crashes and timeouts).
+Exceptions raised *by the simulation itself* and timeouts are
+deterministic, so they are not retried: the job is marked failed
+immediately. Retries cover one infrastructure fault only: a worker
+process that died.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ import traceback
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.experiment import run_experiment
 from ..core.scenarios import Scenario
@@ -50,8 +53,8 @@ from .store import RunStore
 
 RunFn = Callable[..., Any]
 
-#: Default additional attempts granted after a worker crash or timeout.
-DEFAULT_RETRIES = 2
+#: Additional attempts granted to a job whose worker process died.
+CRASH_RETRIES = 2
 
 
 @dataclass(frozen=True)
@@ -153,7 +156,9 @@ class _JobTimeout(BaseException):
 class _Outcome:
     """What a worker reports back for one attempt (always picklable)."""
 
-    status: str  # "ok" | "timeout" | "error"
+    #: "ok" | "timeout" | "error", or "crash", which the parent records
+    #: for a job whose worker died once too often.
+    status: str
     key: str
     wall_seconds: float = 0.0
     events: int = 0
@@ -245,7 +250,6 @@ def run_jobs(
     store: Optional[RunStore] = None,
     workers: Optional[int] = None,
     timeout: Optional[float] = None,
-    retries: int = DEFAULT_RETRIES,
     fresh: bool = False,
     run_fn: RunFn = run_experiment,
     progress: Optional[ProgressCallback] = None,
@@ -263,18 +267,23 @@ def run_jobs(
         Process count. ``None`` chooses ``min(pending, cpu_count)``;
         ``<= 1`` (or a single pending job) runs inline.
     timeout:
-        Per-job wall-clock limit in seconds, enforced in the worker.
-    retries:
-        Additional attempts after a worker crash or timeout. Exceptions
-        raised by the simulation itself are never retried.
+        Per-job wall-clock limit in seconds, enforced where the job
+        runs. A timeout is terminal: the run is deterministic and would
+        time out again.
     fresh:
         Ignore stored results (they are overwritten on completion).
+    run_fn:
+        Called as ``run_fn(scenario, **options)`` for each miss. Pool
+        runs pickle it, so only an inline run can bind in-process
+        observers (``functools.partial(run_experiment, bus=...)``).
     strict:
         Raise :class:`SweepError` when any job fails terminally;
         with ``strict=False`` failed positions are ``None`` instead.
 
     Returns a :class:`SweepOutcome` whose ``results`` align with
-    ``jobs`` (duplicates share one result object).
+    ``jobs`` (duplicates share one result object). A job whose worker
+    process dies is resubmitted up to :data:`CRASH_RETRIES` times;
+    nothing else is retried.
 
     Inline runs execute misses in input order. Pool runs dispatch them
     costliest first, by ``scenario.duration * scenario.bottleneck_bw_bps``
@@ -284,105 +293,23 @@ def run_jobs(
     way.
     """
     sweep_start = time.perf_counter()  # repro-lint: disable=RPR001
-    stats = SweepStats(jobs=len(jobs))
-    results: List[Any] = [None] * len(jobs)
-    failures: List[JobFailure] = []
-
-    index_map: Dict[str, List[int]] = {}
-    job_by_key: Dict[str, Job] = {}
-    order: List[str] = []
-    for i, job in enumerate(jobs):
-        k = job.key()
-        if k not in index_map:
-            index_map[k] = []
-            job_by_key[k] = job
-            order.append(k)
-        index_map[k].append(i)
-    stats.unique = len(order)
-
-    def _emit(event: JobEvent) -> None:
-        stats.observe(event)
-        if progress is not None:
-            progress(event)
-
-    def _fill(key: str, payload: Any) -> None:
-        for i in index_map[key]:
-            results[i] = payload
-
-    def _name(key: str) -> str:
-        return job_by_key[key].scenario.name
-
-    def _settle(key: str, outcome: _Outcome, attempt: int) -> None:
-        """Record a terminal ok/timeout/error outcome."""
-        if outcome.status == "ok":
-            _fill(key, outcome.result)
-            health = getattr(outcome.result, "health", None)
-            _emit(JobEvent(
-                "degraded" if outcome.degraded else "done",
-                key, _name(key), attempt=attempt,
-                wall_seconds=outcome.wall_seconds, events=outcome.events,
-                error=health.reason if outcome.degraded and health else "",
-                payload=outcome.result,
-            ))
-        else:
-            failures.append(JobFailure(
-                key, _name(key), outcome.status, attempt, outcome.error,
-            ))
-            _emit(JobEvent(
-                "failed", key, _name(key), attempt=attempt,
-                wall_seconds=outcome.wall_seconds, error=outcome.error,
-            ))
-
-    # ------------------------------------------------------------------
-    # Serve cache hits.
-    # ------------------------------------------------------------------
-    pending: List[str] = []
-    for k in order:
-        if store is not None and not fresh:
-            fetched = store.fetch(k)
-            if fetched is not None:
-                payload, meta = fetched
-                _fill(k, payload)
-                _emit(JobEvent(
-                    "hit", k, _name(k),
-                    wall_seconds=float(meta.get("wall_seconds", 0.0)),
-                    events=int(meta.get("events", 0)),
-                    payload=payload,
-                ))
-                continue
-        pending.append(k)
-
-    store_root = store.root if store is not None else None
-
-    # ------------------------------------------------------------------
-    # Execute the misses.
-    # ------------------------------------------------------------------
+    sweep = _Sweep(jobs, store, timeout, run_fn, progress)
+    pending = [k for k in sweep.jobs if fresh or not sweep.serve_stored(k, "hit")]
     if pending:
         if workers is None:
             workers = min(len(pending), os.cpu_count() or 1)
         if workers <= 1 or len(pending) == 1:
             for k in pending:
-                job = job_by_key[k]
-                _emit(JobEvent("start", k, _name(k)))
-                outcome = _execute(
-                    k, job.scenario, job.options.to_kwargs(),
-                    run_fn, timeout, store_root,
-                )
-                # Timeouts are not retried inline: the run is
-                # deterministic, a second inline attempt would simply
-                # time out again.
-                _settle(k, outcome, attempt=1)
+                sweep.emit("start", k)
+                sweep.settle(k, _execute(*sweep.work(k)), attempt=1)
         else:
-            _run_pool(
-                pending, job_by_key, workers, timeout, retries, run_fn,
-                store, store_root, _emit, _fill, _name, _settle,
-                failures,
-            )
+            sweep.run_pool(pending, workers)
 
+    stats = sweep.stats
     stats.elapsed_seconds = time.perf_counter() - sweep_start  # repro-lint: disable=RPR001
-    if failures and strict:
-        raise SweepError(failures, results, stats)
-    return SweepOutcome(results=results, stats=stats, failures=failures)
+    if sweep.failures and strict:
+        raise SweepError(sweep.failures, sweep.results, stats)
+    return SweepOutcome(results=sweep.results, stats=stats, failures=sweep.failures)
 
 
 def _cost(job: Job) -> float:
@@ -391,132 +318,171 @@ def _cost(job: Job) -> float:
     return job.scenario.duration * job.scenario.bottleneck_bw_bps
 
 
-def _run_pool(
-    pending: List[str],
-    job_by_key: Dict[str, Job],
-    workers: int,
-    timeout: Optional[float],
-    retries: int,
-    run_fn: RunFn,
-    store: Optional[RunStore],
-    store_root: Optional[str],
-    _emit: Callable[[JobEvent], None],
-    _fill: Callable[[str, Any], None],
-    _name: Callable[[str], str],
-    _settle: Callable[[str, _Outcome, int], None],
-    failures: List[JobFailure],
-) -> None:
-    """The ``submit`` + per-future loop with crash recovery.
+class _Sweep:
+    """One :func:`run_jobs` call: its unique jobs, where their results
+    go, and the two ways a job ends — served from the store, or settled
+    from an outcome."""
 
-    Pending jobs are dispatched costliest first (see :func:`_cost`), so
-    the longest simulations start while every worker is still free
-    instead of trailing the batch. Retries join the queue as they occur.
+    def __init__(
+        self,
+        jobs: Sequence[Job],
+        store: Optional[RunStore],
+        timeout: Optional[float],
+        run_fn: RunFn,
+        progress: Optional[ProgressCallback],
+    ) -> None:
+        self.store = store
+        self.timeout = timeout
+        self.run_fn = run_fn
+        self.progress = progress
+        self.stats = SweepStats(jobs=len(jobs))
+        self.results: List[Any] = [None] * len(jobs)
+        self.failures: List[JobFailure] = []
+        #: Unique keys in first-seen order, and the positions each fills.
+        self.jobs: Dict[str, Job] = {}
+        self.positions: Dict[str, List[int]] = {}
+        for i, job in enumerate(jobs):
+            key = job.key()
+            self.jobs.setdefault(key, job)
+            self.positions.setdefault(key, []).append(i)
+        self.stats.unique = len(self.jobs)
 
-    Submission is deferred through ``to_submit`` so that a pool broken
-    by a dying worker — whether detected from a future's result or from
-    ``submit`` itself — is always recovered in one place: rebuild the
-    pool, salvage what finished, and re-queue the survivors within
-    their retry budgets.
-    """
-    attempts: Dict[str, int] = {}
-    executor = ProcessPoolExecutor(max_workers=workers)
-    # Costliest first (sorted() is stable, so equal costs keep input
-    # order), reversed because to_submit is popped LIFO.
-    by_cost = sorted(pending, key=lambda key: _cost(job_by_key[key]), reverse=True)
-    to_submit: List[str] = list(reversed(by_cost))
-    futures: Dict["Future[_Outcome]", str] = {}
+    def emit(self, kind: str, key: str, **fields: Any) -> None:
+        event = JobEvent(kind, key, self.jobs[key].scenario.name, **fields)
+        self.stats.observe(event)
+        if self.progress is not None:
+            self.progress(event)
 
-    def _submit(pool: ProcessPoolExecutor, key: str) -> "Future[_Outcome]":
-        job = job_by_key[key]
-        attempts[key] = attempts.get(key, 0) + 1
-        _emit(JobEvent("start", key, _name(key), attempt=attempts[key]))
-        return pool.submit(
-            _execute, key, job.scenario, job.options.to_kwargs(),
-            run_fn, timeout, store_root,
+    def work(self, key: str) -> Tuple[Any, ...]:
+        """The :func:`_execute` arguments of one attempt at ``key``."""
+        job = self.jobs[key]
+        store_root = self.store.root if self.store is not None else None
+        return (
+            key, job.scenario, job.options.to_kwargs(),
+            self.run_fn, self.timeout, store_root,
         )
 
-    def _fail(key: str, kind: str, message: str) -> None:
-        failures.append(JobFailure(key, _name(key), kind, attempts[key], message))
-        _emit(JobEvent(
-            "failed", key, _name(key), attempt=attempts[key], error=message,
-        ))
+    def _fill(self, key: str, payload: Any) -> None:
+        for i in self.positions[key]:
+            self.results[i] = payload
 
-    def _retry_or_settle(key: str, outcome: _Outcome) -> None:
-        if outcome.status == "timeout" and attempts[key] <= retries:
-            _emit(JobEvent(
-                "retry", key, _name(key), attempt=attempts[key],
-                wall_seconds=outcome.wall_seconds, error=outcome.error,
-            ))
-            to_submit.append(key)
+    def serve_stored(self, key: str, kind: str, attempt: int = 1) -> bool:
+        """Fill ``key`` from the store and emit ``kind`` (``"hit"``, or
+        ``"done"`` for a result a crashed worker persisted). False when
+        there is no store or no stored result."""
+        fetched = self.store.fetch(key) if self.store is not None else None
+        if fetched is None:
+            return False
+        payload, meta = fetched
+        self._fill(key, payload)
+        self.emit(
+            kind, key, attempt=attempt,
+            wall_seconds=float(meta.get("wall_seconds", 0.0)),
+            events=int(meta.get("events", 0)),
+            payload=payload,
+        )
+        return True
+
+    def settle(self, key: str, outcome: _Outcome, attempt: int) -> None:
+        """Record a terminal outcome: ok, timeout, error or crash."""
+        if outcome.status == "ok":
+            self._fill(key, outcome.result)
+            health = getattr(outcome.result, "health", None)
+            self.emit(
+                "degraded" if outcome.degraded else "done", key, attempt=attempt,
+                wall_seconds=outcome.wall_seconds, events=outcome.events,
+                error=health.reason if outcome.degraded and health else "",
+                payload=outcome.result,
+            )
         else:
-            _settle(key, outcome, attempts[key])
+            self.failures.append(JobFailure(
+                key, self.jobs[key].scenario.name, outcome.status, attempt,
+                outcome.error,
+            ))
+            self.emit(
+                "failed", key, attempt=attempt,
+                wall_seconds=outcome.wall_seconds, error=outcome.error,
+            )
 
-    try:
-        while to_submit or futures:
-            pool_broken = False
-            while to_submit and not pool_broken:
-                key = to_submit.pop()
-                try:
-                    futures[_submit(executor, key)] = key
-                except BrokenProcessPool:
-                    to_submit.append(key)
-                    pool_broken = True
+    def run_pool(self, pending: List[str], workers: int) -> None:
+        """The ``submit`` + per-future loop with crash recovery.
 
-            if not pool_broken and futures:
-                done, _ = wait(set(futures), return_when=FIRST_COMPLETED)
-                for fut in done:
-                    key = futures.pop(fut)
+        Pending jobs are dispatched costliest first (see :func:`_cost`),
+        so the longest simulations start while every worker is still
+        free instead of trailing the batch. Crash retries join the queue
+        as they occur.
+
+        Submission is deferred through ``to_submit`` so that a pool
+        broken by a dying worker — whether detected from a future's
+        result or from ``submit`` itself — is always recovered in one
+        place: rebuild the pool, salvage what finished, and re-queue the
+        survivors within their retry budgets.
+        """
+        attempts: Dict[str, int] = {}
+        # Costliest first (sorted() is stable, so equal costs keep input
+        # order), reversed because to_submit is popped LIFO.
+        by_cost = sorted(pending, key=lambda key: _cost(self.jobs[key]), reverse=True)
+        to_submit: List[str] = list(reversed(by_cost))
+        futures: Dict["Future[_Outcome]", str] = {}
+        executor = ProcessPoolExecutor(max_workers=workers)
+        try:
+            while to_submit or futures:
+                pool_broken = False
+                while to_submit and not pool_broken:
+                    key = to_submit.pop()
+                    attempts[key] = attempts.get(key, 0) + 1
+                    self.emit("start", key, attempt=attempts[key])
                     try:
-                        outcome = fut.result()
+                        futures[executor.submit(_execute, *self.work(key))] = key
                     except BrokenProcessPool:
-                        pool_broken = True
-                        futures[fut] = key  # recovered below with the rest
-                        break
-                    except Exception as exc:  # submission/pickling faults
-                        _fail(key, "error", repr(exc))
-                        continue
-                    _retry_or_settle(key, outcome)
-
-            if pool_broken:
-                # A worker died (SIGKILL/OOM/segfault): every in-flight
-                # future is void. Rebuild the pool, then salvage what we
-                # can — a future that completed before the break still
-                # holds a good outcome, and a job may have persisted its
-                # result to the store just before the crash. Everything
-                # else re-queues, consuming one attempt each.
-                executor.shutdown(wait=False)
-                executor = ProcessPoolExecutor(max_workers=workers)
-                crashed = list(futures.items())
-                futures.clear()
-                for fut, key in crashed:
-                    salvaged: Optional[_Outcome] = None
-                    if fut.done():
-                        try:
-                            salvaged = fut.result()
-                        except Exception:
-                            salvaged = None
-                    if salvaged is not None:
-                        _retry_or_settle(key, salvaged)
-                        continue
-                    if store is not None:
-                        fetched = store.fetch(key)
-                        if fetched is not None:
-                            payload, meta = fetched
-                            _fill(key, payload)
-                            _emit(JobEvent(
-                                "done", key, _name(key), attempt=attempts[key],
-                                wall_seconds=float(meta.get("wall_seconds", 0.0)),
-                                events=int(meta.get("events", 0)),
-                                payload=payload,
-                            ))
-                            continue
-                    if attempts[key] <= retries:
-                        _emit(JobEvent(
-                            "retry", key, _name(key), attempt=attempts[key],
-                            error="worker process died",
-                        ))
                         to_submit.append(key)
-                    else:
-                        _fail(key, "crash", "worker process died repeatedly")
-    finally:
-        executor.shutdown(wait=False)
+                        pool_broken = True
+
+                if not pool_broken and futures:
+                    done, _ = wait(set(futures), return_when=FIRST_COMPLETED)
+                    for fut in done:
+                        key = futures.pop(fut)
+                        try:
+                            outcome = fut.result()
+                        except BrokenProcessPool:
+                            pool_broken = True
+                            futures[fut] = key  # recovered below with the rest
+                            break
+                        except Exception as exc:  # submission/pickling faults
+                            outcome = _Outcome("error", key, error=repr(exc))
+                        self.settle(key, outcome, attempts[key])
+
+                if pool_broken:
+                    # A worker died (SIGKILL/OOM/segfault): every in-flight
+                    # future is void. Rebuild the pool, then salvage what
+                    # we can — a future that completed before the break
+                    # still holds a good outcome, and a job may have
+                    # persisted its result to the store just before the
+                    # crash. Everything else re-queues, consuming one
+                    # attempt each.
+                    executor.shutdown(wait=False)
+                    executor = ProcessPoolExecutor(max_workers=workers)
+                    crashed, futures = futures, {}
+                    for fut, key in crashed.items():
+                        salvaged: Optional[_Outcome] = None
+                        if fut.done():
+                            try:
+                                salvaged = fut.result()
+                            except Exception:
+                                salvaged = None
+                        if salvaged is not None:
+                            self.settle(key, salvaged, attempts[key])
+                        elif self.serve_stored(key, "done", attempts[key]):
+                            pass
+                        elif attempts[key] <= CRASH_RETRIES:
+                            self.emit(
+                                "retry", key, attempt=attempts[key],
+                                error="worker process died",
+                            )
+                            to_submit.append(key)
+                        else:
+                            self.settle(key, _Outcome(
+                                "crash", key, error="worker process died repeatedly",
+                            ), attempts[key])
+        finally:
+            executor.shutdown(wait=False)

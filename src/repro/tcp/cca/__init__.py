@@ -16,16 +16,14 @@ from .bbr2 import Bbr2
 from .cubic import Cubic
 from .newreno import NewReno
 
-#: Registry mapping CCA names to zero-argument factories.
+#: Registry mapping each CCA's one name to its zero-argument factory.
+#: There are no aliases: the name is part of the scenario, so it keys
+#: the run store and labels the result's shares.
 CCA_REGISTRY: Dict[str, Callable[[], CongestionControl]] = {
     NewReno.name: NewReno,
     Cubic.name: Cubic,
     Bbr.name: Bbr,
     Bbr2.name: Bbr2,
-    # Common aliases.
-    "reno": NewReno,
-    "bbr1": Bbr,
-    "bbrv2": Bbr2,
 }
 
 
@@ -37,9 +35,9 @@ def make_cca(name: str, rng: Optional[random.Random] = None) -> CongestionContro
     Every golden digest depends on this draw order.
     """
     try:
-        factory = CCA_REGISTRY[name.lower()]
+        factory = CCA_REGISTRY[name]
     except KeyError:
-        known = ", ".join(sorted(set(CCA_REGISTRY)))
+        known = ", ".join(sorted(CCA_REGISTRY))
         raise ValueError(f"unknown CCA {name!r}; known: {known}") from None
     if rng is not None and factory in (Bbr, Bbr2):
         return factory(rng=random.Random(rng.getrandbits(32)))

@@ -98,8 +98,9 @@ def test_worker_crash_is_retried(tmp_path, monkeypatch):
     flag_dir.mkdir()
     monkeypatch.setenv(fakes.FLAG_DIR_ENV, str(flag_dir))
     store = _store(tmp_path)
+    monkeypatch.setattr(scheduler, "CRASH_RETRIES", 6)
     jobs = [Job(scenario(i)) for i in range(3)]
-    out = run_jobs(jobs, store=store, workers=2, run_fn=fakes.crash_once, retries=6)
+    out = run_jobs(jobs, store=store, workers=2, run_fn=fakes.crash_once)
     assert [r["name"] for r in out.results] == ["s0", "s1", "s2"]
     assert all(r["recovered"] for r in out.results)
     assert out.stats.retries >= 3  # every job crashed (at least) once
@@ -115,15 +116,10 @@ def test_crash_beyond_retry_budget_fails_but_keeps_other_results(tmp_path, monke
     # in-flight future and charges each such job an attempt, so an
     # unsynchronised crash could burn s0's retry budget too.
     monkeypatch.setenv(fakes.STORE_DIR_ENV, store.root)
+    monkeypatch.setattr(scheduler, "CRASH_RETRIES", 1)
     jobs = [Job(scenario(0)), Job(scenario(1))]  # s1 always crashes
     with pytest.raises(SweepError) as excinfo:
-        run_jobs(
-            jobs,
-            store=store,
-            workers=2,
-            run_fn=fakes.crash_for_s1,
-            retries=1,
-        )
+        run_jobs(jobs, store=store, workers=2, run_fn=fakes.crash_for_s1)
     err = excinfo.value
     assert len(err.failures) == 1
     assert err.failures[0].name == "s1"
@@ -135,20 +131,28 @@ def test_crash_beyond_retry_budget_fails_but_keeps_other_results(tmp_path, monke
 
 
 def test_pool_timeout_fails_job_without_killing_sweep(tmp_path):
+    # A timeout is terminal in the pool as inline: the run is
+    # deterministic, so a retry would only time out again. Only a dead
+    # worker consumes CRASH_RETRIES.
     store = _store(tmp_path)
     jobs = [Job(scenario(0)), Job(scenario(1), RunOptions())]
+    events = []
     out = run_jobs(
         jobs,
         store=store,
         workers=2,
         timeout=1.0,
-        retries=0,
         strict=False,
         run_fn=fakes.sleep_for_s1,
+        progress=events.append,
     )
     assert out.results[0] == {"name": "s0"}
     assert out.results[1] is None
     assert out.stats.failures == 1
+    assert out.stats.retries == 0
+    assert "retry" not in [e.kind for e in events]
+    [failure] = out.failures
+    assert (failure.name, failure.kind, failure.attempts) == ("s1", "timeout", 1)
 
 
 def test_inline_timeout(tmp_path):

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro import cli
 from repro.cli import build_parser, main
 from repro.core.experiment import run_experiment
 from repro.core.scenarios import edge_scale
@@ -50,6 +51,8 @@ def test_run_core_scaled_json(capsys):
     payload = json.loads(out[out.index("{"):])
     assert payload["scenario"]["groups"][0]["count"] == 2
     assert len(payload["flows"]) == 2
+    # Without --store there is no store line and no stats key.
+    assert "store:" not in out and "stats" not in payload
 
 
 def test_compete_command(capsys):
@@ -243,9 +246,77 @@ def test_run_with_trace_writes_jsonl(tmp_path, capsys):
         assert fh.read() == trace_jsonl(recorder, result).encode("utf-8")
 
 
-def test_profile_and_trace_reject_store(tmp_path):
-    with pytest.raises(SystemExit):
+def test_trace_keeps_a_bounded_number_of_rows(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "TRACE_MAX_EVENTS", 50)
+    dest = str(tmp_path / "trace.jsonl")
+    code = main([
+        "run", "--setting", "edge", "--flows", "2", "--duration", "3",
+        "--warmup", "1", "--trace", dest,
+    ])
+    assert code == 0
+    with open(dest) as fh:
+        assert len(fh.readlines()) == 50
+    assert "--trace: kept the first 50 rows, dropped " in capsys.readouterr().err
+
+
+def test_profile_and_trace_reject_store(tmp_path, capsys):
+    with pytest.raises(SystemExit) as excinfo:
         main([
             "run", "--setting", "edge", "--flows", "2", "--duration", "2",
             "--warmup", "1", "--profile", "--store", str(tmp_path / "s"),
         ])
+    assert excinfo.value.code == 2
+    assert "a --store hit runs none" in capsys.readouterr().err
+
+
+def test_run_store_serves_second_run_as_hit(tmp_path, capsys):
+    argv = (
+        "run", "--setting", "edge", "--flows", "2", "--duration", "2",
+        "--warmup", "0.5", "--json", "--store", str(tmp_path / "s"),
+    )
+    code, cold = run_cli(capsys, *argv)
+    assert code == 0
+    code, warm = run_cli(capsys, *argv)
+    assert code == 0
+    cold_json = json.loads(cold[cold.index("{"):])
+    warm_json = json.loads(warm[warm.index("{"):])
+    assert (cold_json["stats"]["misses"], warm_json["stats"]["hits"]) == (1, 1)
+    assert warm_json["stats"]["misses"] == 0
+    del cold_json["stats"], warm_json["stats"]
+    assert cold_json == warm_json
+
+
+def test_run_progress_without_store_prints_events(capsys):
+    code, out = run_cli(
+        capsys,
+        "run", "--setting", "edge", "--flows", "2", "--duration", "2",
+        "--warmup", "0.5", "--progress",
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0].startswith("[   start]")
+    assert lines[1].startswith("[    done]")
+
+
+def test_failed_run_exits_1_without_traceback(capsys):
+    code = main([
+        "run", "--setting", "edge", "--flows", "2", "--duration", "2",
+        "--warmup", "0.5", "--cca", "nosuch",
+    ])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "[error, 1 attempt(s)]" in captured.err
+    assert "unknown CCA 'nosuch'" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_timeout_applies_without_store(capsys):
+    code = main([
+        "run", "--setting", "edge", "--flows", "2", "--duration", "2",
+        "--warmup", "0.5", "--timeout", "0.0001",
+    ])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "[timeout, 1 attempt(s)]: timed out after 0.0001s" in captured.err
