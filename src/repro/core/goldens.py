@@ -7,9 +7,9 @@ every counter, every event count. This module defines
 - a canonical, lossless serialisation of an
   :class:`~repro.core.results.ExperimentResult` (floats rendered with
   :meth:`float.hex`, keys sorted) and its sha256 digest;
-- the six canonical golden scenarios (two EdgeScale points, two
-  CoreScale quick points, one faulted run, one BBR/NewReno mix) whose
-  digests are committed under ``tests/golden/hashes.json``;
+- the seven canonical golden scenarios (two EdgeScale points, two
+  CoreScale quick points, one faulted run, one BBR/NewReno mix and one
+  BBRv1/BBRv2/Cubic mix that reaches PROBE_RTT) whose digests are committed under ``tests/golden/hashes.json``;
 - :func:`run_golden`, which re-runs one scenario and returns the digest
   plus an optional bounded JSONL trace (the compressed traces committed
   under ``tests/golden/traces/`` are produced from the same rows).
@@ -100,12 +100,14 @@ def trace_digest(text: str) -> str:
 def golden_scenarios() -> Dict[str, Scenario]:
     """The canonical corpus, keyed by scenario name (insertion-ordered).
 
-    Six scenarios chosen to cover every hot path the optimization work
+    Seven scenarios chosen to cover every hot path the optimization work
     touches: slow start and AIMD steady state (edge), the paper's
     small-window CoreScale regime at its quick-profile scale divisor
     (core, 20 and 100 flows), fault injection with a health record
-    (faulted blackout), and BBR's pacing/rate-sampling machinery
-    competing with a loss-based flow (bbr-mix).
+    (faulted blackout), BBR's pacing/rate-sampling machinery competing
+    with a loss-based flow (bbr-mix), and BBRv1 and BBRv2 against Cubic
+    behind a buffer that overflows, run past the 10 s RTprop filter so
+    that both versions enter PROBE_RTT (bbr-probe-rtt).
     """
     duration, warmup = 5.0, 1.5
     edge10 = edge_scale(
@@ -132,8 +134,20 @@ def golden_scenarios() -> Dict[str, Scenario]:
         name="golden-bbr-mix",
         groups=(FlowGroup("bbr", 5, 0.020), FlowGroup("newreno", 5, 0.020)),
     )
+    probe_rtt = edge_scale(
+        flows=6, cca="bbr", duration=12.0, warmup=2.0, seed=19
+    ).with_overrides(
+        name="golden-bbr-probe-rtt",
+        buffer_bytes=500_000,
+        groups=(
+            FlowGroup("bbr", 2, 0.020),
+            FlowGroup("bbr2", 2, 0.020),
+            FlowGroup("cubic", 2, 0.020),
+        ),
+    )
     return {
-        sc.name: sc for sc in (edge10, edge50, core20, core100, faulted, bbr_mix)
+        sc.name: sc
+        for sc in (edge10, edge50, core20, core100, faulted, bbr_mix, probe_rtt)
     }
 
 

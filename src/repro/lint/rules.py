@@ -122,9 +122,6 @@ def _is_time_expr(node: ast.AST) -> bool:
         return bool(_TIME_NAME_RE.search(ident))
     if isinstance(node, ast.BinOp):
         return _is_time_expr(node.left) or _is_time_expr(node.right)
-    if isinstance(node, ast.Call):
-        func_ident = _terminal_identifier(node.func)
-        return func_ident is not None and func_ident in ("event_time",)
     return False
 
 

@@ -37,6 +37,7 @@ from __future__ import annotations
 import dataclasses
 import os
 import signal
+import threading
 import time
 import traceback
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
@@ -269,7 +270,10 @@ def run_jobs(
     timeout:
         Per-job wall-clock limit in seconds, enforced where the job
         runs. A timeout is terminal: the run is deterministic and would
-        time out again.
+        time out again. An inline run enforces it with ``SIGALRM``,
+        which only the main thread can install, so a call off the main
+        thread that would run a job inline with a timeout raises
+        :class:`ValueError` before any job runs.
     fresh:
         Ignore stored results (they are overwritten on completion).
     run_fn:
@@ -299,6 +303,12 @@ def run_jobs(
         if workers is None:
             workers = min(len(pending), os.cpu_count() or 1)
         if workers <= 1 or len(pending) == 1:
+            if timeout and threading.current_thread() is not threading.main_thread():
+                raise ValueError(
+                    "run_jobs: an inline job's timeout needs SIGALRM, which "
+                    "only the main thread can install; call run_jobs from the "
+                    "main thread, or drop timeout"
+                )
             for k in pending:
                 sweep.emit("start", k)
                 sweep.settle(k, _execute(*sweep.work(k)), attempt=1)

@@ -23,6 +23,22 @@ Design notes
   (and thus per-operation cost) changes. The rebuild reuses the same
   list object, so a ``run()`` loop holding a local reference stays
   valid even when a handler's ``cancel`` triggers compaction mid-run.
+- Sequence numbers come from one shared stream, ``Simulator.next_seq``
+  (``itertools.count(1).__next__``). The two per-packet schedulers,
+  :class:`~repro.sim.link.Link` (transmit completion and propagation)
+  and :class:`~repro.sim.netem.NetemDelay`, push
+  ``[time, next_seq(), fn, (packet,)]`` straight onto ``_heap`` instead
+  of calling :meth:`Simulator.schedule`, and report the push to
+  ``sanitizer.on_schedule`` themselves when a sanitizer is on. Every
+  event draws from the same stream in the order it is pushed, so
+  same-instant tie-breaks are exactly those of ``schedule``; the direct
+  push only saves the Python frame. Every other caller uses
+  :meth:`Simulator.schedule` / :meth:`Simulator.schedule_at`.
+  Code outside this module that depends on the event layout, and must
+  change with it: the two pushes in ``Link._finish`` and the one in
+  ``NetemDelay.send`` (which build the list), and
+  ``TcpSender._arm_send_timer`` (which reads ``_TIME`` and ``_FN`` of
+  its timer handle).
 - ``run`` keeps two copies of the dispatch loop: the instrumented one
   (sanitizer and/or profiler brackets around every handler) and a bare
   one with no per-event instrumentation checks. They execute events
@@ -33,6 +49,7 @@ Design notes
 from __future__ import annotations
 
 import heapq
+import itertools
 from typing import Any, Callable, List, Optional
 
 from ..lint.sanitizer import SimSanitizer, maybe_sanitizer
@@ -55,11 +72,6 @@ _INF = float("inf")
 #: Compaction floor: below this many dead entries the heap is left
 #: alone, so small simulations never pay the rebuild.
 _COMPACT_MIN = 256
-
-
-def event_time(event: Event) -> float:
-    """Scheduled firing time of an event handle."""
-    return event[_TIME]
 
 
 def event_pending(event: Event) -> bool:
@@ -96,7 +108,7 @@ class Simulator:
     __slots__ = (
         "now",
         "_heap",
-        "_seq",
+        "next_seq",
         "_cancelled",
         "_running",
         "_stop_requested",
@@ -109,7 +121,9 @@ class Simulator:
     def __init__(self, sanitize: Optional[bool] = None) -> None:
         self.now: float = 0.0
         self._heap: List[Event] = []
-        self._seq = 0
+        #: The shared sequence stream: each call returns the next event
+        #: sequence number (1, 2, ...). Direct pushers draw from it too.
+        self.next_seq: Callable[[], int] = itertools.count(1).__next__
         #: Cancelled-but-not-yet-popped entries still in the heap.
         self._cancelled = 0
         self._running = False
@@ -135,8 +149,7 @@ class Simulator:
         """Schedule ``fn(*args)`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        self._seq = seq = self._seq + 1
-        event: Event = [self.now + delay, seq, fn, args]
+        event: Event = [self.now + delay, self.next_seq(), fn, args]
         if self.sanitizer is not None:
             self.sanitizer.on_schedule(event[_TIME])
         _heappush(self._heap, event)
@@ -148,8 +161,7 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule into the past (time={time}, now={self.now})"
             )
-        self._seq = seq = self._seq + 1
-        event: Event = [time, seq, fn, args]
+        event: Event = [time, self.next_seq(), fn, args]
         if self.sanitizer is not None:
             self.sanitizer.on_schedule(time)
         _heappush(self._heap, event)

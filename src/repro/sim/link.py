@@ -1,8 +1,9 @@
 """The rate-limited link, and the interfaces path elements share.
 
 Every element forwards packets toward a *sink* — any object with a
-``send(packet)`` method (another element or an endpoint). This composes
-into per-flow paths built by :mod:`repro.sim.topology`.
+``send(packet)`` method (another element or an endpoint) — or, for the
+link, toward one such ``send`` per flow. This composes into per-flow
+paths built by :mod:`repro.sim.topology`.
 
 :class:`Link` is a finite-rate link with a queue discipline in front of
 the transmitter and a propagation delay behind it: the bottleneck (the
@@ -15,7 +16,8 @@ propagation delay is folded into the bottleneck and netem delays.
 
 from __future__ import annotations
 
-from typing import Optional, Protocol
+from heapq import heappush
+from typing import Callable, List, Optional, Protocol
 
 from .engine import Simulator
 from .packet import Packet
@@ -44,8 +46,12 @@ class Link:
     Packets offered while the transmitter is busy wait in ``queue``;
     packets that the queue rejects are dropped (the queue handles drop
     accounting and bus forwarding). The transmitter serialises one
-    packet at a time at ``rate_bps`` and delivers it to ``sink`` after an
-    additional propagation ``delay``.
+    packet at a time at ``rate_bps`` and, after an additional
+    propagation ``delay``, delivers it to ``routes[packet.flow_id]``:
+    :attr:`routes` lists the bound ``send`` of each flow's sink, so a
+    delivery on a link shared by many flows (the dumbbell's bottleneck)
+    is one scheduled call with no demultiplexing hop. A link carrying
+    one flow passes ``routes=[sink.send]``.
 
     Fault hooks (used by :mod:`repro.faults`):
 
@@ -66,7 +72,7 @@ class Link:
         "rate_bps",
         "delay",
         "queue",
-        "sink",
+        "routes",
         "busy",
         "up",
         "transmitted_packets",
@@ -75,7 +81,8 @@ class Link:
         "loss_model",
         "_tx_times",
         "_sanitizer",
-        "_schedule",
+        "_heap",
+        "_next_seq",
     )
 
     def __init__(
@@ -84,7 +91,7 @@ class Link:
         rate_bps: float,
         delay: float = 0.0,
         queue: Optional[Queue] = None,
-        sink: Optional[Sink] = None,
+        routes: Optional[List[Callable[[Packet], None]]] = None,
     ) -> None:
         if rate_bps <= 0:
             raise ValueError("link rate must be positive")
@@ -94,7 +101,9 @@ class Link:
         self.rate_bps = rate_bps
         self.delay = delay
         self.queue = queue if queue is not None else DropTailQueue(1_000_000)
-        self.sink = sink
+        #: Per-flow delivery: ``routes[flow_id]`` receives the packet. A
+        #: topology may append routes after construction.
+        self.routes: List[Callable[[Packet], None]] = routes if routes is not None else []
         self.busy = False
         self.up = True
         self.transmitted_packets = 0
@@ -111,7 +120,11 @@ class Link:
         # The sanitizer is fixed at simulator construction; cache the
         # reference so the per-packet paths skip two attribute hops.
         self._sanitizer = sim.sanitizer
-        self._schedule = sim.schedule
+        # Both per-packet events are pushed onto the simulator's heap
+        # directly, with a sequence number from its shared stream (see
+        # the design notes in repro.sim.engine).
+        self._heap = sim._heap
+        self._next_seq = sim.next_seq
         if sim.sanitizer is not None:
             sim.sanitizer.watch_queue(self.queue)
 
@@ -147,26 +160,28 @@ class Link:
         """Transmit-complete handler, which also starts the transmitter.
 
         ``done`` is the packet whose serialisation just completed: it is
-        counted and handed to the sink (after the propagation delay).
-        Then the next queued packet, if any, starts serialising. An
-        arrival or :meth:`set_up` that finds the transmitter idle calls
-        this with ``done=None`` to run only the second half, so the
-        drain code exists once and a busy link costs one call per
+        counted and handed to its flow's route (after the propagation
+        delay). Then the next queued packet, if any, starts serialising.
+        An arrival or :meth:`set_up` that finds the transmitter idle
+        calls this with ``done=None`` to run only the second half, so
+        the drain code exists once and a busy link costs one call per
         packet.
         """
+        sanitizer = self._sanitizer
         if done is not None:
             self.transmitted_packets += 1
             self.transmitted_bytes += done.size
-            if self._sanitizer is not None:
-                self._sanitizer.on_link_finish(self, done)
-            sink = self.sink
-            if sink is None:
-                raise RuntimeError("Link has no sink attached")
+            if sanitizer is not None:
+                sanitizer.on_link_finish(self, done)
+            deliver = self.routes[done.flow_id]
             # <= rather than ==: see NetemDelay.send.
             if self.delay <= 0.0:
-                sink.send(done)
+                deliver(done)
             else:
-                self._schedule(self.delay, sink.send, done)
+                at = self.sim.now + self.delay
+                if sanitizer is not None:
+                    sanitizer.on_schedule(at)
+                heappush(self._heap, [at, self._next_seq(), deliver, (done,)])
         if not self.up:
             self.busy = False
             return
@@ -180,4 +195,7 @@ class Link:
         if tx_time is None:
             tx_time = size * 8.0 / self.rate_bps
             self._tx_times[size] = tx_time
-        self._schedule(tx_time, self._finish, packet)
+        at = self.sim.now + tx_time
+        if sanitizer is not None:
+            sanitizer.on_schedule(at)
+        heappush(self._heap, [at, self._next_seq(), self._finish, (packet,)])

@@ -12,6 +12,7 @@ element of their own, and channel loss attaches to the bottleneck
 from __future__ import annotations
 
 import random
+from heapq import heappush
 from typing import Optional
 
 from .engine import Simulator
@@ -44,7 +45,9 @@ class NetemDelay:
     heap event.
     """
 
-    __slots__ = ("sim", "delay", "jitter", "sink", "_rng", "_schedule")
+    __slots__ = (
+        "sim", "delay", "jitter", "sink", "_rng", "_sanitizer", "_heap", "_next_seq",
+    )
 
     def __init__(
         self,
@@ -63,9 +66,12 @@ class NetemDelay:
         self.jitter = jitter
         self.sink = sink
         self._rng = rng or random.Random(sim.next_seed(0x4E45))
-        # Bound-method fast path: one per-packet attribute hop instead
-        # of two (the simulator is fixed for the element's lifetime).
-        self._schedule = sim.schedule
+        # Each delayed packet is pushed onto the simulator's heap
+        # directly, with a sequence number from its shared stream (see
+        # the design notes in repro.sim.engine).
+        self._sanitizer = sim.sanitizer
+        self._heap = sim._heap
+        self._next_seq = sim.next_seq
 
     def set_delay(self, delay: float) -> None:
         """Change the base delay (fault-injection hook: RTT step/spike).
@@ -80,7 +86,8 @@ class NetemDelay:
         self.jitter = min(self.jitter, delay)
 
     def send(self, packet: Packet) -> None:
-        if self.sink is None:
+        sink = self.sink
+        if sink is None:
             raise RuntimeError("NetemDelay has no sink attached")
         delay = self.delay
         jitter = self.jitter
@@ -92,6 +99,9 @@ class NetemDelay:
         # <= rather than ==: the constructor guarantees delay >= 0, and an
         # ordering guard keeps the fast path safe against float noise.
         if delay <= 0.0:
-            self.sink.send(packet)
+            sink.send(packet)
         else:
-            self._schedule(delay, self.sink.send, packet)
+            at = self.sim.now + delay
+            if self._sanitizer is not None:
+                self._sanitizer.on_schedule(at)
+            heappush(self._heap, [at, self._next_seq(), sink.send, (packet,)])

@@ -85,21 +85,6 @@ class Dumbbell:
             flow.sender.start(at=flow.spec.start_time)
 
 
-class _Demux:
-    """Delivers packets to the right per-flow endpoint by flow id."""
-
-    __slots__ = ("_sinks",)
-
-    def __init__(self) -> None:
-        self._sinks: dict[int, object] = {}
-
-    def register(self, flow_id: int, sink) -> None:
-        self._sinks[flow_id] = sink
-
-    def send(self, packet) -> None:
-        self._sinks[packet.flow_id].send(packet)
-
-
 def build_dumbbell(
     sim: Simulator,
     flow_specs: Sequence[FlowSpec],
@@ -127,7 +112,6 @@ def build_dumbbell(
         raise ValueError("at least one flow is required")
     if queue is None:
         queue = DropTailQueue(buffer_bytes)
-    demux = _Demux()
     # All forward-path propagation (sender->switch access hop plus
     # switch->receiver hop) is folded into the bottleneck's delivery
     # delay: the edge links never congest (25 Gbps in the paper), so
@@ -137,8 +121,10 @@ def build_dumbbell(
         rate_bps=bottleneck_bw_bps,
         delay=2 * BOTTLENECK_PROP_DELAY,
         queue=queue,
-        sink=demux,
     )
+    # The bottleneck delivers straight to each flow's receiver:
+    # routes[flow_id] is that receiver's bound send.
+    routes = bottleneck.routes
     dumbbell = Dumbbell(sim=sim, bottleneck=bottleneck)
     fixed_component = 4 * BOTTLENECK_PROP_DELAY
     for flow_id, spec in enumerate(flow_specs):
@@ -151,7 +137,7 @@ def build_dumbbell(
         receiver = TcpReceiver(sim, flow_id, delayed_ack=delayed_ack)
         # Forward path: sender -> bottleneck (access hop folded above).
         sender.path = bottleneck
-        demux.register(flow_id, receiver)
+        routes.append(receiver.send)
         # Reverse path: one netem element carrying the flow's base-RTT
         # delay plus the fixed reverse propagation (paper: netem at the
         # receiver sets the base RTT).

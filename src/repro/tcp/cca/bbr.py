@@ -32,6 +32,8 @@ DRAIN = "DRAIN"
 PROBE_BW = "PROBE_BW"
 PROBE_RTT = "PROBE_RTT"
 
+_INF = float("inf")
+
 
 class Bbr(CongestionControl):
     """BBRv1 per the IETF draft."""
@@ -84,6 +86,10 @@ class Bbr(CongestionControl):
         self.packet_conservation = False
         self.prior_cwnd = 0.0
         self._in_recovery = False
+        # Upper bound on inflight learned from loss. BBRv1 never learns
+        # one; Bbr2 lowers it on each loss event, and the cwnd update
+        # caps cwnd at it.
+        self.inflight_hi = _INF
 
         self.cwnd = self.INITIAL_CWND
 
@@ -110,32 +116,38 @@ class Bbr(CongestionControl):
 
     def inflight_target(self, gain: float) -> float:
         """The inflight level BBR aims for at a given gain (draft BBRInflight)."""
-        if self.btlbw is None or self.rtprop is None:
+        btlbw = self.btlbw
+        rtprop = self.rtprop
+        if btlbw is None or rtprop is None:
             return self.INITIAL_CWND
-        return max(
-            self.bdp_packets(gain) + self.QUANTIZATION_BUDGET, self.MIN_PIPE_CWND
-        )
+        # max(bdp_packets(gain) + budget, MIN_PIPE_CWND) as a comparison.
+        target = gain * btlbw * rtprop + self.QUANTIZATION_BUDGET
+        return self.MIN_PIPE_CWND if self.MIN_PIPE_CWND > target else target
 
     # ------------------------------------------------------------------
     # Main per-ACK update (draft BBRUpdateOnACK)
     # ------------------------------------------------------------------
 
     def on_ack(self, rs: RateSample, conn: "TcpSender") -> None:
-        now = conn.sim.now
-        self._update_round(rs, conn)
-        self._update_btlbw(rs)
-        self._check_cycle_phase(rs, now)
-        self._check_full_pipe(rs)
-        self._check_drain(conn, now)
-        self._update_rtprop(rs, now)
-        self._check_probe_rtt(rs, conn, now)
-        self._update_cwnd(rs, conn)
+        """The draft's per-ACK model and control update, in one frame.
 
-    def _update_round(self, rs: RateSample, conn: "TcpSender") -> None:
+        In order: round counting, the BtlBw filter, the ProbeBW gain
+        cycle, full-pipe detection, drain, the RTprop filter, ProbeRTT
+        and the cwnd update. The steady-state steps run inline, with
+        ``min``/``max`` spelled as comparisons that pick the same
+        operand. The rare transitions stay methods (full-pipe
+        detection, drain, ProbeRTT entry and handling), called only on
+        the ACKs where they can act, and so do the hooks a subclass
+        overrides: :meth:`_check_cycle_phase` runs outside v1's
+        PROBE_BW state, :meth:`_check_probe_rtt` once RTprop expires or
+        in PROBE_RTT, and the cwnd cap at ``inflight_hi`` applies only
+        once one has been learned.
+        """
+        now = conn.sim.now
+
+        # --- round counting -------------------------------------------
         self.round_start = False
-        if rs.delivered <= 0:
-            return
-        if rs.prior_delivered >= self.next_round_delivered:
+        if rs.delivered > 0 and rs.prior_delivered >= self.next_round_delivered:
             self.next_round_delivered = conn.rate_estimator.delivered
             self.round_count += 1
             self.round_start = True
@@ -143,32 +155,98 @@ class Bbr(CongestionControl):
                 # One round of conservation after entering recovery.
                 self.packet_conservation = False
 
-    def _update_btlbw(self, rs: RateSample) -> None:
+        # --- BtlBw max filter -----------------------------------------
         rate = rs.delivery_rate
-        if rate is None:
-            return
-        if not rs.is_app_limited or (self.btlbw is not None and rate >= self.btlbw):
+        if rate is not None and (
+            not rs.is_app_limited or (self.btlbw is not None and rate >= self.btlbw)
+        ):
             self.btlbw = self.btlbw_filter.update(rate, self.round_count)
 
-    def _check_cycle_phase(self, rs: RateSample, now: float) -> None:
-        if self.state != PROBE_BW:
-            return
-        if self._is_next_cycle_phase(rs, now):
-            self.cycle_index = (self.cycle_index + 1) % len(self.GAIN_CYCLE)
-            self.cycle_stamp = now
-            self.pacing_gain = self.GAIN_CYCLE[self.cycle_index]
-
-    def _is_next_cycle_phase(self, rs: RateSample, now: float) -> bool:
-        rtprop = self.rtprop if self.rtprop is not None else 0.0
-        is_full_length = (now - self.cycle_stamp) > rtprop
-        if self.pacing_gain == 1.0:
-            return is_full_length
-        if self.pacing_gain > 1.0:
-            return is_full_length and (
-                rs.newly_lost > 0
-                or rs.prior_in_flight >= self.inflight_target(self.pacing_gain)
+        # --- ProbeBW gain cycle (draft BBRCheckCyclePhase) -------------
+        if self.state == PROBE_BW:
+            rtprop = self.rtprop
+            is_full_length = (now - self.cycle_stamp) > (
+                rtprop if rtprop is not None else 0.0
             )
-        return is_full_length or rs.prior_in_flight <= self.inflight_target(1.0)
+            gain = self.pacing_gain
+            if gain == 1.0:
+                advance = is_full_length
+            elif gain > 1.0:
+                advance = is_full_length and (
+                    rs.newly_lost > 0
+                    or rs.prior_in_flight >= self.inflight_target(gain)
+                )
+            else:
+                advance = is_full_length or (
+                    rs.prior_in_flight <= self.inflight_target(1.0)
+                )
+            if advance:
+                self.cycle_index = (self.cycle_index + 1) % len(self.GAIN_CYCLE)
+                self.cycle_stamp = now
+                self.pacing_gain = self.GAIN_CYCLE[self.cycle_index]
+        else:
+            self._check_cycle_phase(rs, now)
+
+        # --- STARTUP exit ---------------------------------------------
+        if not self.filled_pipe and self.round_start and not rs.is_app_limited:
+            self._check_full_pipe(rs)
+        if self.filled_pipe and (self.state == STARTUP or self.state == DRAIN):
+            self._check_drain(conn, now)
+
+        # --- RTprop min filter ----------------------------------------
+        expired = self.rtprop_expired = now > self.rtprop_stamp + self.RTPROP_FILTER_LEN
+        rtt = rs.rtt
+        if rtt is not None and rtt > 0:
+            rtprop = self.rtprop
+            if rtprop is None or rtt <= rtprop or expired:
+                self.rtprop = rtt
+                self.rtprop_stamp = now
+        if expired or self.state == PROBE_RTT:
+            self._check_probe_rtt(rs, conn, now)
+
+        # --- cwnd (draft BBRSetCwnd) ----------------------------------
+        cwnd = self.cwnd
+        acked = rs.newly_acked
+        lost = rs.newly_lost
+        state = self.state
+        # Loss modulation (Linux bbr_set_cwnd_to_recover_or_restore):
+        # subtract the newly marked losses from cwnd, and during the
+        # first round of recovery never let cwnd fall below what is in
+        # flight — a floor, not a ceiling.
+        if lost > 0:
+            cwnd = cwnd - lost
+            if 1.0 > cwnd:
+                cwnd = 1.0
+        if self.packet_conservation:
+            floor = conn.in_flight + acked
+            if floor > cwnd:
+                cwnd = floor
+        if acked > 0 or lost > 0 or state == PROBE_RTT:
+            if not self.packet_conservation and acked > 0:
+                target = self.inflight_target(self.cwnd_gain)
+                if self.filled_pipe:
+                    cwnd = cwnd + acked
+                    if target < cwnd:
+                        cwnd = target
+                elif cwnd < target or conn.rate_estimator.delivered < self.INITIAL_CWND:
+                    cwnd += acked
+            if self.MIN_PIPE_CWND > cwnd:
+                cwnd = self.MIN_PIPE_CWND
+            if state == PROBE_RTT:
+                probe_rtt_cwnd = self._probe_rtt_cwnd()
+                if probe_rtt_cwnd < cwnd:
+                    cwnd = probe_rtt_cwnd
+        inflight_hi = self.inflight_hi
+        if inflight_hi < _INF and state != PROBE_RTT:
+            cap = self.MIN_PIPE_CWND if self.MIN_PIPE_CWND > inflight_hi else inflight_hi
+            if cap < cwnd:
+                cwnd = cap
+        self.cwnd = cwnd
+
+    def _check_cycle_phase(self, rs: RateSample, now: float) -> None:
+        """Per-ACK hook for a ProbeBW cycle other than v1's, which runs
+        inline in :meth:`on_ack`; called in every state but PROBE_BW.
+        BBRv1 has nothing to do there."""
 
     def _check_full_pipe(self, rs: RateSample) -> None:
         if self.filled_pipe or not self.round_start or rs.is_app_limited:
@@ -199,13 +277,6 @@ class Bbr(CongestionControl):
         self.cycle_index = self._rng.randrange(1, len(self.GAIN_CYCLE))
         self.pacing_gain = self.GAIN_CYCLE[self.cycle_index]
         self.cycle_stamp = now
-
-    def _update_rtprop(self, rs: RateSample, now: float) -> None:
-        self.rtprop_expired = now > self.rtprop_stamp + self.RTPROP_FILTER_LEN
-        if rs.rtt is not None and rs.rtt > 0:
-            if self.rtprop is None or rs.rtt <= self.rtprop or self.rtprop_expired:
-                self.rtprop = rs.rtt
-                self.rtprop_stamp = now
 
     def _check_probe_rtt(self, rs: RateSample, conn: "TcpSender", now: float) -> None:
         if self.state != PROBE_RTT and self.rtprop_expired and self.rtprop is not None:
@@ -247,30 +318,8 @@ class Bbr(CongestionControl):
             self.cwnd_gain = self.HIGH_GAIN
 
     # ------------------------------------------------------------------
-    # cwnd control (draft BBRSetCwnd)
+    # cwnd control (the per-ACK update is inline in on_ack)
     # ------------------------------------------------------------------
-
-    def _update_cwnd(self, rs: RateSample, conn: "TcpSender") -> None:
-        acked = rs.newly_acked
-        # Loss modulation (Linux bbr_set_cwnd_to_recover_or_restore):
-        # subtract the newly marked losses from cwnd, and during the
-        # first round of recovery never let cwnd fall below what is in
-        # flight — a floor, not a ceiling.
-        if rs.newly_lost > 0:
-            self.cwnd = max(self.cwnd - rs.newly_lost, 1.0)
-        if self.packet_conservation:
-            self.cwnd = max(self.cwnd, conn.in_flight + acked)
-        if acked <= 0 and rs.newly_lost <= 0 and self.state != PROBE_RTT:
-            return
-        target = self.inflight_target(self.cwnd_gain)
-        if not self.packet_conservation and acked > 0:
-            if self.filled_pipe:
-                self.cwnd = min(self.cwnd + acked, target)
-            elif self.cwnd < target or conn.rate_estimator.delivered < self.INITIAL_CWND:
-                self.cwnd += acked
-        self.cwnd = max(self.cwnd, self.MIN_PIPE_CWND)
-        if self.state == PROBE_RTT:
-            self.cwnd = min(self.cwnd, self._probe_rtt_cwnd())
 
     def _probe_rtt_cwnd(self) -> float:
         """cwnd held during ProbeRTT (v1: the 4-packet floor)."""
@@ -293,8 +342,8 @@ class Bbr(CongestionControl):
         self._in_recovery = True
         self.packet_conservation = True
         self.next_round_delivered = conn.rate_estimator.delivered
-        # The per-ACK loss modulation in _update_cwnd handles the actual
-        # cwnd adjustment (cwnd -= losses, floored at in-flight).
+        # The per-ACK loss modulation in on_ack handles the actual cwnd
+        # adjustment (cwnd -= losses, floored at in-flight).
 
     def on_recovery_exit(self, conn: "TcpSender") -> None:
         self._in_recovery = False

@@ -52,7 +52,6 @@ class Bbr2(Bbr):
 
     def __init__(self, rng: Optional[random.Random] = None) -> None:
         super().__init__(rng=rng)
-        self.inflight_hi = float("inf")
         self._probe_wait = self.PROBE_WAIT_BASE
         self._phase_stamp = 0.0
 
@@ -133,11 +132,6 @@ class Bbr2(Bbr):
             self.state = PROBE_DOWN
             self.pacing_gain = 0.9
             self._phase_stamp = conn.sim.now
-
-    def _update_cwnd(self, rs: RateSample, conn: "TcpSender") -> None:
-        super()._update_cwnd(rs, conn)
-        if self.inflight_hi < float("inf") and self.state != "PROBE_RTT":
-            self.cwnd = min(self.cwnd, max(self.inflight_hi, self.MIN_PIPE_CWND))
 
     # ------------------------------------------------------------------
     # Gentler ProbeRTT

@@ -24,7 +24,7 @@ import heapq
 from bisect import bisect_right
 from typing import Callable, List, Optional, Tuple
 
-from ..sim.engine import Event, Simulator, event_pending, event_time
+from ..sim.engine import _FN, _TIME, Event, Simulator
 from ..sim.link import Sink
 from ..sim.packet import Packet, SackBlock
 from ..units import ACK_PACKET_BYTES, DATA_PACKET_BYTES
@@ -224,7 +224,7 @@ class TcpSender:
             + self.retrans_out
         )
         meta_map = self._meta
-        on_packet_sent = self.rate_estimator.on_packet_sent
+        rate = self.rate_estimator
         stats = self.stats
         path_send = self.path.send
         flow_id = self.flow_id
@@ -240,7 +240,14 @@ class TcpSender:
                 if total_packets is not None and seq >= total_packets:
                     break
                 self.snd_nxt = seq + 1
-                meta = None
+                # A new packet's state, every scoreboard flag clear.
+                meta = PacketMeta.__new__(PacketMeta)
+                meta.retransmitted = False
+                meta.retx_pending = False
+                meta.in_retrans_out = False
+                meta.sacked = False
+                meta.lost = False
+                meta_map[seq] = meta
             else:
                 meta = meta_map[seq]
                 meta.retransmitted = True
@@ -248,15 +255,17 @@ class TcpSender:
                 meta.in_retrans_out = True
                 self.retrans_out += 1
                 stats.retransmits += 1
-            # The pipe after this transmission, minus the packet itself:
-            # the draft's SendPacket stamps the pipe it joins.
-            meta = on_packet_sent(
-                meta,
-                now,
-                self.snd_nxt - self.snd_una - self.sacked_out - self.lost_out
-                + self.retrans_out - 1,
-            )
-            meta_map[seq] = meta
+            # Delivery-rate send stamps (the draft's SendPacket). in_flight
+            # is the pipe this packet joins, without the packet itself; an
+            # empty pipe restarts the sampling interval.
+            if in_flight == 0:
+                rate.first_sent_time = now
+                rate.delivered_time = now
+            meta.sent_time = now
+            meta.first_sent_time = rate.first_sent_time
+            meta.delivered = rate.delivered
+            meta.delivered_time = rate.delivered_time
+            meta.is_app_limited = rate.app_limited_until > 0
             stats.packets_sent += 1
             path_send(Packet(flow_id, seq, DATA_PACKET_BYTES))
             if self._rto_deadline is None:
@@ -271,10 +280,14 @@ class TcpSender:
                 self._pacing_next = pacing_next + gap
 
     def _arm_send_timer(self, at: float) -> None:
-        if self._send_timer is not None and event_pending(self._send_timer):
-            if event_time(self._send_timer) <= at:
+        # The handle is the engine's event list, read in place (see the
+        # design notes in repro.sim.engine); its fn is None once the
+        # timer fired or was cancelled.
+        timer = self._send_timer
+        if timer is not None and timer[_FN] is not None:
+            if timer[_TIME] <= at:
                 return
-            self.sim.cancel(self._send_timer)
+            self.sim.cancel(timer)
         self._send_timer = self.sim.schedule_at(at, self._try_send)
 
     # ------------------------------------------------------------------
@@ -290,20 +303,32 @@ class TcpSender:
         folded into locals. Every arithmetic expression is kept
         identical to the straightforward form: results must stay
         byte-for-byte equal.
+
+        Delivery-rate sampling (draft-cheng-iccrg-delivery-rate-
+        estimation) runs inline: both delivery loops apply the draft's
+        UpdateRateSample to each newly delivered packet, on locals that
+        are written back to ``rate_estimator`` before loss detection,
+        and the tail builds the :class:`RateSample` the CCA receives
+        (GenerateRateSample).
         """
         if not ack.is_ack:
             raise ValueError("TcpSender received a non-ACK packet")
         now = self.sim.now
         self.stats.acks_received += 1
         prior_una = self.snd_una
-        rate_estimator = self.rate_estimator
-        on_delivered = rate_estimator.on_packet_delivered
         meta_map = self._meta
         in_flight = (
             self.snd_nxt - prior_una - self.sacked_out - self.lost_out
             + self.retrans_out
         )
-        rs = RateSample(in_flight)
+        rate = self.rate_estimator
+        delivered = prior_total = rate.delivered
+        first_sent_time = rate.first_sent_time
+        app_limited_until = rate.app_limited_until
+        # The sample's fields: the newest delivered packet's send stamps.
+        prior_delivered = 0
+        interval = 0.0
+        is_app_limited = False
         rtt_sample: Optional[float] = None
         newly_acked = 0
 
@@ -323,7 +348,23 @@ class TcpSender:
                 if meta.sacked:
                     sacked_out -= 1
                 else:
-                    on_delivered(rs, meta, now)
+                    # UpdateRateSample, which skips a packet already
+                    # counted (its delivered_time is cleared).
+                    if meta.delivered_time is not None:
+                        delivered += 1
+                        if meta.delivered >= prior_delivered:
+                            prior_delivered = meta.delivered
+                            is_app_limited = meta.is_app_limited
+                            send_elapsed = meta.sent_time - meta.first_sent_time
+                            ack_elapsed = now - meta.delivered_time
+                            interval = (
+                                ack_elapsed if ack_elapsed > send_elapsed
+                                else send_elapsed
+                            )
+                            first_sent_time = meta.sent_time
+                        meta.delivered_time = None
+                        if app_limited_until and delivered > app_limited_until:
+                            app_limited_until = 0
                     newly_acked += 1
                     if not meta.retransmitted:
                         rtt_sample = now - meta.sent_time
@@ -341,6 +382,10 @@ class TcpSender:
         if sack_blocks:
             meta_get = meta_map.get
             sacked_set = self._sacked
+            # The set's bound lists; add() and remove_below() update them
+            # in place, so they stay valid across the loop.
+            sacked_starts = sacked_set._starts
+            sacked_ends = sacked_set._ends
             snd_una = self.snd_una
             snd_nxt = self.snd_nxt
             sacked_out = self.sacked_out
@@ -353,13 +398,16 @@ class TcpSender:
                     hi = snd_nxt
                 if lo >= hi:
                     continue
-                holes = sacked_set.holes_between(lo, hi)
-                if not holes:
-                    # Already SACKed in full: the receiver repeats its
-                    # lowest blocks on every ACK, and adding a range the
-                    # set already covers would leave it unchanged.
+                # Already SACKed in full: the receiver repeats its lowest
+                # blocks on every ACK, and adding a range the set already
+                # covers would leave it unchanged. The ranges are disjoint
+                # and never adjacent, so the block is covered exactly when
+                # the last range starting at or below lo reaches hi (the
+                # case in which holes_between would return no hole).
+                i = bisect_right(sacked_starts, lo) - 1
+                if i >= 0 and hi <= sacked_ends[i]:
                     continue
-                for gap_lo, gap_hi in holes:
+                for gap_lo, gap_hi in sacked_set.holes_between(lo, hi):
                     for seq in range(gap_lo, gap_hi):
                         meta = meta_get(seq)
                         if meta is None or meta.sacked:
@@ -367,7 +415,22 @@ class TcpSender:
                         meta.sacked = True
                         sacked_out += 1
                         newly_acked += 1
-                        on_delivered(rs, meta, now)
+                        # UpdateRateSample, as in the cumulative loop.
+                        if meta.delivered_time is not None:
+                            delivered += 1
+                            if meta.delivered >= prior_delivered:
+                                prior_delivered = meta.delivered
+                                is_app_limited = meta.is_app_limited
+                                send_elapsed = meta.sent_time - meta.first_sent_time
+                                ack_elapsed = now - meta.delivered_time
+                                interval = (
+                                    ack_elapsed if ack_elapsed > send_elapsed
+                                    else send_elapsed
+                                )
+                                first_sent_time = meta.sent_time
+                            meta.delivered_time = None
+                            if app_limited_until and delivered > app_limited_until:
+                                app_limited_until = 0
                         if not meta.retransmitted:
                             rtt_sample = now - meta.sent_time
                         if meta.lost:
@@ -380,6 +443,13 @@ class TcpSender:
             self.sacked_out = sacked_out
             self.lost_out = lost_out
             self.retrans_out = retrans_out
+
+        # The CCA's loss and recovery hooks below read the delivery count.
+        if delivered != prior_total:
+            rate.delivered = delivered
+            rate.delivered_time = now
+            rate.first_sent_time = first_sent_time
+            rate.app_limited_until = app_limited_until
 
         # --- loss detection -------------------------------------------
         newly_lost = self._mark_lost_from_sack() if self.sacked_out else 0
@@ -402,12 +472,29 @@ class TcpSender:
             self._enter_recovery()
 
         # --- CCA + RTT updates ----------------------------------------
+        rtt = self.rtt
         if rtt_sample is not None and rtt_sample > 0:
-            self.rtt.on_measurement(rtt_sample)
+            rtt.on_measurement(rtt_sample)
+        # GenerateRateSample: no rate without a delivery and a positive
+        # interval, nor from an interval shorter than the path's min RTT,
+        # which cannot yield a trustworthy bandwidth sample (draft §3.3).
+        rs = RateSample.__new__(RateSample)
+        rs.prior_in_flight = in_flight
+        rs.prior_delivered = prior_delivered
+        rs.interval = interval
+        rs.is_app_limited = is_app_limited
         rs.rtt = rtt_sample
         rs.newly_acked = newly_acked
         rs.newly_lost = newly_lost
-        rate_estimator.finish_sample(rs, self.rtt.min_rtt)
+        rs.delivered = sample_delivered = delivered - prior_delivered
+        min_rtt = rtt.min_rtt
+        if (
+            sample_delivered <= 0 or interval <= 0
+            or (min_rtt is not None and interval < min_rtt)
+        ):
+            rs.delivery_rate = None
+        else:
+            rs.delivery_rate = sample_delivered / interval
         self.cca.on_ack(rs, self)
         if self.forwarder is not None:
             self.forwarder(now, "ack", self.cca.cwnd)

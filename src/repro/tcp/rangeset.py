@@ -81,16 +81,21 @@ class RangeSet:
             if start == end:
                 return
             raise ValueError(f"invalid range [{start}, {end})")
+        starts = self._starts
+        ends = self._ends
         # Find all existing ranges that overlap or touch [start, end).
-        lo = bisect_left(self._ends, start)  # first range with end >= start
-        hi = bisect_right(self._starts, end)  # first range with start > end
+        lo = bisect_left(ends, start)  # first range with end >= start
+        hi = bisect_right(starts, end)  # first range with start > end
         if lo < hi:
-            start = min(start, self._starts[lo])
-            end = max(end, self._ends[hi - 1])
-        del self._starts[lo:hi]
-        del self._ends[lo:hi]
-        self._starts.insert(lo, start)
-        self._ends.insert(lo, end)
+            # Merge: the union's bounds, compared rather than min/max.
+            if starts[lo] < start:
+                start = starts[lo]
+            if ends[hi - 1] > end:
+                end = ends[hi - 1]
+        del starts[lo:hi]
+        del ends[lo:hi]
+        starts.insert(lo, start)
+        ends.insert(lo, end)
 
     def add_point(self, value: int) -> None:
         """Insert a single integer."""

@@ -57,17 +57,34 @@ class RttEstimator:
         self.latest_rtt = rtt
         if self.min_rtt is None or rtt < self.min_rtt:
             self.min_rtt = rtt
-        if self.srtt is None:
-            self.srtt = rtt
-            self.rttvar = rtt / 2.0
+        # Runs on every RTT sample, so the abs/max/min builtins are
+        # spelled as comparisons that pick the same operand they would.
+        srtt = self.srtt
+        if srtt is None:
+            srtt = rtt
+            rttvar = rtt / 2.0
         else:
             assert self.rttvar is not None
-            self.rttvar = (1 - self.BETA) * self.rttvar + self.BETA * abs(self.srtt - rtt)
-            self.srtt = (1 - self.ALPHA) * self.srtt + self.ALPHA * rtt
-        self._rto = self.srtt + max(self.CLOCK_GRANULARITY, self.K * self.rttvar)
-        self._rto = min(max(self._rto, self.MIN_RTO), self.MAX_RTO)
+            deviation = srtt - rtt
+            if deviation < 0:
+                deviation = -deviation
+            rttvar = (1 - self.BETA) * self.rttvar + self.BETA * deviation
+            srtt = (1 - self.ALPHA) * srtt + self.ALPHA * rtt
+        self.srtt = srtt
+        self.rttvar = rttvar
+        variance_term = self.K * rttvar
+        if variance_term > self.CLOCK_GRANULARITY:
+            rto = srtt + variance_term
+        else:
+            rto = srtt + self.CLOCK_GRANULARITY
+        if self.MIN_RTO > rto:
+            rto = self.MIN_RTO
+        if self.MAX_RTO < rto:
+            rto = self.MAX_RTO
+        self._rto = rto
         self._backoff = 1  # a valid sample clears backoff
-        self.rto = min(self._rto * self._backoff, self.MAX_RTO)
+        # min(rto * 1, MAX_RTO) is rto itself: it is already clamped.
+        self.rto = rto
 
     def on_timeout(self) -> None:
         """Apply exponential backoff after an RTO fires (RFC 6298 §5.5)."""

@@ -7,6 +7,7 @@ import pytest
 from repro.sim.engine import Simulator
 from repro.sim.topology import FlowSpec, build_dumbbell
 from repro.tcp.cca.bbr import DRAIN, PROBE_BW, PROBE_RTT, STARTUP, Bbr
+from repro.tcp.rate_sample import RateSample
 from repro.units import mbps
 from tests.conftest import make_pipe
 
@@ -162,17 +163,24 @@ class TestStateMachine:
         cca.pacing_gain = 1.0
         cca.cycle_stamp = 0.0
 
-        class RS:
-            newly_lost = 0
-            prior_in_flight = 10
+        class Conn:
+            in_flight = 10
 
-        cca._check_cycle_phase(RS(), now=0.06)  # > rtprop elapsed
+            class sim:
+                now = 0.06  # > rtprop elapsed
+
+            class rate_estimator:
+                delivered = 100
+
+        rs = RateSample()
+        rs.prior_in_flight = 10
+        cca.on_ack(rs, Conn())
         assert cca.cycle_index == 3
+        assert cca.cycle_stamp == 0.06  # repro-lint: disable=RPR003 -- copied
 
     def test_loss_modulation_subtracts_losses(self):
-        from repro.tcp.rate_sample import RateSample
-
         cca = make_bbr()
+        cca.state = PROBE_BW
         cca.cwnd = 50.0
         cca.filled_pipe = True
         cca.btlbw = 10_000.0
@@ -180,7 +188,9 @@ class TestStateMachine:
 
         class Conn:
             in_flight = 40
-            sim = None
+
+            class sim:
+                now = 0.001
 
             class rate_estimator:
                 delivered = 100
@@ -188,7 +198,7 @@ class TestStateMachine:
         rs = RateSample()
         rs.newly_lost = 10
         rs.newly_acked = 0
-        cca._update_cwnd(rs, Conn())
+        cca.on_ack(rs, Conn())
         assert cca.cwnd == pytest.approx(40.0)
 
     def test_rto_sets_cwnd_to_one_then_floor(self):

@@ -63,8 +63,8 @@ def test_cwnd_capped_by_inflight_hi():
     rs = RateSample()
     rs.newly_acked = 5
     cca.cwnd = 14.0
-    cca._update_cwnd(rs, FakeConn())
-    assert cca.cwnd <= 15.0
+    cca.on_ack(rs, FakeConn())
+    assert cca.cwnd == pytest.approx(15.0)  # 14 + 5 acked, capped
 
 
 def test_probe_bw_cycle_sequence():

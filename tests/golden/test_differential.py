@@ -10,15 +10,23 @@ Three equivalences the optimized engine must preserve:
   :class:`~repro.obs.profiler.SimProfiler`) is digest-equal to a bare
   run for the same reason.
 
+A sanitized run must also check every event it pushes: the link and
+netem elements push onto the heap directly, not through
+``Simulator.schedule``, and report each push themselves.
+
 The digest is the golden-corpus sha256 over the canonical result JSON,
 so "equal" here means every float bit and every counter.
 """
 
 from __future__ import annotations
 
-from repro.core.goldens import result_digest
+import json
+import os
+
+from repro.core.goldens import golden_scenarios, result_digest, run_golden
 from repro.core.experiment import run_experiment
 from repro.core.scenarios import edge_scale
+from repro.lint.sanitizer import SimSanitizer
 from repro.obs.profiler import SimProfiler
 from repro.sim.engine import Simulator
 from repro.tcp.cca.newreno import NewReno
@@ -80,3 +88,33 @@ def test_profiled_run_is_digest_equal():
     profiled_result = run_experiment(scenario, profiler=profiler)
     assert result_digest(profiled_result) == bare
     assert profiler.events > 0  # the profiler really was installed
+
+
+def test_sanitized_golden_run_checks_every_push(monkeypatch):
+    """Every event a sanitized run pushes reaches ``on_schedule``: the
+    count of checks equals the final value of the simulator's sequence
+    stream, so a direct push that skips the sanitizer fails here."""
+    sanitizers = []
+    checked = []
+    init = SimSanitizer.__init__
+    on_schedule = SimSanitizer.on_schedule
+
+    def recording_init(self, sim):
+        init(self, sim)
+        sanitizers.append(self)
+
+    def counting_on_schedule(self, time):
+        checked.append(time)
+        on_schedule(self, time)
+
+    monkeypatch.setattr(SimSanitizer, "__init__", recording_init)
+    monkeypatch.setattr(SimSanitizer, "on_schedule", counting_on_schedule)
+    monkeypatch.setenv("REPRO_SANITIZE", "1")
+    _, digest, _ = run_golden(golden_scenarios()["golden-bbr-mix"])
+    [sanitizer] = sanitizers
+    pushed = sanitizer.sim.next_seq() - 1
+    assert len(checked) == pushed > 100_000
+    hashes = os.path.join(os.path.dirname(os.path.abspath(__file__)), "hashes.json")
+    with open(hashes, encoding="utf-8") as fh:
+        expected = json.load(fh)["scenarios"]["golden-bbr-mix"]["result_sha256"]
+    assert digest == expected

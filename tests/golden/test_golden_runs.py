@@ -1,6 +1,6 @@
 """Golden-run regression suite.
 
-Re-runs the six canonical scenarios and asserts their results are
+Re-runs the seven canonical scenarios and asserts their results are
 byte-identical to the committed corpus (``hashes.json``, regenerated
 only deliberately via ``tools/regen_golden.py``). This is the gate that
 makes hot-path optimization safe: any change to event structure, float
@@ -28,6 +28,7 @@ from repro.core.goldens import (
     run_golden,
     trace_digest,
 )
+from repro.tcp.cca import CCA_REGISTRY
 
 GOLDEN_DIR = os.path.dirname(os.path.abspath(__file__))
 HASHES_PATH = os.path.join(GOLDEN_DIR, "hashes.json")
@@ -40,12 +41,22 @@ SCENARIOS = golden_scenarios()
 
 
 def test_corpus_format_and_coverage():
-    """The committed corpus matches the in-code scenario set exactly."""
+    """The committed corpus matches the in-code scenario set exactly,
+    and its seven scenarios run every registered CCA, BBRv2 included,
+    and queue drops behind BBR flows."""
     assert CORPUS["format"] == GOLDEN_FORMAT
     assert set(CORPUS["scenarios"]) == set(SCENARIOS), (
         "golden corpus out of sync with goldens.golden_scenarios(); "
         "run tools/regen_golden.py"
     )
+    assert len(SCENARIOS) == 7
+    ccas = {group.cca for sc in SCENARIOS.values() for group in sc.groups}
+    assert ccas == set(CCA_REGISTRY)
+    probe_rtt = SCENARIOS["golden-bbr-probe-rtt"]
+    assert {"bbr", "bbr2"} <= {group.cca for group in probe_rtt.groups}
+    # Past the 10 s RTprop filter, so both BBR versions enter PROBE_RTT.
+    assert probe_rtt.duration > 10.0
+    assert CORPUS["scenarios"]["golden-bbr-probe-rtt"]["queue_drops"] > 0
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))

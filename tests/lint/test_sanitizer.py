@@ -144,7 +144,7 @@ class _Counter:
 def test_link_transmits_clean_under_sanitizer():
     sim = Simulator(sanitize=True)
     sink = _Counter()
-    link = Link(sim, rate_bps=8_000_000, delay=0.001, sink=sink)
+    link = Link(sim, rate_bps=8_000_000, delay=0.001, routes=[sink.send])
     for seq in range(10):
         link.send(Packet.data(0, seq, 1000))
     sim.run()
@@ -154,7 +154,7 @@ def test_link_transmits_clean_under_sanitizer():
 
 def test_link_finish_while_idle_trips():
     sim = Simulator(sanitize=True)
-    link = Link(sim, rate_bps=8_000_000, delay=0.0, sink=_Counter())
+    link = Link(sim, rate_bps=8_000_000, delay=0.0, routes=[_Counter().send])
     assert not link.busy
     with pytest.raises(SanitizerError, match="while link idle"):
         sim.sanitizer.on_link_finish(link, Packet.data(3, 0, 1000))

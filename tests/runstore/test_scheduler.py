@@ -1,5 +1,6 @@
 """Fault-tolerant scheduler tests: dedup, hits, crash retry, timeouts."""
 
+import threading
 from concurrent.futures import Future
 
 import pytest
@@ -167,6 +168,45 @@ def test_inline_timeout(tmp_path):
     )
     assert out.results == [None]
     assert out.stats.failures == 1
+
+
+def test_inline_timeout_off_the_main_thread_is_refused(tmp_path):
+    """An inline timeout needs SIGALRM, which only the main thread can
+    install: run_jobs refuses up front instead of failing every job."""
+    store = _store(tmp_path)
+    events = []
+    raised = []
+
+    def call():
+        try:
+            run_jobs(
+                [Job(scenario(0))],
+                store=store,
+                workers=1,
+                timeout=5.0,
+                run_fn=fakes.quick_run,
+                progress=events.append,
+            )
+        except ValueError as exc:
+            raised.append(exc)
+
+    thread = threading.Thread(target=call)
+    thread.start()
+    thread.join()
+    [exc] = raised
+    assert "main thread" in str(exc)
+    assert events == []  # no job started
+    assert store.ls() == []  # nothing stored
+    # Without a timeout the same call runs the job on the thread.
+    outcomes = []
+    thread = threading.Thread(
+        target=lambda: outcomes.append(
+            run_jobs([Job(scenario(0))], store=store, workers=1, run_fn=fakes.quick_run)
+        )
+    )
+    thread.start()
+    thread.join()
+    assert outcomes[0].results == [{"name": "s0", "seed": 0}]
 
 
 def test_progress_event_stream(tmp_path):

@@ -2,7 +2,10 @@
 
 import pytest
 
-from repro.sim.engine import SimulationError, Simulator, event_pending, event_time
+from repro.sim.engine import SimulationError, Simulator, event_pending
+from repro.sim.link import Link
+from repro.sim.netem import NetemDelay
+from repro.sim.packet import Packet
 
 
 def test_initial_state():
@@ -105,7 +108,7 @@ def test_double_cancel_is_noop():
 def test_event_helpers():
     sim = Simulator()
     ev = sim.schedule(4.0, lambda: None)
-    assert event_time(ev) == 4.0
+    assert ev[0] == 4.0  # the handle is [time, seq, fn, args]
     assert event_pending(ev)
     sim.cancel(ev)
     assert not event_pending(ev)
@@ -294,3 +297,45 @@ def test_budget_boundary_after_cancellations():
     sim.run(until=10.0, max_events=3)
     assert fired == [0, 1, 2]
     assert sim.now == 10.0
+
+
+def test_direct_pushes_share_the_sequence_stream():
+    """Link (transmit completion and propagation) and NetemDelay push
+    their events onto the heap directly; they draw sequence numbers
+    from the simulator's one stream, so events due at the same instant
+    fire in push order whoever pushed them."""
+    sim = Simulator()
+    fired = []
+
+    class Tap:
+        def __init__(self, tag):
+            self.tag = tag
+
+        def send(self, packet):
+            fired.append(self.tag)
+
+    # 1000-byte packets: 8000 bits take 0.5 s at 16 kb/s and 0.25 s at
+    # 32 kb/s, so every event below lands at exactly t = 0.5.
+    finish_link = Link(sim, 16_000, routes=[Tap("link-finish").send])  # no propagation
+    relay_link = Link(sim, 32_000, delay=0.25, routes=[Tap("link-propagation").send])
+    netem = NetemDelay(sim, 0.5, sink=Tap("netem"))
+
+    def quarter():
+        sim.schedule(0.25, fired.append, "schedule-3")
+
+    # Pushed at t = 0, in this order.
+    sim.schedule(0.5, fired.append, "schedule-1")
+    finish_link.send(Packet(0, 0, 1000))
+    netem.send(Packet(0, 1, 1000))
+    sim.schedule(0.25, quarter)
+    relay_link.send(Packet(0, 2, 1000))  # its completion fires after quarter()
+    sim.schedule(0.5, fired.append, "schedule-2")
+    sim.run()
+    assert sim.now == 0.5  # repro-lint: disable=RPR003 -- exact by construction
+    # At t = 0.25, quarter() pushes before the relay link's completion
+    # pushes its propagation event.
+    assert fired == [
+        "schedule-1", "link-finish", "netem", "schedule-2",
+        "schedule-3", "link-propagation",
+    ]
+    assert sim.next_seq() == 9  # eight pushes drew 1..8

@@ -21,7 +21,7 @@ def test_link_serialisation_delay():
     # 1500 bytes at 1.2 Mbps -> 10 ms per packet.
     sim = Simulator()
     sink = Collector(sim)
-    link = Link(sim, rate_bps=1_200_000, delay=0.0, sink=sink)
+    link = Link(sim, rate_bps=1_200_000, delay=0.0, routes=[sink.send])
     link.send(Packet.data(0, 0, size=1500))
     sim.run()
     assert sink.received[0][0] == pytest.approx(0.010)
@@ -30,7 +30,7 @@ def test_link_serialisation_delay():
 def test_link_back_to_back_packets_serialise():
     sim = Simulator()
     sink = Collector(sim)
-    link = Link(sim, rate_bps=1_200_000, delay=0.0, sink=sink)
+    link = Link(sim, rate_bps=1_200_000, delay=0.0, routes=[sink.send])
     for seq in range(3):
         link.send(Packet.data(0, seq, size=1500))
     sim.run()
@@ -41,7 +41,7 @@ def test_link_back_to_back_packets_serialise():
 def test_link_adds_propagation_delay():
     sim = Simulator()
     sink = Collector(sim)
-    link = Link(sim, rate_bps=1_200_000, delay=0.1, sink=sink)
+    link = Link(sim, rate_bps=1_200_000, delay=0.1, routes=[sink.send])
     link.send(Packet.data(0, 0, size=1500))
     sim.run()
     assert sink.received[0][0] == pytest.approx(0.110)
@@ -51,7 +51,7 @@ def test_link_pipelines_propagation():
     # Propagation overlaps with the next packet's serialisation.
     sim = Simulator()
     sink = Collector(sim)
-    link = Link(sim, rate_bps=1_200_000, delay=0.5, sink=sink)
+    link = Link(sim, rate_bps=1_200_000, delay=0.5, routes=[sink.send])
     for seq in range(2):
         link.send(Packet.data(0, seq, size=1500))
     sim.run()
@@ -62,7 +62,7 @@ def test_link_pipelines_propagation():
 def test_link_preserves_order():
     sim = Simulator()
     sink = Collector(sim)
-    link = Link(sim, rate_bps=10_000_000, delay=0.01, sink=sink)
+    link = Link(sim, rate_bps=10_000_000, delay=0.01, routes=[sink.send])
     for seq in range(20):
         link.send(Packet.data(0, seq))
     sim.run()
@@ -73,7 +73,7 @@ def test_link_drops_on_full_queue():
     sim = Simulator()
     sink = Collector(sim)
     queue = DropTailQueue(3000)  # two packets
-    link = Link(sim, rate_bps=1_200_000, sink=sink, queue=queue)
+    link = Link(sim, rate_bps=1_200_000, routes=[sink.send], queue=queue)
     for seq in range(5):
         link.send(Packet.data(0, seq))
     sim.run()
@@ -86,7 +86,7 @@ def test_link_drops_on_full_queue():
 def test_link_counts_transmissions():
     sim = Simulator()
     sink = Collector(sim)
-    link = Link(sim, rate_bps=1_000_000, sink=sink)
+    link = Link(sim, rate_bps=1_000_000, routes=[sink.send])
     for seq in range(4):
         link.send(Packet.data(0, seq, size=1000))
     sim.run()
@@ -97,7 +97,7 @@ def test_link_counts_transmissions():
 def test_link_resumes_after_idle():
     sim = Simulator()
     sink = Collector(sim)
-    link = Link(sim, rate_bps=1_200_000, sink=sink)
+    link = Link(sim, rate_bps=1_200_000, routes=[sink.send])
     link.send(Packet.data(0, 0))
     sim.run()
     assert sim.now == pytest.approx(0.010)
@@ -131,7 +131,7 @@ class EveryOtherLoss:
 def test_link_down_pauses_transmitter_and_up_resumes():
     sim = Simulator()
     sink = Collector(sim)
-    link = Link(sim, rate_bps=12_000, sink=sink)  # 1 s per 1500 B packet
+    link = Link(sim, rate_bps=12_000, routes=[sink.send])  # 1 s per 1500 B packet
     link.set_down()
     for seq in range(3):
         link.send(Packet.data(0, seq))
@@ -146,7 +146,7 @@ def test_link_down_pauses_transmitter_and_up_resumes():
 def test_link_down_lets_inflight_packet_complete():
     sim = Simulator()
     sink = Collector(sim)
-    link = Link(sim, rate_bps=12_000, sink=sink)
+    link = Link(sim, rate_bps=12_000, routes=[sink.send])
     link.send(Packet.data(0, 0))  # starts serialising immediately
     link.send(Packet.data(0, 1))
     sim.schedule(0.5, link.set_down)  # mid-serialisation of seq 0
@@ -158,7 +158,7 @@ def test_link_down_lets_inflight_packet_complete():
 def test_link_down_overflows_queue_naturally():
     sim = Simulator()
     sink = Collector(sim)
-    link = Link(sim, rate_bps=12_000, sink=sink, queue=DropTailQueue(3000))
+    link = Link(sim, rate_bps=12_000, routes=[sink.send], queue=DropTailQueue(3000))
     link.set_down()
     for seq in range(5):
         link.send(Packet.data(0, seq))
@@ -169,7 +169,7 @@ def test_link_down_overflows_queue_naturally():
 def test_set_down_and_up_are_idempotent():
     sim = Simulator()
     sink = Collector(sim)
-    link = Link(sim, rate_bps=12_000, sink=sink)
+    link = Link(sim, rate_bps=12_000, routes=[sink.send])
     link.set_up()  # already up: no-op
     link.set_down()
     link.set_down()
@@ -182,7 +182,7 @@ def test_set_down_and_up_are_idempotent():
 def test_set_rate_applies_from_next_serialisation():
     sim = Simulator()
     sink = Collector(sim)
-    link = Link(sim, rate_bps=12_000, sink=sink)
+    link = Link(sim, rate_bps=12_000, routes=[sink.send])
     link.send(Packet.data(0, 0))
     link.send(Packet.data(0, 1))
     link.set_rate(6_000)  # halve the rate; seq 0 already serialising at full
@@ -197,7 +197,7 @@ def test_set_rate_applies_from_next_serialisation():
 def test_loss_model_drops_before_queue():
     sim = Simulator()
     sink = Collector(sim)
-    link = Link(sim, rate_bps=12_000, sink=sink)
+    link = Link(sim, rate_bps=12_000, routes=[sink.send])
     link.loss_model = EveryOtherLoss()
     for seq in range(6):
         link.send(Packet.data(0, seq))

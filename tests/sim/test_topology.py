@@ -57,14 +57,17 @@ def test_base_rtt_is_respected(sim):
     assert sender.rtt.min_rtt == pytest.approx(0.080, rel=0.1)
 
 
-def test_demux_routes_by_flow(sim):
+def test_bottleneck_routes_by_flow(sim):
+    """The bottleneck hands each packet straight to its own flow's
+    receiver: routes[flow_id] is that receiver's bound send."""
     specs = [FlowSpec(NewReno(), rtt=0.02) for _ in range(2)]
     d = build_dumbbell(sim, specs, bottleneck_bw_bps=mbps(10), buffer_bytes=100_000)
+    assert d.bottleneck.routes == [flow.receiver.send for flow in d.flows]
     d.start_all()
     sim.run(until=1.0)
     for flow in d.flows:
         assert flow.receiver.received_packets > 0
-        assert flow.sender.snd_una > 0
+        assert 0 < flow.sender.snd_una <= flow.receiver.rcv_nxt <= flow.sender.snd_nxt
 
 
 def test_custom_queue_is_used(sim):
