@@ -7,9 +7,10 @@ every counter, every event count. This module defines
 - a canonical, lossless serialisation of an
   :class:`~repro.core.results.ExperimentResult` (floats rendered with
   :meth:`float.hex`, keys sorted) and its sha256 digest;
-- the seven canonical golden scenarios (two EdgeScale points, two
-  CoreScale quick points, one faulted run, one BBR/NewReno mix and one
-  BBRv1/BBRv2/Cubic mix that reaches PROBE_RTT) whose digests are committed under ``tests/golden/hashes.json``;
+- the eight canonical golden scenarios (two EdgeScale points, two
+  CoreScale quick points, one faulted run, one BBR/NewReno mix, one
+  BBRv1/BBRv2/Cubic mix that reaches PROBE_RTT and one run behind a RED
+  queue) whose digests are committed under ``tests/golden/hashes.json``;
 - :func:`run_golden`, which re-runs one scenario and returns the digest
   plus an optional bounded JSONL trace (the compressed traces committed
   under ``tests/golden/traces/`` are produced from the same rows).
@@ -100,14 +101,16 @@ def trace_digest(text: str) -> str:
 def golden_scenarios() -> Dict[str, Scenario]:
     """The canonical corpus, keyed by scenario name (insertion-ordered).
 
-    Seven scenarios chosen to cover every hot path the optimization work
+    Eight scenarios chosen to cover every hot path the optimization work
     touches: slow start and AIMD steady state (edge), the paper's
     small-window CoreScale regime at its quick-profile scale divisor
     (core, 20 and 100 flows), fault injection with a health record
     (faulted blackout), BBR's pacing/rate-sampling machinery competing
-    with a loss-based flow (bbr-mix), and BBRv1 and BBRv2 against Cubic
+    with a loss-based flow (bbr-mix), BBRv1 and BBRv2 against Cubic
     behind a buffer that overflows, run past the 10 s RTprop filter so
-    that both versions enter PROBE_RTT (bbr-probe-rtt).
+    that both versions enter PROBE_RTT (bbr-probe-rtt), and the
+    queue-discipline ablation's RED queue with both early and capacity
+    drops (red).
     """
     duration, warmup = 5.0, 1.5
     edge10 = edge_scale(
@@ -145,9 +148,12 @@ def golden_scenarios() -> Dict[str, Scenario]:
             FlowGroup("cubic", 2, 0.020),
         ),
     )
+    red = edge_scale(
+        flows=10, cca="newreno", duration=duration, warmup=warmup, seed=23
+    ).with_overrides(name="golden-red", use_red_queue=True, buffer_bytes=500_000)
     return {
         sc.name: sc
-        for sc in (edge10, edge50, core20, core100, faulted, bbr_mix, probe_rtt)
+        for sc in (edge10, edge50, core20, core100, faulted, bbr_mix, probe_rtt, red)
     }
 
 

@@ -113,7 +113,6 @@ class Simulator:
         "_running",
         "_stop_requested",
         "_events_processed",
-        "_seed_seq",
         "sanitizer",
         "profiler",
     )
@@ -129,7 +128,6 @@ class Simulator:
         self._running = False
         self._stop_requested = False
         self._events_processed = 0
-        self._seed_seq = 0
         #: Active invariant checker, or ``None`` when sanitizing is off.
         #: Components wire themselves to it at construction time.
         self.sanitizer: Optional[SimSanitizer] = maybe_sanitizer(self, sanitize)
@@ -183,18 +181,6 @@ class Simulator:
             self._cancelled = 0
         else:
             self._cancelled = cancelled
-
-    def next_seed(self, salt: int = 0) -> int:
-        """Deterministic per-simulator seed stream for component RNGs.
-
-        Components that need a default RNG (e.g. :class:`~repro.sim.netem.
-        NetemDelay` when the caller supplies none) draw a seed here instead
-        of hard-coding one: successive calls yield distinct values, so two
-        elements never share an RNG sequence, while the stream itself is a
-        pure function of construction order — reproducible run to run.
-        """
-        self._seed_seq += 1
-        return (self._seed_seq * 0x9E3779B1 ^ salt) & 0xFFFFFFFF
 
     def stop(self) -> None:
         """Ask a running :meth:`run` loop to return after the current event.

@@ -32,14 +32,14 @@ class NetemDelay:
         ``[delay - jitter, delay + jitter]``. Packet reordering is
         possible under jitter, exactly as with real netem without
         reorder protection.
+    sink:
+        Where each packet goes after its delay. Required: the element is
+        built after its sink, so forwarding never tests for a missing one.
     rng:
-        The element's RNG. Callers on the experiment path derive this
-        from the scenario/flow seed (see ``build_dumbbell``); when
-        omitted, a seed is drawn from the owning simulator's
-        deterministic seed stream (:meth:`Simulator.next_seed`) so that
-        two elements never share a sequence. (Previously every default
-        instance used the same fixed seed, which perfectly correlated
-        jitter across flows.)
+        The jitter RNG, required when ``jitter`` is non-zero (a
+        ``ValueError`` otherwise). ``build_dumbbell`` derives one per
+        flow from the scenario/flow seed, so no two elements share a
+        jitter sequence. An element without jitter draws nothing.
 
     A zero-delay, zero-jitter element forwards synchronously, without a
     heap event.
@@ -53,7 +53,7 @@ class NetemDelay:
         self,
         sim: Simulator,
         delay: float,
-        sink: Optional[Sink] = None,
+        sink: Sink,
         jitter: float = 0.0,
         rng: Optional[random.Random] = None,
     ) -> None:
@@ -61,11 +61,15 @@ class NetemDelay:
             raise ValueError("delay and jitter must be non-negative")
         if jitter > delay:
             raise ValueError("jitter must not exceed the base delay")
+        if jitter > 0 and rng is None:
+            raise ValueError("jitter needs an rng")
         self.sim = sim
         self.delay = delay
         self.jitter = jitter
         self.sink = sink
-        self._rng = rng or random.Random(sim.next_seed(0x4E45))
+        # Read only while jitter > 0, which the check above ties to an
+        # rng; set_delay can lower the jitter but never raise it.
+        self._rng = rng
         # Each delayed packet is pushed onto the simulator's heap
         # directly, with a sequence number from its shared stream (see
         # the design notes in repro.sim.engine).
@@ -86,22 +90,19 @@ class NetemDelay:
         self.jitter = min(self.jitter, delay)
 
     def send(self, packet: Packet) -> None:
-        sink = self.sink
-        if sink is None:
-            raise RuntimeError("NetemDelay has no sink attached")
         delay = self.delay
         jitter = self.jitter
         if jitter > 0.0:
             # random.Random.uniform(-jitter, jitter) spelled out with
             # CPython's own arithmetic, a + (b - a) * random(): same
             # draw, same rounding, one call less.
-            delay += -jitter + (jitter - -jitter) * self._rng.random()
+            delay += -jitter + (jitter - -jitter) * self._rng.random()  # type: ignore[union-attr]
         # <= rather than ==: the constructor guarantees delay >= 0, and an
         # ordering guard keeps the fast path safe against float noise.
         if delay <= 0.0:
-            sink.send(packet)
+            self.sink.send(packet)
         else:
             at = self.sim.now + delay
             if self._sanitizer is not None:
                 self._sanitizer.on_schedule(at)
-            heappush(self._heap, [at, self._next_seq(), sink.send, (packet,)])
+            heappush(self._heap, [at, self._next_seq(), self.sink.send, (packet,)])

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from ..units import ACK_PACKET_BYTES, DATA_PACKET_BYTES
+from ..units import DATA_PACKET_BYTES
 
 #: Type alias for a SACK block: a half-open packet-number range.
 SackBlock = Tuple[int, int]
@@ -66,22 +66,6 @@ class Packet:
         self.is_ack = is_ack
         self.ack_seq = ack_seq
         self.sack_blocks = sack_blocks or ()
-
-    @classmethod
-    def data(cls, flow_id: int, seq: int, size: int = DATA_PACKET_BYTES) -> "Packet":
-        """Build a data segment."""
-        return cls(flow_id, seq=seq, size=size)
-
-    @classmethod
-    def ack(
-        cls,
-        flow_id: int,
-        ack_seq: int,
-        sack_blocks: Tuple[SackBlock, ...] = (),
-        size: int = ACK_PACKET_BYTES,
-    ) -> "Packet":
-        """Build an ACK for ``flow_id`` acknowledging up to ``ack_seq``."""
-        return cls(flow_id, size=size, is_ack=True, ack_seq=ack_seq, sack_blocks=sack_blocks)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         if self.is_ack:

@@ -9,10 +9,12 @@ Queues are passive containers: the owning :class:`repro.sim.link.Link`
 drives enqueue/dequeue. Each queue is also the paper's drop logger: it
 counts arrivals and drops per flow from a measurement cut onward and
 can keep the drop timestamps. A queue drops a packet in two places:
-at arrival, when the discipline refuses it, and when
-:meth:`Queue.set_capacity` shrinks the buffer below the backlog. Dequeue
-never drops. Event-bus observers attach through a single forwarder slot
-filled by :meth:`repro.obs.bus.EventBus.bind_queue`.
+at arrival, in :meth:`Queue.offer`, the one admission path every
+discipline shares (the arrival does not fit, or the discipline's
+early-drop hook refuses it), and when :meth:`Queue.set_capacity`
+shrinks the buffer below the backlog. Dequeue never drops. Event-bus
+observers attach through a single forwarder slot filled by
+:meth:`repro.obs.bus.EventBus.bind_queue`.
 """
 
 from __future__ import annotations
@@ -29,10 +31,17 @@ if TYPE_CHECKING:  # pragma: no cover - type-only import
 #: The bus forwarder, called as ``fn(now, kind, packet)`` with kind
 #: ``"enqueue"`` or ``"drop"``.
 QueueForwarder = Callable[[float, str, Packet], None]
+#: A discipline's early-drop test, called as ``fn(now, packet)``.
+EarlyDrop = Callable[[float, Packet], bool]
 
 
 class Queue:
-    """Interface for bottleneck queue disciplines.
+    """A FIFO byte-capacity queue, the base of every discipline.
+
+    :meth:`offer` is the only admission path. An arrival that does not
+    fit in the remaining capacity is dropped; one that fits is dropped
+    only if the discipline's :attr:`early_drop` hook says so. Drop-tail
+    leaves that hook ``None``.
 
     Besides the lifetime ``enqueued_packets``/``dropped_packets`` totals,
     a queue attributes every arrival and drop at or after ``count_from``
@@ -53,6 +62,7 @@ class Queue:
         "drops_by_flow",
         "drop_times",
         "forwarder",
+        "early_drop",
         "_items",
         "sanitizer",
     )
@@ -71,6 +81,10 @@ class Queue:
         self.drop_times: list[float] = []
         #: Set only by EventBus.bind_queue; None on an unobserved queue.
         self.forwarder: Optional[QueueForwarder] = None
+        #: The discipline's test for an arrival that fits, called as
+        #: ``fn(now, packet)`` and returning True to drop it; None (the
+        #: drop-tail default) admits every arrival that fits.
+        self.early_drop: Optional[EarlyDrop] = None
         self._items: deque[Packet] = deque()
         #: Byte-conservation auditor; set by SimSanitizer.watch_queue().
         self.sanitizer: Optional["SimSanitizer"] = None
@@ -92,12 +106,17 @@ class Queue:
     def offer(self, now: float, packet: Packet) -> bool:
         """Try to enqueue ``packet`` at time ``now``.
 
-        Returns ``True`` if accepted, ``False`` if dropped. Subclasses
-        implement the admission policy in :meth:`_admit`.
+        Returns ``True`` if accepted, ``False`` if dropped: the arrival
+        must fit in the remaining capacity, and then pass the
+        discipline's :attr:`early_drop` test, if it has one.
         """
-        if self._admit(now, packet):
+        size = packet.size
+        occupancy = self.occupancy_bytes
+        if occupancy + size <= self.capacity_bytes and (
+            self.early_drop is None or not self.early_drop(now, packet)
+        ):
             self._items.append(packet)
-            self.occupancy_bytes += packet.size
+            self.occupancy_bytes = occupancy + size
             self.enqueued_packets += 1
             if self.sanitizer is not None:
                 self.sanitizer.on_enqueue(self, packet)
@@ -144,44 +163,17 @@ class Queue:
             self._count_drop(now, packet)
         self.capacity_bytes = capacity_bytes
 
-    def _admit(self, now: float, packet: Packet) -> bool:
-        raise NotImplementedError
-
 
 class DropTailQueue(Queue):
     """FIFO queue that drops arrivals once the byte capacity is exceeded.
 
     This is the discipline used for every experiment in the paper; tail
     drops under many competing flows are exactly what produces the bursty
-    loss pattern behind Findings 1-3.
-
-    ``offer`` is overridden to inline the admission test: drop-tail sits
-    on the per-packet hot path of every bottleneck, and the virtual
-    ``_admit`` dispatch is measurable at CoreScale. The flattened body
-    (arrival accounting included) is behaviourally identical to
-    ``Queue.offer`` with a capacity-only admission test.
+    loss pattern behind Findings 1-3. It is :class:`Queue` with no
+    :attr:`~Queue.early_drop` hook.
     """
 
     __slots__ = ()
-
-    def offer(self, now: float, packet: Packet) -> bool:
-        size = packet.size
-        occupancy = self.occupancy_bytes
-        if occupancy + size <= self.capacity_bytes:
-            self._items.append(packet)
-            self.occupancy_bytes = occupancy + size
-            self.enqueued_packets += 1
-            if self.sanitizer is not None:
-                self.sanitizer.on_enqueue(self, packet)
-            if now >= self.count_from:
-                self.arrivals_by_flow[packet.flow_id] += 1
-            if self.forwarder is not None:
-                self.forwarder(now, "enqueue", packet)
-            return True
-        if self.sanitizer is not None:
-            self.sanitizer.on_reject(self, packet)
-        self._count_drop(now, packet)
-        return False
 
 
 class REDQueue(Queue):
@@ -212,6 +204,7 @@ class REDQueue(Queue):
         self.avg_bytes = 0.0
         self._count_since_drop = -1
         self._rng = rng or random.Random(0x52ED)
+        self.early_drop = self._early_drop
 
     def set_capacity(self, capacity_bytes: int, now: float = 0.0) -> None:
         """Resize, rescaling both RED thresholds proportionally."""
@@ -222,16 +215,20 @@ class REDQueue(Queue):
             capacity_bytes, max(self.min_thresh + 1, int(self.max_thresh * ratio))
         )
 
-    def _admit(self, now: float, packet: Packet) -> bool:
-        if self.occupancy_bytes + packet.size > self.capacity_bytes:
-            return False
+    def _early_drop(self, now: float, packet: Packet) -> bool:
+        """RED's drop test for an arrival that fits in the buffer; True
+        drops it.
+
+        The average updates only for such an arrival: one refused for
+        want of space never reaches this test.
+        """
         self.avg_bytes += self.WEIGHT * (self.occupancy_bytes - self.avg_bytes)
         if self.avg_bytes < self.min_thresh:
             self._count_since_drop = -1
-            return True
+            return False
         if self.avg_bytes >= 2 * self.max_thresh:
             self._count_since_drop = 0
-            return False
+            return True
         # Gentle RED: probability ramps from 0..MAX_P over [min, max), and
         # from MAX_P..1 over [max, 2*max).
         if self.avg_bytes < self.max_thresh:
@@ -245,5 +242,5 @@ class REDQueue(Queue):
         p_actual = min(1.0, p_base / denominator)
         if self._rng.random() < p_actual:
             self._count_since_drop = 0
-            return False
-        return True
+            return True
+        return False

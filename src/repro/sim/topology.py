@@ -133,23 +133,26 @@ def build_dumbbell(
                 f"flow {flow_id}: rtt {spec.rtt} below fixed propagation "
                 f"{fixed_component}"
             )
-        sender = TcpSender(sim, flow_id, spec.cca, total_packets=spec.total_packets)
-        receiver = TcpReceiver(sim, flow_id, delayed_ack=delayed_ack)
-        # Forward path: sender -> bottleneck (access hop folded above).
-        sender.path = bottleneck
-        routes.append(receiver.send)
+        # Each element is built after the one it hands packets to, so
+        # none is ever without its next hop. Forward path: sender ->
+        # bottleneck (access hop folded above).
+        sender = TcpSender(
+            sim, flow_id, spec.cca, bottleneck, total_packets=spec.total_packets
+        )
         # Reverse path: one netem element carrying the flow's base-RTT
         # delay plus the fixed reverse propagation (paper: netem at the
         # receiver sets the base RTT).
         delay = spec.rtt - fixed_component + 2 * BOTTLENECK_PROP_DELAY
-        receiver.reverse_path = NetemDelay(
+        reverse = NetemDelay(
             sim,
             delay,
-            sink=sender,
+            sender,
             jitter=min(spec.jitter, delay),
             rng=random.Random(
                 spec.jitter_seed if spec.jitter_seed is not None else flow_id
             ),
         )
+        receiver = TcpReceiver(sim, flow_id, reverse, delayed_ack=delayed_ack)
+        routes.append(receiver.send)
         dumbbell.flows.append(Flow(flow_id, spec, sender, receiver))
     return dumbbell

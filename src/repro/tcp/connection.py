@@ -93,7 +93,8 @@ class TcpSender:
         The congestion control algorithm instance (owned by this sender).
     path:
         First element of the forward (data) path; must eventually deliver
-        to the paired :class:`TcpReceiver`.
+        to the paired :class:`TcpReceiver`. Required: the sender is built
+        after its path, so the send loop never tests for a missing one.
     total_packets:
         ``None`` for an infinite flow (the paper's workload), otherwise
         the flow completes after this many packets are cumulatively ACKed
@@ -105,7 +106,7 @@ class TcpSender:
         sim: Simulator,
         flow_id: int,
         cca: CongestionControl,
-        path: Optional[Sink] = None,
+        path: Sink,
         total_packets: Optional[int] = None,
     ) -> None:
         self.sim = sim
@@ -207,7 +208,7 @@ class TcpSender:
         start. Each transmission is folded into the loop rather than
         made a method call of its own.
         """
-        if not self.started or self.completed or self.path is None:
+        if not self.started or self.completed:
             return
         now = self.sim.now
         pacing_rate = self.cca.pacing_rate
@@ -382,7 +383,7 @@ class TcpSender:
         if sack_blocks:
             meta_get = meta_map.get
             sacked_set = self._sacked
-            # The set's bound lists; add() and remove_below() update them
+            # The set's bound lists; fill() and remove_below() update them
             # in place, so they stay valid across the loop.
             sacked_starts = sacked_set._starts
             sacked_ends = sacked_set._ends
@@ -399,15 +400,16 @@ class TcpSender:
                 if lo >= hi:
                     continue
                 # Already SACKed in full: the receiver repeats its lowest
-                # blocks on every ACK, and adding a range the set already
+                # blocks on every ACK, and filling a range the set already
                 # covers would leave it unchanged. The ranges are disjoint
                 # and never adjacent, so the block is covered exactly when
                 # the last range starting at or below lo reaches hi (the
-                # case in which holes_between would return no hole).
+                # case in which fill would return no hole).
                 i = bisect_right(sacked_starts, lo) - 1
                 if i >= 0 and hi <= sacked_ends[i]:
                     continue
-                for gap_lo, gap_hi in sacked_set.holes_between(lo, hi):
+                # Record the block and walk only what it newly covers.
+                for gap_lo, gap_hi in sacked_set.fill(lo, hi):
                     for seq in range(gap_lo, gap_hi):
                         meta = meta_get(seq)
                         if meta is None or meta.sacked:
@@ -439,7 +441,6 @@ class TcpSender:
                         if meta.in_retrans_out:
                             meta.in_retrans_out = False
                             retrans_out -= 1
-                sacked_set.add(lo, hi)
             self.sacked_out = sacked_out
             self.lost_out = lost_out
             self.retrans_out = retrans_out
@@ -652,7 +653,12 @@ class TcpSender:
 
 
 class TcpReceiver:
-    """The receiving side: reassembly, SACK generation, delayed ACKs."""
+    """The receiving side: reassembly, SACK generation, delayed ACKs.
+
+    ``reverse_path`` is the first element of the ACK path and is
+    required: the receiver is built after it, so sending an ACK never
+    tests for a missing one.
+    """
 
     #: ACK at least every second full-sized segment (RFC 5681).
     ACK_QUOTA = 2
@@ -680,7 +686,7 @@ class TcpReceiver:
         self,
         sim: Simulator,
         flow_id: int,
-        reverse_path: Optional[Sink] = None,
+        reverse_path: Sink,
         delayed_ack: bool = True,
     ) -> None:
         self.sim = sim
@@ -707,13 +713,14 @@ class TcpReceiver:
         rcv_nxt = self.rcv_nxt
         # Out-of-order state is tested through the RangeSet's start list
         # rather than RangeSet.__bool__: one call less per segment.
-        if seq == rcv_nxt and not self._ooo._starts:
+        ooo = self._ooo
+        if seq == rcv_nxt and not ooo._starts:
             # In-order fast path (the overwhelmingly common case): the
             # arrival extends the contiguous prefix by exactly one and
             # there is no reordering state to reconcile, so the RangeSet
-            # round-trip below (add_point / contiguous_end_from /
-            # remove_below) collapses to a single increment. Behaviour
-            # is identical to the general path for this case.
+            # round-trip below (fill / remove_below) collapses to a
+            # single increment. Behaviour is identical to the general
+            # path for this case.
             self.rcv_nxt = rcv_nxt + 1
             if not self.delayed_ack:
                 self._send_ack(seq)
@@ -724,29 +731,21 @@ class TcpReceiver:
             elif self._delack_event is None:
                 self._delack_event = self.sim.schedule(self.DELACK_TIMEOUT, self._on_delack)
             return
-        if seq < rcv_nxt or seq in self._ooo:
+        # Below the cumulative point, or already buffered (fill covers
+        # nothing new): a duplicate.
+        if seq < rcv_nxt or not ooo.fill(seq, seq + 1):
             self.duplicate_packets += 1
-            self._send_ack(seq)
-            return
-        self._ooo.add_point(seq)
-        filled_hole = False
-        new_nxt = self._ooo.contiguous_end_from(self.rcv_nxt)
-        if new_nxt > self.rcv_nxt:
-            # Advanced the cumulative point; an advance of more than one
-            # packet means this arrival filled a hole in front of buffered
-            # out-of-order data -> ACK immediately (RFC 5681 §4.2).
-            filled_hole = new_nxt - self.rcv_nxt > 1
-            self.rcv_nxt = new_nxt
-            self._ooo.remove_below(new_nxt)
-        out_of_order = seq >= self.rcv_nxt  # still above the cumulative point
-        if out_of_order or filled_hole or self._ooo._starts or not self.delayed_ack:
-            self._send_ack(seq)
-            return
-        self._unacked_segments += 1
-        if self._unacked_segments >= self.ACK_QUOTA:
-            self._send_ack(seq)
-        elif self._delack_event is None:
-            self._delack_event = self.sim.schedule(self.DELACK_TIMEOUT, self._on_delack)
+        elif seq == rcv_nxt:
+            # Every buffered range starts above rcv_nxt, so the range
+            # now holding seq is the first one, and its end is the new
+            # cumulative point.
+            rcv_nxt = self.rcv_nxt = ooo._ends[0]
+            ooo.remove_below(rcv_nxt)
+        # Every arrival off the fast path is ACKed at once (RFC 5681
+        # §4.2): a duplicate, data above the cumulative point, or the
+        # segment at it while data is buffered, which either fills the
+        # hole in front of that data or leaves data buffered.
+        self._send_ack(seq)
 
     def _on_delack(self) -> None:
         self._delack_event = None
@@ -780,8 +779,6 @@ class TcpReceiver:
         return tuple(zip(starts[:limit], ends[:limit]))
 
     def _send_ack(self, triggering_seq: Optional[int]) -> None:
-        if self.reverse_path is None:
-            raise RuntimeError("TcpReceiver has no reverse path attached")
         self._unacked_segments = 0
         if self._delack_event is not None:
             self.sim.cancel(self._delack_event)

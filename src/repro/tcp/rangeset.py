@@ -6,7 +6,9 @@ scoreboard to track SACKed sequence ranges. Ranges are half-open
 
 The implementation keeps a sorted list of disjoint, non-adjacent ranges
 and merges on insert, giving O(log n) lookups and O(n) worst-case insert
-(a C-level list shift). The number of fragments is bounded by the
+(a C-level list shift). :meth:`RangeSet.fill` is the one insert: it
+also returns what the insert newly covered, which is the new SACK
+state both endpoints act on. The number of fragments is bounded by the
 reordering degree of the path: a handful normally, a few hundred at a
 receiver behind a drop-tail buffer overflow.
 """
@@ -28,7 +30,7 @@ class RangeSet:
         self._starts: List[int] = []
         self._ends: List[int] = []
         for start, end in ranges:
-            self.add(start, end)
+            self.fill(start, end)
 
     def __bool__(self) -> bool:
         return bool(self._starts)
@@ -75,31 +77,47 @@ class RangeSet:
             prev_end = end
         return None
 
-    def add(self, start: int, end: int) -> None:
-        """Insert ``[start, end)``, merging with overlapping/adjacent ranges."""
+    def fill(self, start: int, end: int) -> List[Range]:
+        """Insert ``[start, end)``; return the sub-ranges it newly covered.
+
+        The returned holes are ascending and empty when the set already
+        covered the whole range. One bisect finds the first range that
+        overlaps or touches the new one, and a single walk over the
+        ranges it absorbs yields both the holes and the merged bounds.
+        """
         if start >= end:
             if start == end:
-                return
+                return []
             raise ValueError(f"invalid range [{start}, {end})")
         starts = self._starts
         ends = self._ends
-        # Find all existing ranges that overlap or touch [start, end).
-        lo = bisect_left(ends, start)  # first range with end >= start
-        hi = bisect_right(starts, end)  # first range with start > end
-        if lo < hi:
-            # Merge: the union's bounds, compared rather than min/max.
-            if starts[lo] < start:
-                start = starts[lo]
-            if ends[hi - 1] > end:
-                end = ends[hi - 1]
-        del starts[lo:hi]
-        del ends[lo:hi]
-        starts.insert(lo, start)
-        ends.insert(lo, end)
-
-    def add_point(self, value: int) -> None:
-        """Insert a single integer."""
-        self.add(value, value + 1)
+        lo = hi = bisect_left(ends, start)  # first range with end >= start
+        count = len(starts)
+        holes: List[Range] = []
+        cursor = start
+        # Each absorbed range ends at or above the cursor (the first ends
+        # at or above start, and the ranges are sorted and disjoint), so
+        # the cursor is always the end of the last range walked.
+        while hi < count and starts[hi] <= end:
+            r_start = starts[hi]
+            if r_start > cursor:
+                holes.append((cursor, r_start))
+            cursor = ends[hi]
+            hi += 1
+        if cursor < end:
+            holes.append((cursor, end))
+        if lo == hi:
+            starts.insert(lo, start)
+            ends.insert(lo, end)
+        else:
+            # Merge into the first absorbed range: the union's bounds,
+            # compared rather than min/max.
+            if start < starts[lo]:
+                starts[lo] = start
+            ends[lo] = cursor if cursor > end else end
+            del starts[lo + 1:hi]
+            del ends[lo + 1:hi]
+        return holes
 
     def __contains__(self, value: int) -> bool:
         idx = bisect_right(self._starts, value) - 1
@@ -110,17 +128,6 @@ class RangeSet:
         if not self._ends:
             raise ValueError("max_value() of empty RangeSet")
         return self._ends[-1] - 1
-
-    def contiguous_end_from(self, start: int) -> int:
-        """Largest ``e`` such that ``[start, e)`` is fully covered.
-
-        Returns ``start`` itself when ``start`` is not covered. Used by
-        the receiver to advance ``rcv_nxt`` across filled holes.
-        """
-        idx = bisect_right(self._starts, start) - 1
-        if idx >= 0 and start < self._ends[idx]:
-            return self._ends[idx]
-        return start
 
     def remove_below(self, cutoff: int) -> None:
         """Discard all integers ``< cutoff`` (scoreboard garbage collection)."""

@@ -84,9 +84,11 @@ def make_pipe(
     No bandwidth limit: purely delay-based, which makes timing assertions
     exact. Returns (sender, receiver, wire).
     """
-    sender = TcpSender(sim, 0, cca, total_packets=total_packets)
-    receiver = TcpReceiver(sim, 0, delayed_ack=delayed_ack)
-    wire = LossyWire(sim, one_way_delay, sink=receiver, drop_indices=drop_indices)
-    sender.path = wire
-    receiver.reverse_path = NetemDelay(sim, one_way_delay, sink=sender)
+    # Each element is built after the one it hands packets to; the wire,
+    # which closes the loop, gets its sink last.
+    wire = LossyWire(sim, one_way_delay, drop_indices=drop_indices)
+    sender = TcpSender(sim, 0, cca, wire, total_packets=total_packets)
+    reverse = NetemDelay(sim, one_way_delay, sender)
+    receiver = TcpReceiver(sim, 0, reverse, delayed_ack=delayed_ack)
+    wire.sink = receiver
     return sender, receiver, wire

@@ -1,6 +1,6 @@
 """Golden-run regression suite.
 
-Re-runs the seven canonical scenarios and asserts their results are
+Re-runs the eight canonical scenarios and asserts their results are
 byte-identical to the committed corpus (``hashes.json``, regenerated
 only deliberately via ``tools/regen_golden.py``). This is the gate that
 makes hot-path optimization safe: any change to event structure, float
@@ -42,14 +42,14 @@ SCENARIOS = golden_scenarios()
 
 def test_corpus_format_and_coverage():
     """The committed corpus matches the in-code scenario set exactly,
-    and its seven scenarios run every registered CCA, BBRv2 included,
-    and queue drops behind BBR flows."""
+    and its eight scenarios run every registered CCA, BBRv2 included,
+    queue drops behind BBR flows, and drops at a RED queue."""
     assert CORPUS["format"] == GOLDEN_FORMAT
     assert set(CORPUS["scenarios"]) == set(SCENARIOS), (
         "golden corpus out of sync with goldens.golden_scenarios(); "
         "run tools/regen_golden.py"
     )
-    assert len(SCENARIOS) == 7
+    assert len(SCENARIOS) == 8
     ccas = {group.cca for sc in SCENARIOS.values() for group in sc.groups}
     assert ccas == set(CCA_REGISTRY)
     probe_rtt = SCENARIOS["golden-bbr-probe-rtt"]
@@ -57,6 +57,9 @@ def test_corpus_format_and_coverage():
     # Past the 10 s RTprop filter, so both BBR versions enter PROBE_RTT.
     assert probe_rtt.duration > 10.0
     assert CORPUS["scenarios"]["golden-bbr-probe-rtt"]["queue_drops"] > 0
+    # The one RED run: no other golden leaves the drop-tail default.
+    assert [sc.name for sc in SCENARIOS.values() if sc.use_red_queue] == ["golden-red"]
+    assert CORPUS["scenarios"]["golden-red"]["queue_drops"] > 0
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))

@@ -83,7 +83,7 @@ def _watched_queue(capacity=10_000):
 def test_clean_queue_traffic_passes():
     _, queue = _watched_queue()
     for seq in range(5):
-        assert queue.offer(0.0, Packet.data(0, seq, 1000))
+        assert queue.offer(0.0, Packet(0, seq, 1000))
     while queue.poll() is not None:
         pass
     assert queue.occupancy_bytes == 0
@@ -91,18 +91,18 @@ def test_clean_queue_traffic_passes():
 
 def test_injected_byte_leak_trips_on_enqueue():
     _, queue = _watched_queue()
-    assert queue.offer(0.0, Packet.data(0, 0, 1000))
+    assert queue.offer(0.0, Packet(0, 0, 1000))
     # Inject the bug: bytes appear in the occupancy ledger without ever
     # having been admitted (the class of accounting slip the sanitizer
     # exists for).
     queue.occupancy_bytes += 123
     with pytest.raises(SanitizerError, match="byte conservation"):
-        queue.offer(0.0, Packet.data(0, 1, 1000))
+        queue.offer(0.0, Packet(0, 1, 1000))
 
 
 def test_injected_byte_leak_trips_on_dequeue():
     _, queue = _watched_queue()
-    assert queue.offer(0.0, Packet.data(0, 0, 1000))
+    assert queue.offer(0.0, Packet(0, 0, 1000))
     queue.occupancy_bytes -= 7  # leak in the other direction
     with pytest.raises(SanitizerError, match="byte conservation"):
         queue.poll()
@@ -110,16 +110,16 @@ def test_injected_byte_leak_trips_on_dequeue():
 
 def test_reject_path_checks_conservation():
     _, queue = _watched_queue(capacity=1500)
-    assert queue.offer(0.0, Packet.data(0, 0, 1000))
+    assert queue.offer(0.0, Packet(0, 0, 1000))
     queue.occupancy_bytes += 1  # corrupt, then force a tail drop
     with pytest.raises(SanitizerError, match="byte conservation"):
-        queue.offer(0.0, Packet.data(0, 1, 1000))
+        queue.offer(0.0, Packet(0, 1, 1000))
 
 
 def test_resize_eviction_stays_conserved():
     _, queue = _watched_queue(capacity=20_000)
     for seq in range(20):
-        assert queue.offer(0.0, Packet.data(0, seq, 1000))
+        assert queue.offer(0.0, Packet(0, seq, 1000))
     # Shrinking below the backlog evicts from the tail: the in-queue drop
     # path must keep the ledger balanced through eviction and the drain.
     queue.set_capacity(5_000, now=1.0)
@@ -146,7 +146,7 @@ def test_link_transmits_clean_under_sanitizer():
     sink = _Counter()
     link = Link(sim, rate_bps=8_000_000, delay=0.001, routes=[sink.send])
     for seq in range(10):
-        link.send(Packet.data(0, seq, 1000))
+        link.send(Packet(0, seq, 1000))
     sim.run()
     assert len(sink.packets) == 10
     assert link.queue.sanitizer is sim.sanitizer
@@ -157,7 +157,7 @@ def test_link_finish_while_idle_trips():
     link = Link(sim, rate_bps=8_000_000, delay=0.0, routes=[_Counter().send])
     assert not link.busy
     with pytest.raises(SanitizerError, match="while link idle"):
-        sim.sanitizer.on_link_finish(link, Packet.data(3, 0, 1000))
+        sim.sanitizer.on_link_finish(link, Packet(3, 0, 1000))
 
 
 # ----------------------------------------------------------------------
@@ -203,14 +203,14 @@ def _sender_with_window(snd_una, snd_nxt):
 
 def test_sacked_count_mismatch_trips():
     sim, sender = _sender_with_window(0, 10)
-    sender._sacked.add(4, 8)  # sacked_out never counted these
+    sender._sacked.fill(4, 8)  # sacked_out never counted these
     with pytest.raises(SanitizerError, match="holds 4 sequences but sacked_out=0"):
         sim.sanitizer.check_sender(sender)
 
 
 def test_sacked_above_snd_nxt_trips():
     sim, sender = _sender_with_window(0, 10)
-    sender._sacked.add(8, 12)  # 10 and 11 were never sent
+    sender._sacked.fill(8, 12)  # 10 and 11 were never sent
     sender.sacked_out = 4
     with pytest.raises(SanitizerError, match=r"outside \[snd_una, snd_nxt\)"):
         sim.sanitizer.check_sender(sender)
@@ -218,7 +218,7 @@ def test_sacked_above_snd_nxt_trips():
 
 def test_sacked_below_snd_una_trips():
     sim, sender = _sender_with_window(5, 10)
-    sender._sacked.add(3, 7)  # 3 and 4 are already cumulatively ACKed
+    sender._sacked.fill(3, 7)  # 3 and 4 are already cumulatively ACKed
     sender.sacked_out = 4
     with pytest.raises(SanitizerError, match=r"outside \[snd_una, snd_nxt\)"):
         sim.sanitizer.check_sender(sender)

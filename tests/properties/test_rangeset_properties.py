@@ -25,10 +25,11 @@ PROPERTY_SETTINGS = settings(
 
 _VALUE = st.integers(min_value=0, max_value=120)
 
-# Mutators: ("add", lo, hi) / ("add_point", v, 0) / ("remove_below", v, 0)
+# Mutators: ("fill", lo, hi) / ("fill_point", v, 0) / ("remove_below", v, 0).
+# A point fill is what the receiver makes for each out-of-order segment.
 _OP = st.one_of(
-    st.tuples(st.just("add"), _VALUE, _VALUE),
-    st.tuples(st.just("add_point"), _VALUE, st.just(0)),
+    st.tuples(st.just("fill"), _VALUE, _VALUE),
+    st.tuples(st.just("fill_point"), _VALUE, st.just(0)),
     st.tuples(st.just("remove_below"), _VALUE, st.just(0)),
 )
 
@@ -37,16 +38,15 @@ _OPS = st.lists(_OP, min_size=1, max_size=30)
 
 def _apply(rs: RangeSet, model: Set[int], op: Tuple[str, int, int]) -> None:
     kind, a, b = op
-    if kind == "add":
-        lo, hi = min(a, b), max(a, b)
-        rs.add(lo, hi)  # lo == hi is the documented empty-range no-op
-        model.update(range(lo, hi))
-    elif kind == "add_point":
-        rs.add_point(a)
-        model.add(a)
-    else:
+    if kind == "remove_below":
         rs.remove_below(a)
         model.difference_update(v for v in list(model) if v < a)
+        return
+    # lo == hi is the documented empty-range no-op.
+    lo, hi = (min(a, b), max(a, b)) if kind == "fill" else (a, a + 1)
+    # fill returns exactly the part of [lo, hi) the set did not cover.
+    assert rs.fill(lo, hi) == _model_holes(model, lo, hi)
+    model.update(range(lo, hi))
 
 
 def _model_holes(model: Set[int], start: int, end: int) -> List[Tuple[int, int]]:
@@ -70,15 +70,16 @@ def _check_against_model(rs: RangeSet, model: Set[int]) -> None:
     assert len(rs) == len(model)
     if model:
         assert rs.max_value() == max(model)
+    fragments = rs.ranges()
     for probe in (0, 1, 17, 59, 60, 61, 119, 120, 121):
         assert (probe in rs) == (probe in model)
+        # A covered probe's fragment ends where its run in the model
+        # does: the cumulative point a receiver reads after a fill.
         expected_end = probe
         while expected_end in model:
             expected_end += 1
-        if probe in model:
-            assert rs.contiguous_end_from(probe) == expected_end
-        else:
-            assert rs.contiguous_end_from(probe) == probe
+        holding = [end for start, end in fragments if start <= probe < end]
+        assert holding == ([expected_end] if probe in model else [])
 
 
 @PROPERTY_SETTINGS
@@ -88,6 +89,30 @@ def test_rangeset_matches_set_model(ops):
     for op in ops:
         _apply(rs, model, op)
         _check_against_model(rs, model)
+
+
+@PROPERTY_SETTINGS
+@given(
+    fills=st.lists(st.tuples(_VALUE, st.integers(0, 12)), min_size=1, max_size=40)
+)
+def test_fill_matches_brute_force(fills):
+    """Every fill, checked against a plain integer set: the holes it
+    returns are exactly what it newly covered, the merged set equals the
+    model's union, and the representation invariant holds."""
+    rs, model = RangeSet(), set()
+    for lo, length in fills:
+        hi = lo + length
+        expected = {v for v in range(lo, hi) if v not in model}
+        holes = rs.fill(lo, hi)
+        returned: Set[int] = set()
+        for s, e in holes:
+            assert s < e
+            returned.update(range(s, e))
+        assert returned == expected
+        assert holes == _model_holes(model, lo, hi)  # ascending, maximal
+        model.update(range(lo, hi))
+        assert rs.consistency_error() is None
+        assert {v for s, e in rs.ranges() for v in range(s, e)} == model
 
 
 @PROPERTY_SETTINGS

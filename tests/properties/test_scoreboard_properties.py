@@ -14,7 +14,10 @@ lists:
   below the highest SACKed one.
 - **Receiver.** ``TcpReceiver._sack_blocks`` must equal the original
   list-scan construction for random fragment sets and triggering
-  sequences.
+  sequences. And random arrival orders with duplicates, driven through
+  ``TcpReceiver.send``, must give the ``rcv_nxt``, duplicate count and
+  ACK stream (each ``ack_seq`` and its SACK blocks) that a reference
+  over a set of received sequences gives.
 
 Derandomized with ``database=None`` (see test_engine_properties).
 """
@@ -57,6 +60,16 @@ class _Wire:
 
     def send(self, packet: Packet) -> None:
         self.sent.append(packet.seq)
+
+
+class _AckLog:
+    """Reverse path that records each ACK's cumulative point and blocks."""
+
+    def __init__(self) -> None:
+        self.acks: List[Tuple[int, Tuple[Tuple[int, int], ...]]] = []
+
+    def send(self, packet: Packet) -> None:
+        self.acks.append((packet.ack_seq, packet.sack_blocks))
 
 
 class _Reference:
@@ -134,7 +147,7 @@ def test_sender_scoreboard_matches_brute_force(steps):
             ack_seq = min(una + advance, nxt)
             starts = [una + off % (nxt - una + 1) for off, _ in raw_blocks]
             blocks = [(lo, lo + length) for lo, (_, length) in zip(starts, raw_blocks)]
-            sender.send(Packet.ack(0, ack_seq, sack_blocks=tuple(blocks)))
+            sender.send(Packet(0, is_ack=True, ack_seq=ack_seq, sack_blocks=tuple(blocks)))
             ref.on_ack(ack_seq, nxt, blocks)
         ref.on_sent(nxt, wire.sent)
         _check(sender, ref)
@@ -169,9 +182,81 @@ _FRAGMENTS = st.lists(
 @PROPERTY_SETTINGS
 @given(fragments=_FRAGMENTS, trigger=st.one_of(st.none(), st.integers(0, 130)))
 def test_receiver_sack_blocks_match_list_scan(fragments, trigger):
-    receiver = TcpReceiver(Simulator(sanitize=False), 0)
+    receiver = TcpReceiver(Simulator(sanitize=False), 0, _AckLog())
     receiver._ooo = RangeSet(fragments)
     expected = _list_scan_sack_blocks(
         receiver._ooo.ranges(), trigger, TcpReceiver.MAX_SACK_BLOCKS
     )
     assert receiver._sack_blocks(trigger) == expected
+
+
+def _runs(values: Set[int]) -> List[Tuple[int, int]]:
+    """The maximal runs of ``values`` as ascending half-open ranges."""
+    runs: List[Tuple[int, int]] = []
+    for v in sorted(values):
+        if runs and runs[-1][1] == v:
+            runs[-1] = (runs[-1][0], v + 1)
+        else:
+            runs.append((v, v + 1))
+    return runs
+
+
+def _reference_receiver(arrivals: List[int], delayed_ack: bool):
+    """RFC 5681/2018 receiving over a set of received sequences.
+
+    Returns ``(rcv_nxt, duplicates, acks)``. A duplicate, an arrival
+    that leaves or finds data above the cumulative point, and one that
+    fills a hole (advancing it by more than one) are ACKed at once;
+    other in-order data every second segment (the delayed-ACK timer
+    never fires: the simulator is not run).
+    """
+    received: Set[int] = set()
+    rcv_nxt = duplicates = unacked = 0
+    acks: List[Tuple[int, Tuple[Tuple[int, int], ...]]] = []
+
+    def ack(trigger: int) -> None:
+        above = _runs({v for v in received if v >= rcv_nxt})
+        blocks = _list_scan_sack_blocks(above, trigger, TcpReceiver.MAX_SACK_BLOCKS)
+        acks.append((rcv_nxt, blocks))
+
+    for seq in arrivals:
+        if seq in received:
+            duplicates += 1
+            unacked = 0
+            ack(seq)
+            continue
+        received.add(seq)
+        prior = rcv_nxt
+        while rcv_nxt in received:
+            rcv_nxt += 1
+        buffered = any(v >= rcv_nxt for v in received)
+        if not delayed_ack or seq >= rcv_nxt or rcv_nxt - prior > 1 or buffered:
+            unacked = 0
+            ack(seq)
+            continue
+        unacked += 1
+        if unacked >= TcpReceiver.ACK_QUOTA:
+            unacked = 0
+            ack(seq)
+    return rcv_nxt, duplicates, acks
+
+
+# Sequences from a small space, so orders mix reordering, holes that
+# later fill, and duplicates both below and above the cumulative point.
+_ARRIVALS = st.lists(st.integers(0, 24), min_size=1, max_size=60)
+
+
+@PROPERTY_SETTINGS
+@given(arrivals=_ARRIVALS, delayed_ack=st.booleans())
+def test_receiver_matches_brute_force(arrivals, delayed_ack):
+    log = _AckLog()
+    receiver = TcpReceiver(Simulator(sanitize=False), 0, log, delayed_ack=delayed_ack)
+    for seq in arrivals:
+        receiver.send(Packet(0, seq))
+    rcv_nxt, duplicates, acks = _reference_receiver(arrivals, delayed_ack)
+    assert receiver.rcv_nxt == rcv_nxt
+    assert receiver.duplicate_packets == duplicates
+    assert receiver.received_packets == len(arrivals)
+    assert log.acks == acks
+    assert receiver.acks_sent == len(acks)
+    assert receiver._ooo.consistency_error() is None

@@ -193,16 +193,6 @@ def test_max_events_budget_is_cumulative_across_runs():
     assert sim.events_processed == 100
 
 
-def test_next_seed_stream_is_distinct_and_reproducible():
-    sim_a = Simulator()
-    sim_b = Simulator()
-    seeds_a = [sim_a.next_seed(0x4E45) for _ in range(32)]
-    seeds_b = [sim_b.next_seed(0x4E45) for _ in range(32)]
-    assert seeds_a == seeds_b  # pure function of construction order
-    assert len(set(seeds_a)) == 32  # no two components share a seed
-    assert sim_a.next_seed(0) != sim_a.next_seed(0)
-
-
 # ----------------------------------------------------------------------
 # Budget/stop boundary semantics (the latent interaction fixed alongside
 # the hot-path work): a budget that runs out exactly as the last due

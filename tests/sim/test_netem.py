@@ -22,7 +22,7 @@ def test_constant_delay():
     sim = Simulator()
     sink = Collector(sim)
     netem = NetemDelay(sim, 0.05, sink=sink)
-    netem.send(Packet.data(0, 0))
+    netem.send(Packet(0, 0))
     sim.run()
     assert sink.times == [pytest.approx(0.05)]
 
@@ -32,7 +32,7 @@ def test_jitter_stays_within_bounds():
     sink = Collector(sim)
     netem = NetemDelay(sim, 0.05, sink=sink, jitter=0.01, rng=random.Random(2))
     for _ in range(200):
-        netem.send(Packet.data(0, 0))
+        netem.send(Packet(0, 0))
     sim.run()
     assert all(0.04 - 1e-12 <= t <= 0.06 + 1e-12 for t in sink.times)
     assert len(set(round(t, 9) for t in sink.times)) > 50  # actually varies
@@ -46,7 +46,7 @@ def test_jitter_draw_matches_random_uniform():
     netem = NetemDelay(sim, 0.05, sink=sink, jitter=0.03, rng=random.Random(7))
     twin = random.Random(7)
     for _ in range(300):
-        netem.send(Packet.data(0, 0))
+        netem.send(Packet(0, 0))
     expected = sorted(0.05 + twin.uniform(-0.03, 0.03) for _ in range(300))
     sim.run()
     assert sink.times == expected
@@ -56,26 +56,33 @@ def test_zero_delay_is_synchronous():
     sim = Simulator()
     sink = Collector(sim)
     netem = NetemDelay(sim, 0.0, sink=sink)
-    netem.send(Packet.data(0, 1))
+    netem.send(Packet(0, 1))
     assert sink.times == [0.0]  # delivered without running the loop
 
 
 def test_rejects_negative_delay():
+    sim = Simulator()
     with pytest.raises(ValueError):
-        NetemDelay(Simulator(), -1.0)
+        NetemDelay(sim, -1.0, Collector(sim))
 
 
 def test_requires_sink():
-    with pytest.raises(RuntimeError):
-        NetemDelay(Simulator(), 0.1).send(Packet.data(0, 1))
+    # The sink is a required argument: an element is built after the
+    # element it forwards to, so it never forwards to nothing.
+    with pytest.raises(TypeError):
+        NetemDelay(Simulator(), 0.1)
 
 
 def test_validation():
     sim = Simulator()
+    sink = Collector(sim)
     with pytest.raises(ValueError):
-        NetemDelay(sim, 0.01, jitter=-0.001)
+        NetemDelay(sim, 0.01, sink, jitter=-0.001)
     with pytest.raises(ValueError):
-        NetemDelay(sim, 0.01, jitter=0.02)  # jitter > delay
+        NetemDelay(sim, 0.01, sink, jitter=0.02)  # jitter > delay
+    # Jitter draws from the caller's RNG only; there is no default seed.
+    with pytest.raises(ValueError, match="rng"):
+        NetemDelay(sim, 0.01, sink, jitter=0.005)
 
 
 def test_jitter_can_reorder_packets():
@@ -92,46 +99,11 @@ def test_jitter_can_reorder_packets():
     tagger = Tagger()
     netem = NetemDelay(sim, 0.05, sink=tagger, jitter=0.04, rng=random.Random(11))
     for seq in range(100):
-        sim.schedule_at(seq * 0.001, netem.send, Packet.data(0, seq))
+        sim.schedule_at(seq * 0.001, netem.send, Packet(0, seq))
     sim.run()
     arrival_seqs = [seq for _, seq in sorted(tagger.seen)]
     assert sorted(arrival_seqs) == list(range(100))  # nothing lost
     assert arrival_seqs != list(range(100))  # ...but order scrambled
-
-
-def jitter_delays(netem, n):
-    """The delays ``netem`` gives ``n`` packets sent back to back, in
-    send order."""
-    sim = netem.sim
-    arrivals = {}
-
-    class Stamp:
-        def send(self, packet):
-            arrivals[packet.seq] = sim.now
-
-    netem.sink = Stamp()
-    start = sim.now
-    for seq in range(n):
-        netem.send(Packet.data(0, seq))
-    sim.run()
-    return [arrivals[seq] - start for seq in range(n)]
-
-
-def test_default_rng_instances_are_decorrelated():
-    """Two netem elements built without an explicit RNG on the same sim
-    must not share a jitter sequence (the old fixed-seed fallback made
-    every instance's jitter identical)."""
-    sim = Simulator()
-    netem_a = NetemDelay(sim, 0.01, jitter=0.005)
-    netem_b = NetemDelay(sim, 0.01, jitter=0.005)
-    assert jitter_delays(netem_a, 400) != jitter_delays(netem_b, 400)
-
-
-def test_default_rng_is_reproducible_across_simulators():
-    def delays():
-        return jitter_delays(NetemDelay(Simulator(), 0.01, jitter=0.005), 300)
-
-    assert delays() == delays()
 
 
 def test_set_delay_changes_delivery_time_and_validates():
@@ -139,7 +111,7 @@ def test_set_delay_changes_delivery_time_and_validates():
     sink = Collector(sim)
     netem = NetemDelay(sim, 0.05, sink=sink)
     netem.set_delay(0.2)
-    netem.send(Packet.data(0, 0))
+    netem.send(Packet(0, 0))
     sim.run()
     assert sink.times == [pytest.approx(0.2)]
     with pytest.raises(ValueError):
@@ -153,6 +125,6 @@ def test_set_delay_clamps_inherited_jitter():
     netem.set_delay(0.01)  # old jitter would exceed the new delay
     assert netem.jitter <= netem.delay
     for _ in range(50):
-        netem.send(Packet.data(0, 0))
+        netem.send(Packet(0, 0))
     sim.run()
     assert all(t >= 0.0 for t in sink.times)

@@ -18,7 +18,9 @@ def test_build_wires_one_pair_per_flow(sim):
     assert ids == [0, 1, 2]
     for flow in d.flows:
         assert flow.sender.path is d.bottleneck
-        assert flow.receiver.reverse_path is not None
+        reverse = flow.receiver.reverse_path
+        assert isinstance(reverse, NetemDelay)
+        assert reverse.sink is flow.sender
 
 
 def test_requires_flows(sim):
@@ -43,6 +45,24 @@ def test_minimum_rtt_flow_reverse_path_is_pure_delay(sim):
     assert reverse.delay == 2 * BOTTLENECK_PROP_DELAY  # repro-lint: disable=RPR003
     assert reverse.jitter == 0.0
     assert reverse.sink is d.flows[0].sender
+
+
+def test_flows_draw_distinct_jitter(sim):
+    """Each flow's ACK-path element gets its own RNG: seeded from the
+    flow's jitter_seed, or from its flow id when that is unset. Two
+    flows never share a jitter sequence unless given the same seed."""
+    specs = [
+        FlowSpec(NewReno(), jitter=0.002),
+        FlowSpec(NewReno(), jitter=0.002),
+        FlowSpec(NewReno(), jitter=0.002, jitter_seed=0),
+    ]
+    d = build_dumbbell(sim, specs, bottleneck_bw_bps=mbps(10), buffer_bytes=100_000)
+    draws = [
+        [flow.receiver.reverse_path._rng.random() for _ in range(20)]
+        for flow in d.flows
+    ]
+    assert draws[0] != draws[1]
+    assert draws[0] == draws[2]  # flow 0's default seed is its id, 0
 
 
 def test_base_rtt_is_respected(sim):

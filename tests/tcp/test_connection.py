@@ -229,7 +229,7 @@ class TestAccounting:
 
         sender, _, _ = make_pipe(sim, NewReno())
         with pytest.raises(ValueError):
-            sender.send(Packet.data(0, 0))
+            sender.send(Packet(0, 0))
 
 
 class TestPacing:

@@ -31,14 +31,16 @@ class TestBasics:
 
     def test_add_single_range(self):
         rs = RangeSet()
-        rs.add(3, 7)
+        rs.fill(3, 7)
         assert rs.ranges() == [(3, 7)]
         assert len(rs) == 4
         assert 3 in rs and 6 in rs and 7 not in rs and 2 not in rs
 
-    def test_add_point(self):
+    def test_fill_point(self):
         rs = RangeSet()
-        rs.add_point(5)
+        assert rs.fill(5, 6) == [(5, 6)]
+        assert rs.ranges() == [(5, 6)]
+        assert rs.fill(5, 6) == []  # already covered: nothing new
         assert rs.ranges() == [(5, 6)]
 
     def test_merge_overlapping(self):
@@ -55,17 +57,17 @@ class TestBasics:
 
     def test_bridge_merges_three(self):
         rs = RangeSet([(1, 3), (7, 9)])
-        rs.add(3, 7)
+        rs.fill(3, 7)
         assert rs.ranges() == [(1, 9)]
 
     def test_empty_range_ignored(self):
         rs = RangeSet()
-        rs.add(4, 4)
+        assert rs.fill(4, 4) == []
         assert not rs
 
     def test_invalid_range_rejected(self):
         with pytest.raises(ValueError):
-            RangeSet().add(5, 3)
+            RangeSet().fill(5, 3)
 
     def test_equality(self):
         assert RangeSet([(1, 3)]) == RangeSet([(1, 2), (2, 3)])
@@ -83,12 +85,27 @@ class TestQueries:
         with pytest.raises(ValueError):
             RangeSet().max_value()
 
-    def test_contiguous_end_from(self):
+    def test_fill_extends_contiguous_run(self):
+        """What the receiver reads after filling its cumulative point:
+        the run holding a filled value ends where the cover ends."""
         rs = RangeSet([(2, 5), (7, 9)])
-        assert rs.contiguous_end_from(2) == 5
-        assert rs.contiguous_end_from(3) == 5
-        assert rs.contiguous_end_from(5) == 5  # not covered
-        assert rs.contiguous_end_from(7) == 9
+        assert rs.fill(3, 4) == []  # inside [2, 5): nothing new, no change
+        assert rs.ranges() == [(2, 5), (7, 9)]
+        assert rs.fill(5, 6) == [(5, 6)]  # touches [2, 5) and extends it
+        assert rs.ranges() == [(2, 6), (7, 9)]
+        assert rs.fill(6, 7) == [(6, 7)]  # bridges the gap to [7, 9)
+        assert rs.ranges() == [(2, 9)]
+
+    def test_fill_returns_holes(self):
+        rs = RangeSet([(2, 4), (6, 8)])
+        assert rs.fill(0, 10) == [(0, 2), (4, 6), (8, 10)]
+        assert rs.ranges() == [(0, 10)]
+        rs = RangeSet([(5, 8)])
+        assert rs.fill(2, 5) == [(2, 5)]  # touching at the end merges
+        assert rs.ranges() == [(2, 8)]
+        rs = RangeSet([(1, 3), (10, 12)])
+        assert rs.fill(5, 7) == [(5, 7)]  # between ranges, touching neither
+        assert rs.ranges() == [(1, 3), (5, 7), (10, 12)]
 
     def test_holes_between(self):
         rs = RangeSet([(2, 4), (6, 8)])
@@ -125,7 +142,7 @@ class TestProperties:
         rs = RangeSet()
         model = set()
         for start, end in ranges:
-            rs.add(start, end)
+            rs.fill(start, end)
             model.update(range(start, end))
         assert as_set(rs) == model
         assert len(rs) == len(model)

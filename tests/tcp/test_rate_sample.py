@@ -175,7 +175,7 @@ class _Harness:
         sender = self.sender
         una, nxt, pipe = sender.snd_una, sender.snd_nxt, sender.in_flight
         before = len(self.cca.samples)
-        sender.send(Packet.ack(0, ack_seq, sack_blocks=blocks))
+        sender.send(Packet(0, is_ack=True, ack_seq=ack_seq, sack_blocks=blocks))
         [rs] = self.cca.samples[before:]
         expected = self.ref.on_ack(at, una, nxt, ack_seq, blocks, sender.rtt.min_rtt)
         assert {name: getattr(rs, name) for name in expected} == expected

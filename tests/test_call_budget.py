@@ -57,7 +57,7 @@ def edge_bbr() -> Scenario:
 CASES: Dict[str, Callable[[], Scenario]] = {"core-loss": core_loss, "edge-bbr": edge_bbr}
 
 #: Pinned src/repro calls per executed event.
-BUDGETS = {"core-loss": 6.3456, "edge-bbr": 6.5485}
+BUDGETS = {"core-loss": 5.596, "edge-bbr": 5.8561}
 
 
 def repro_calls_per_event(scenario: Scenario) -> float:
