@@ -1,0 +1,589 @@
+#!/usr/bin/env python
+"""Regenerate every table and figure of Philip et al. (IMC 2021) that the
+reproduction checks, plus its extension and ablations.
+
+``ENTRIES`` holds one entry per table, figure, extension or ablation:
+the scenarios (operating points) it needs, and a report that prints its
+table and returns its shape checks. ``main`` runs the scenarios of every
+selected entry in one :func:`repro.runstore.run_jobs` call, so a point
+that several entries share simulates once (the NewReno "mathis" family
+serves Table 1, Figs 2 and 3 and the burstiness table).
+
+Usage::
+
+    python benchmarks/findings.py               # every entry
+    python benchmarks/findings.py fig5 table1   # a subset, by entry name
+
+The last stdout line is the sweep's ``SweepStats`` as JSON. The exit
+status is 1 when a check failed or a scenario produced no result,
+decided after every report has run.
+
+Results live in the run store under ``benchmarks/_cache/``. Its
+smoke-profile objects are committed; the directory is in ``.gitignore``
+so that local objects never churn in diffs. To publish refreshed objects
+after a physics change, ``git add -f benchmarks/_cache/objects/<key>.pkl``.
+
+Three environment knobs:
+
+- ``REPRO_BENCH_PROFILE``: ``smoke`` (minutes; tiny flow counts and
+  short runs, so shapes are noisy and only Table 1's check runs),
+  ``quick`` (the default: full flow-count sweeps, the RTT sweep only on
+  Fig 4, where RTT is the finding) or ``full`` (full RTT sweeps
+  everywhere, longer runs).
+- ``REPRO_BENCH_SCALE`` (default 50, 200 under ``smoke``) divides the
+  paper's 10 Gbps and 1000-5000 flows down to a tractable operating
+  point with the same per-flow share and buffer per BDP (DESIGN.md §3).
+- ``REPRO_BENCH_FRESH=1`` ignores stored results and re-simulates.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import sys
+from functools import partial
+from typing import Callable, Dict, Hashable, List, NamedTuple, Optional, Sequence, Tuple
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+sys.path.insert(0, os.path.join(os.path.dirname(HERE), "src"))
+
+from repro.analysis.burstiness import windowed_burstiness  # noqa: E402  (path bootstrap above)
+from repro.analysis.mathis_fit import fit_mathis  # noqa: E402
+from repro.analysis.stats import median  # noqa: E402
+from repro.analysis.throughput import loss_to_halving_ratio  # noqa: E402
+from repro.core.results import ExperimentResult  # noqa: E402
+from repro.core.scenarios import FlowGroup, Scenario  # noqa: E402
+from repro.models.ware_bbr import predict_bbr_share  # noqa: E402
+from repro.runstore import Job, RunStore, run_jobs  # noqa: E402
+from repro.units import MSS, bdp_bytes, gbps, mbps, megabytes  # noqa: E402
+
+CACHE_DIR = os.path.join(HERE, "_cache")
+
+PROFILE = os.environ.get("REPRO_BENCH_PROFILE", "quick")
+SCALE = int(os.environ.get("REPRO_BENCH_SCALE", "200" if PROFILE == "smoke" else "50"))
+
+#: Paper sweep points.
+CORE_COUNTS = (1000, 3000, 5000)
+EDGE_COUNTS = (10, 30, 50)
+RTTS_ALL = (0.020, 0.100, 0.200)
+
+#: (duration, warmup) in seconds per scenario family.
+if PROFILE == "smoke":
+    DUR = {"mathis": (20.0, 6.0), "fig4": (20.0, 6.0), "share": (20.0, 6.0),
+           "bbr_single": (30.0, 8.0), "intra": (20.0, 6.0), "ablation": (20.0, 6.0)}
+    FIG_RTTS: Tuple[float, ...] = (0.020,)
+    FIG4_RTTS: Tuple[float, ...] = (0.020,)
+elif PROFILE == "full":
+    DUR = {"mathis": (90.0, 30.0), "fig4": (120.0, 40.0), "share": (150.0, 50.0),
+           "bbr_single": (180.0, 60.0), "intra": (150.0, 40.0), "ablation": (120.0, 40.0)}
+    FIG_RTTS = RTTS_ALL
+    FIG4_RTTS = RTTS_ALL
+else:  # quick
+    DUR = {"mathis": (60.0, 20.0), "fig4": (80.0, 30.0), "share": (100.0, 35.0),
+           "bbr_single": (150.0, 50.0), "intra": (110.0, 30.0), "ablation": (80.0, 30.0)}
+    FIG_RTTS = (0.020,)
+    FIG4_RTTS = RTTS_ALL
+
+#: An entry's operating points and their results, under the entry's own keys.
+Points = Dict[Hashable, Scenario]
+Results = Dict[Hashable, ExperimentResult]
+#: One shape check: whether it held, and the message printed if not.
+Check = Tuple[bool, str]
+
+
+class Entry(NamedTuple):
+    points: Callable[[], Points]
+    #: Prints the entry's table and returns its shape checks.
+    report: Callable[[Results], List[Check]]
+    #: Check in the smoke profile too, not only in quick and full.
+    always_check: bool = False
+
+
+def core(
+    groups: Sequence[Tuple[str, int, float]],
+    family: str,
+    name: str,
+    seed: int,
+    buffer_bdp: float = 1.0,
+    **overrides: bool,
+) -> Scenario:
+    """A CoreScale scenario; group counts are *paper* counts, scaled here."""
+    duration, warmup = DUR[family]
+    bw = gbps(10) / SCALE
+    return Scenario(
+        name=name,
+        bottleneck_bw_bps=bw,
+        buffer_bytes=max(1, int(buffer_bdp * bdp_bytes(bw, 0.200))),
+        groups=tuple(FlowGroup(cca, max(1, count // SCALE), rtt) for cca, count, rtt in groups),
+        duration=duration,
+        warmup=warmup,
+        stagger_max=min(5.0, warmup * 0.5),
+        seed=seed,
+        **overrides,
+    )
+
+
+def edge(groups: Sequence[Tuple[str, int, float]], family: str, name: str, seed: int) -> Scenario:
+    """An EdgeScale scenario: 100 Mbps and a 3 MB buffer, unscaled counts."""
+    duration, warmup = DUR[family]
+    return Scenario(
+        name=name,
+        bottleneck_bw_bps=mbps(100),
+        buffer_bytes=megabytes(3),
+        groups=tuple(FlowGroup(cca, count, rtt) for cca, count, rtt in groups),
+        duration=duration,
+        warmup=warmup,
+        stagger_max=min(5.0, warmup * 0.5),
+        seed=seed,
+    )
+
+
+def ms(rtt: float) -> str:
+    return f"{int(rtt * 1000)}ms"
+
+
+def fmt(x: float, digits: int = 2) -> str:
+    return f"{x:.{digits}f}"
+
+
+def fmt_pct(x: float) -> str:
+    return f"{100 * x:.1f}%"
+
+
+def print_table(title: str, headers: Sequence[str], rows: Sequence[Sequence[object]]) -> None:
+    """Print an aligned text table (the output a paper row maps to)."""
+    str_rows = [[str(c) for c in row] for row in rows]
+    widths = [
+        max(len(h), *(len(r[i]) for r in str_rows)) if str_rows else len(h)
+        for i, h in enumerate(headers)
+    ]
+    line = "  ".join(h.ljust(w) for h, w in zip(headers, widths))
+    print(f"\n== {title} ==")
+    print(line)
+    print("-" * len(line))
+    for row in str_rows:
+        print("  ".join(c.ljust(w) for c, w in zip(row, widths)))
+
+
+def drop_burstiness(result: ExperimentResult) -> float:
+    """Median Goh-Barabási score of the drop times over 2 s windows (the
+    paper reports medians of windowed scores)."""
+    windows = windowed_burstiness(result.drop_times, 2.0)
+    return median(windows) if windows else float("nan")
+
+
+# Table 1, Figs 2-3 and burstiness share one NewReno family at 20 ms.
+
+def mathis_points() -> Points:
+    """NewReno intra-CCA runs, Core then Edge sweep, keyed (setting, count)."""
+    points: Points = {
+        ("core", n): core([("newreno", n, 0.020)], "mathis", f"mathis-core-{n}", seed=21)
+        for n in CORE_COUNTS
+    }
+    for n in EDGE_COUNTS:
+        points["edge", n] = edge([("newreno", n, 0.020)], "mathis", f"mathis-edge-{n}", seed=21)
+    return points
+
+
+def setting_rows(cells: Dict[Hashable, List[str]]) -> List[List[str]]:
+    """Rows ``CoreScale n`` then ``EdgeScale n`` of a mathis-family table."""
+    return [[f"CoreScale {n}", *cells["core", n]] for n in CORE_COUNTS] + [
+        [f"EdgeScale {n}", *cells["edge", n]] for n in EDGE_COUNTS
+    ]
+
+
+def table1(r: Results) -> List[Check]:
+    """Table 1: the Mathis constant C fitted per setting (the paper pools
+    EdgeScale into one column). Paper: loss-rate C depends on setting and
+    count (Edge 1.78, Core 3.95/3.64/3.24), halving-rate C does not (Edge
+    1.47, Core 1.36/1.36/1.34)."""
+    edge_obs = [o for n in EDGE_COUNTS for o in r["edge", n].observations()]
+    consts = {
+        interp: (
+            fit_mathis(edge_obs, interp, MSS).constant,
+            {n: fit_mathis(r["core", n].observations(), interp, MSS).constant for n in CORE_COUNTS},
+        )
+        for interp in ("loss", "halving")
+    }
+    print_table(
+        "Table 1: Mathis constant C (EdgeScale vs CoreScale flow counts)",
+        ["p interpretation", "EdgeScale"] + [f"Core {n}" for n in CORE_COUNTS],
+        [[label, fmt(consts[interp][0])] + [fmt(consts[interp][1][n]) for n in CORE_COUNTS]
+         for interp, label in (("loss", "Packet Loss"), ("halving", "CWND Halving"))],
+    )
+    # Finding 1: the halving-rate constant stays closer to its edge value
+    # than the loss-rate constant does, i.e. it transfers across settings.
+    spread = {
+        interp: max(abs(c - edge_c) / edge_c for c in core_cs.values())
+        for interp, (edge_c, core_cs) in consts.items()
+    }
+    return [(
+        spread["halving"] < spread["loss"],
+        f"halving-rate C should be more stable across settings "
+        f"(halving spread {spread['halving']:.2f}, loss spread {spread['loss']:.2f})",
+    )] + [
+        (0.1 < c < 20, f"{interp}-rate C {c:.2f} outside (0.1, 20)")
+        for interp, (edge_c, core_cs) in consts.items()
+        for c in (edge_c, *core_cs.values())
+    ]
+
+
+def fig2(r: Results) -> List[Check]:
+    """Fig 2: median per-flow Mathis prediction error, C fitted per point.
+    Paper: at CoreScale within 10% with p = halving rate but 45-55% off
+    with p = loss rate; at EdgeScale both are accurate."""
+    err = {
+        (key, interp): fit_mathis(result.observations(), interp, MSS).median_error
+        for key, result in r.items()
+        for interp in ("loss", "halving")
+    }
+    print_table(
+        "Fig 2: median Mathis prediction error",
+        ["setting", "p = packet loss rate", "p = CWND halving rate"],
+        setting_rows({key: [fmt_pct(err[key, "loss"]), fmt_pct(err[key, "halving"])] for key in r}),
+    )
+    # Finding 2: at CoreScale the halving rate predicts better everywhere.
+    return [
+        (err[("core", n), "halving"] < err[("core", n), "loss"],
+         f"halving-rate should predict better at core count={n}")
+        for n in CORE_COUNTS
+    ]
+
+
+def fig3(r: Results) -> List[Check]:
+    """Fig 3: packet losses per CWND halving. Paper: ~1.7 at EdgeScale, 6-9
+    at CoreScale, where burst drops cost several packets per congestion
+    response, so the loss rate stops being a valid Mathis p (Finding 3)."""
+    ratios = {
+        key: loss_to_halving_ratio(result.queue_drops, result.total_congestion_events)
+        for key, result in r.items()
+    }
+    print_table(
+        "Fig 3: packet losses per CWND halving event",
+        ["setting", "loss/halving ratio"],
+        setting_rows({key: [fmt(value)] for key, value in ratios.items()}),
+    )
+    core_mean = sum(ratios["core", n] for n in CORE_COUNTS) / len(CORE_COUNTS)
+    edge_mean = sum(ratios["edge", n] for n in EDGE_COUNTS) / len(EDGE_COUNTS)
+    return [(core_mean > edge_mean,
+             f"core ratio ({core_mean:.2f}) should exceed edge ratio ({edge_mean:.2f})")] + [
+        (value >= 1.0, f"{key} loses fewer than one packet per halving: {value:.2f}")
+        for key, value in ratios.items()
+    ]
+
+
+def burstiness(r: Results) -> List[Check]:
+    """Loss burstiness (paper §4, figure not shown). Paper: median
+    Goh-Barabási score ~0.2 at EdgeScale, ~0.35 at CoreScale, supporting
+    bursty drops as the cause of the loss/halving divergence."""
+    score = {key: drop_burstiness(result) for key, result in r.items()}
+    print_table(
+        "Goh-Barabási burstiness of bottleneck drops (paper: ~0.2 edge, ~0.35 core)",
+        ["setting", "median burstiness"],
+        setting_rows({key: [fmt(value)] for key, value in score.items()}),
+    )
+    return [
+        (-1.0 <= value <= 1.0, f"{setting}/{n} burstiness out of range")
+        for (setting, n), value in score.items()
+    ] + [(median([score["core", n] for n in CORE_COUNTS]) > 0.0,
+          "drops at scale should be burstier than periodic")]
+
+
+# Fairness: Fig 4 and Finding 4.
+
+def fig4_points() -> Points:
+    points: Points = {}
+    for rtt in FIG4_RTTS:
+        for n in CORE_COUNTS:
+            points["core", n, rtt] = core([("bbr", n, rtt)], "fig4",
+                                          f"fig4-core-{n}-{ms(rtt)}", seed=31)
+        for n in EDGE_COUNTS:
+            points["edge", n, rtt] = edge([("bbr", n, rtt)], "fig4",
+                                          f"fig4-edge-{n}-{ms(rtt)}", seed=31)
+    return points
+
+
+def fig4(r: Results) -> List[Check]:
+    """Fig 4: BBR intra-CCA JFI. Finding 5: fair at low counts (~0.99 in
+    past work), unfair at scale (as low as 0.4), milder at EdgeScale (~0.7)."""
+    jfi = {key: result.jfi() for key, result in r.items()}
+    for setting, label, counts in (("core", "CoreScale", CORE_COUNTS),
+                                   ("edge", "EdgeScale", EDGE_COUNTS)):
+        print_table(
+            f"Fig 4 ({label}): BBR intra-CCA JFI",
+            ["flows"] + [ms(rtt) for rtt in FIG4_RTTS] + ["past work"],
+            [[str(n)] + [fmt(jfi[setting, n, rtt], 3) for rtt in FIG4_RTTS] + [fmt(0.99)]
+             for n in counts],
+        )
+    worst = min(jfi.values())
+    return [(worst < 0.9, f"expected BBR intra-CCA unfairness, worst JFI {worst:.3f}")] + [
+        (0.0 < value <= 1.0, f"{key} JFI {value:.3f} outside (0, 1]") for key, value in jfi.items()
+    ]
+
+
+def intra(r: Results) -> List[Check]:
+    """Finding 4 (figure not shown): NewReno and Cubic keep JFI > 0.99 at
+    CoreScale; only BBR (Fig 4) breaks at scale."""
+    jfi = {key: result.jfi() for key, result in r.items()}
+    print_table(
+        "Finding 4: loss-based intra-CCA JFI at CoreScale (paper: >0.99)",
+        ["cca"] + [f"{n} flows" for n in CORE_COUNTS],
+        [[cca] + [fmt(jfi[cca, n], 3) for n in CORE_COUNTS] for cca in ("newreno", "cubic")],
+    )
+    # The paper's >0.99 comes from 3-hour runs; shorter windows still sit
+    # inside Cubic's slow convergence (epochs are seconds long), so this
+    # checks for the absence of systematic unfairness, not convergence.
+    series = {cca: [jfi[cca, n] for n in CORE_COUNTS] for cca in ("newreno", "cubic")}
+    return [(value > 0.7, f"{key} unexpectedly unfair: JFI {value:.3f}")
+            for key, value in jfi.items()] + [
+        (max(values) > 0.9, f"{cca} never approaches fairness: {values}")
+        for cca, values in series.items()
+    ]
+
+
+# Inter-CCA shares: Figs 5-8, keyed (count, rtt).
+
+def share_points(groups: Callable[[int, float], List[Tuple[str, int, float]]],
+                 family: str, tag: str, seed: int) -> Points:
+    return {
+        (n, rtt): core(groups(n, rtt), family, f"{tag}-{n}-{ms(rtt)}", seed=seed)
+        for rtt in FIG_RTTS
+        for n in CORE_COUNTS
+    }
+
+
+def half_split(cca: str, rival: str, tag: str, seed: int) -> Points:
+    """Equal-count ``cca`` vs ``rival`` over the Core sweep."""
+    return share_points(lambda n, rtt: [(cca, n // 2, rtt), (rival, n // 2, rtt)],
+                        "share", tag, seed)
+
+
+def one_bbr_points(rival: str, tag: str) -> Points:
+    """One *actual* BBR flow (paper count SCALE) against the scaled rival
+    count, the paper's single-flow construction."""
+    return share_points(lambda n, rtt: [("bbr", SCALE, rtt), (rival, n - SCALE, rtt)],
+                        "bbr_single", tag, 61)
+
+
+def print_shares(title: str, share: Dict[Hashable, float], refs: Dict[str, float]) -> None:
+    """One row per Core count: the share at each RTT, then reference lines."""
+    print_table(
+        title,
+        ["flows"] + [ms(rtt) for rtt in FIG_RTTS] + list(refs),
+        [[str(n)] + [fmt_pct(share[n, rtt]) for rtt in FIG_RTTS]
+         + [fmt_pct(x) for x in refs.values()] for n in CORE_COUNTS],
+    )
+
+
+def fig5(r: Results) -> List[Check]:
+    """Fig 5, Finding 8: Cubic takes 70-80% against as many NewReno flows,
+    as Ha et al. found at the edge."""
+    share = {key: result.shares()["cubic"] for key, result in r.items()}
+    print_shares("Fig 5: Cubic share of throughput vs equal NewReno (paper: 70-80%)",
+                 share, {"home link": 0.80})
+    return [(value > 0.5, f"Cubic should out-compete NewReno at {key}: {value:.2%}")
+            for key, value in share.items()]
+
+
+def one_bbr(rival: str, figure: str, r: Results) -> List[Check]:
+    """Figs 6 and 7, Finding 6: one BBR flow takes ~40% against thousands
+    of NewReno or Cubic flows whatever their count (Ware et al.'s model)."""
+    share = {key: result.shares()["bbr"] for key, result in r.items()}
+    print_shares(f"{figure}: 1 BBR flow's share vs {rival} (paper: ~40%, flat in count)",
+                 share, {"home link": 0.40, "Ware model": predict_bbr_share(1.0)})
+    # The flow far exceeds its fair share, one scaled flow among n/SCALE.
+    return [
+        (value > 4 * SCALE / n, f"BBR at {n} flows/{rtt * 1000:.0f}ms took {value:.2%}, "
+         f"expected well above fair share {SCALE / n:.2%}")
+        for (n, rtt), value in share.items()
+    ]
+
+
+def bbr_half(rival: str, panel: str, r: Results) -> List[Check]:
+    """Fig 8, Finding 7: against as many NewReno (8a) or Cubic (8b) flows,
+    the BBR half takes up to 99.9% of throughput at scale."""
+    share = {key: result.shares()["bbr"] for key, result in r.items()}
+    print_shares(f"Fig 8{panel}: BBR aggregate share vs equal {rival} (paper: up to 99.9%)",
+                 share, {"home link": 0.95})
+    # The simulator reproduces a clear BBR advantage but parks lower than
+    # 99.9% (EXPERIMENTS.md), so check the direction only.
+    values = list(share.values())
+    mean = sum(values) / len(values)
+    return [
+        (min(values) > 0.25, f"BBR aggregate collapsed vs {rival}: {min(values):.2%}"),
+        (mean > 0.35, f"BBR aggregate should be advantaged vs {rival}: mean {mean:.2%}"),
+    ]
+
+
+# The BBRv2 extension and the ablations, all at CoreScale and 20 ms.
+
+def bbr2_points() -> Points:
+    points: Points = {}
+    for n in CORE_COUNTS:
+        points["intra", n] = core([("bbr2", n, 0.020)], "fig4", f"ext-bbr2-intra-{n}", seed=71)
+        points["reno", n] = core([("bbr2", n // 2, 0.020), ("newreno", n // 2, 0.020)],
+                                 "share", f"ext-bbr2-v-reno-{n}", seed=71)
+    return points
+
+
+def bbr2(r: Results) -> List[Check]:
+    """BBRv2, the paper's future-work pointer, through the Fig 4 and Fig 8a
+    constructions. Expected: v2's loss response makes it fairer to itself
+    and far less brutal to loss-based flows than v1."""
+    jfi = {n: r["intra", n].jfi() for n in CORE_COUNTS}
+    share = {n: r["reno", n].shares()["bbr2"] for n in CORE_COUNTS}
+    print_table(
+        "Extension: BBRv2 at CoreScale (20 ms) — intra JFI and share vs equal NewReno",
+        ["flows", "intra JFI", "share vs reno"],
+        [[str(n), fmt(jfi[n], 3), fmt_pct(share[n])] for n in CORE_COUNTS],
+    )
+    return [(0.0 < jfi[n] <= 1.0, f"{n} flows: JFI {jfi[n]:.3f} outside (0, 1]")
+            for n in CORE_COUNTS] + [
+        (0.0 <= share[n] <= 1.0, f"{n} flows: share {share[n]:.2%} outside [0, 1]")
+        for n in CORE_COUNTS
+    ] + [  # v2 backs off on loss: it must not starve the loss-based half as v1 can.
+        (max(share.values()) < 0.95,
+         f"BBRv2 starves NewReno: share up to {max(share.values()):.2%}"),
+    ]
+
+
+def ablation_buffer(r: Results) -> List[Check]:
+    """Buffer size at the 5000-flow NewReno point. The paper fixes ~1 BDP,
+    citing Appenzeller et al. that smaller buffers suffice at scale; this
+    shows how much Finding 3 depends on that choice."""
+    print_table(
+        "Ablation: buffer size at the 5000-flow NewReno CoreScale point",
+        ["buffer", "utilization", "loss rate", "loss/halving"],
+        [[f"{frac} BDP", fmt_pct(result.utilization), fmt_pct(result.aggregate_loss_rate),
+          fmt(loss_to_halving_ratio(result.queue_drops, max(1, result.total_congestion_events)))]
+         for frac, result in r.items()],
+    )
+    # Appenzeller: fractional-BDP buffers keep utilization high when
+    # thousands of desynchronised flows share the link. Smaller ones drop more.
+    return [(result.utilization > 0.7,
+             f"utilization collapsed at {frac} BDP: {result.utilization:.2%}")
+            for frac, result in r.items()] + [
+        (r[0.25].aggregate_loss_rate >= r[1.0].aggregate_loss_rate,
+         "a 0.25 BDP buffer should drop at least as much as a 1 BDP one"),
+    ]
+
+
+def ablation_delack(r: Results) -> List[Check]:
+    """Delayed ACKs and the fitted (halving-rate) Mathis constant. With
+    per-packet ACKs NewReno grows twice as fast, so C should rise: the fit
+    responds to stack configuration as Mathis et al.'s model family says."""
+    c = {delayed: fit_mathis(result.observations(), "halving", MSS).constant
+         for delayed, result in r.items()}
+    print_table(
+        "Ablation: fitted Mathis C (halving rate) vs ACK policy",
+        ["delayed ACKs", "fitted C"],
+        [["on", fmt(c[True])], ["off", fmt(c[False])]],
+    )
+    return [(c[False] > c[True], "per-packet ACKing should raise the fitted constant "
+             f"(got on={c[True]:.2f}, off={c[False]:.2f})")]
+
+
+def ablation_qdisc(r: Results) -> List[Check]:
+    """Drop-tail vs RED at the 3000-flow NewReno point. The paper blames
+    bursty tail drops for the loss/halving divergence; RED breaks bursts,
+    so it should not raise the ratio. The paper's testbed could not run it."""
+    ratios = {name: loss_to_halving_ratio(result.queue_drops,
+                                          max(1, result.total_congestion_events))
+              for name, result in r.items()}
+    print_table(
+        "Ablation: queue discipline at the 3000-flow NewReno CoreScale point",
+        ["qdisc", "loss/halving", "burstiness", "utilization"],
+        [[name, fmt(ratios[name]), fmt(drop_burstiness(result)), fmt(result.utilization, 3)]
+         for name, result in r.items()],
+    )
+    return [(ratios["red"] <= ratios["droptail"] * 1.5,
+             "RED should not make losses substantially burstier than drop-tail")]
+
+
+def newreno_3000(tag: str, seed: int, **overrides: bool) -> Scenario:
+    return core([("newreno", 3000, 0.020)], "ablation", f"ablate-{tag}", seed, **overrides)
+
+
+ENTRIES: Dict[str, Entry] = {
+    "table1": Entry(mathis_points, table1, always_check=True),
+    "fig2": Entry(mathis_points, fig2),
+    "fig3": Entry(mathis_points, fig3),
+    "burstiness": Entry(mathis_points, burstiness),
+    "fig4": Entry(fig4_points, fig4),
+    "intra": Entry(lambda: {
+        (cca, n): core([(cca, n, 0.020)], "intra", f"intra-{cca}-{n}", seed=41)
+        for cca in ("newreno", "cubic") for n in CORE_COUNTS
+    }, intra),
+    "fig5": Entry(partial(half_split, "cubic", "newreno", "fig5", 51), fig5),
+    "fig6": Entry(partial(one_bbr_points, "newreno", "fig6"), partial(one_bbr, "NewReno", "Fig 6")),
+    "fig7": Entry(partial(one_bbr_points, "cubic", "fig7"), partial(one_bbr, "Cubic", "Fig 7")),
+    "fig8a": Entry(partial(half_split, "bbr", "newreno", "fig8-newreno", 81),
+                   partial(bbr_half, "NewReno", "a")),
+    "fig8b": Entry(partial(half_split, "bbr", "cubic", "fig8-cubic", 81),
+                   partial(bbr_half, "Cubic", "b")),
+    "ext-bbr2": Entry(bbr2_points, bbr2),
+    "ablation-buffer": Entry(lambda: {
+        frac: core([("newreno", 5000, 0.020)], "ablation", f"ablate-buffer-{frac}",
+                   seed=91, buffer_bdp=frac)
+        for frac in (0.25, 0.5, 1.0)
+    }, ablation_buffer),
+    "ablation-delack": Entry(lambda: {
+        delayed: newreno_3000(f"delack-{delayed}", 92, delayed_ack=delayed)
+        for delayed in (True, False)
+    }, ablation_delack),
+    "ablation-qdisc": Entry(lambda: {
+        name: newreno_3000(f"qdisc-{name}", 93, use_red_queue=name == "red")
+        for name in ("droptail", "red")
+    }, ablation_qdisc),
+}
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    parser = argparse.ArgumentParser(
+        description="Regenerate the paper's tables and run their shape checks.",
+        epilog="entries: " + " ".join(ENTRIES),
+    )
+    parser.add_argument("entries", nargs="*", metavar="ENTRY",
+                        help="entries to run (default: all)")
+    args = parser.parse_args(argv)
+    unknown = [name for name in args.entries if name not in ENTRIES]
+    if unknown:
+        parser.error(f"unknown entries {unknown}; choose from {list(ENTRIES)}")
+    selected = [name for name in ENTRIES if name in args.entries] or list(ENTRIES)
+
+    points = {name: ENTRIES[name].points() for name in selected}
+    scenarios: Dict[str, Scenario] = {}
+    for entry_points in points.values():
+        for sc in entry_points.values():
+            if scenarios.setdefault(sc.name, sc) != sc:
+                raise ValueError(f"two different scenarios are named {sc.name!r}")
+    outcome = run_jobs(
+        [Job(sc) for sc in scenarios.values()],
+        store=RunStore(CACHE_DIR),
+        fresh=bool(os.environ.get("REPRO_BENCH_FRESH")),
+        strict=False,
+    )
+    results = dict(zip(scenarios, outcome.results))
+    for failure in outcome.failures:
+        print(f"FAILED job {failure.render()}", file=sys.stderr)
+
+    failed = bool(outcome.failures)
+    for name in selected:
+        entry_results = {key: results[sc.name] for key, sc in points[name].items()}
+        if any(result is None for result in entry_results.values()):
+            print(f"\n== {name}: not reported, a scenario produced no result ==")
+            failed = True
+            continue
+        checks = ENTRIES[name].report(entry_results)
+        if ENTRIES[name].always_check or PROFILE != "smoke":
+            for ok, message in checks:
+                if not ok:
+                    print(f"CHECK FAILED [{name}] {message}")
+                    failed = True
+    print(json.dumps(outcome.stats.to_json()))
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -6,7 +6,9 @@ every counter, every event count. This module defines
 
 - a canonical, lossless serialisation of an
   :class:`~repro.core.results.ExperimentResult` (floats rendered with
-  :meth:`float.hex`, keys sorted) and its sha256 digest;
+  :meth:`float.hex`, keys sorted) and its sha256 digest, which covers
+  every physical result but not ``events_processed``: callers that
+  check equivalence compare the event count beside the digest;
 - the eight canonical golden scenarios (two EdgeScale points, two
   CoreScale quick points, one faulted run, one BBR/NewReno mix, one
   BBRv1/BBRv2/Cubic mix that reaches PROBE_RTT and one run behind a RED
@@ -37,7 +39,9 @@ from .scenarios import FlowGroup, Scenario, core_scale, edge_scale
 
 #: Bump when the canonical serialisation itself changes shape (never for
 #: physics changes — those regenerate hashes at the same format).
-GOLDEN_FORMAT = 1
+#: Format 2 leaves ``events_processed`` out of the digest; the corpus pins
+#: it as its own ``events`` field.
+GOLDEN_FORMAT = 2
 
 #: Row cap for golden traces: keeps the committed artifacts small while
 #: still pinning the exact event-by-event behaviour of the opening
@@ -69,7 +73,10 @@ def _canon(obj: Any) -> Any:
 
 
 def canonical_result_dict(result: ExperimentResult) -> Dict[str, Any]:
-    """Every result field that must stay byte-identical, canonicalised."""
+    """Every physical result field that must stay byte-identical,
+    canonicalised. ``events_processed`` is left out: how many events
+    carry the physics is pinned apart from the physics itself, so a
+    change that only alters the event count keeps every digest."""
     return {
         "scenario": _canon(dataclasses.asdict(result.scenario)),
         "flows": [_canon(dataclasses.asdict(f)) for f in result.flows],
@@ -77,7 +84,6 @@ def canonical_result_dict(result: ExperimentResult) -> Dict[str, Any]:
         "queue_drops": result.queue_drops,
         "queue_arrivals": result.queue_arrivals,
         "drop_times": _canon(result.drop_times),
-        "events_processed": result.events_processed,
         "health": _canon(result.health.to_json()) if result.health else None,
     }
 
@@ -182,28 +188,28 @@ def run_golden(
 
 
 def drift_report(expected: Dict[str, Any], actual: ExperimentResult) -> str:
-    """Explain a golden mismatch: drift (intentional) vs breakage.
+    """Explain a golden mismatch: which of the result digest and the event
+    count moved, and what each means.
 
     ``expected`` is one scenario's committed entry from ``hashes.json``
-    (``result_sha256`` plus the coarse ``events``/``queue_drops``
-    fingerprints recorded for exactly this diagnosis).
+    (``result_sha256``, ``events`` and the ``queue_drops`` fingerprint
+    recorded for this diagnosis).
     """
-    lines = ["golden digest mismatch:"]
-    exp_events = expected.get("events")
-    if exp_events is not None and exp_events != actual.events_processed:
+    digest_moved = result_digest(actual) != expected["result_sha256"]
+    events_moved = actual.events_processed != expected["events"]
+    lines = ["golden mismatch:"]
+    if digest_moved:
         lines.append(
-            f"  - events_processed changed: {exp_events} -> "
-            f"{actual.events_processed}. The event *structure* of the run "
-            "diverged — packets or timers are being scheduled differently. "
-            "For a pure performance refactor this is breakage: the "
-            "optimized path must replay the exact same event sequence."
+            "  - result digest changed: a physical result diverged (a flow "
+            "counter, goodput, a drop time or the health record). For a "
+            "refactor this is breakage, e.g. reordered float arithmetic, a "
+            "changed accumulator or an observer mutating state."
         )
-    else:
+    if events_moved:
         lines.append(
-            "  - events_processed is unchanged, so the event structure "
-            "still matches; a measurement or floating-point result "
-            "diverged instead (e.g. reordered float arithmetic, a "
-            "changed accumulator, or an observer mutating state)."
+            f"  - events_processed changed: {expected['events']} -> "
+            f"{actual.events_processed}; packets or timers are scheduled "
+            "differently."
         )
     exp_drops = expected.get("queue_drops")
     if exp_drops is not None and exp_drops != actual.queue_drops:
@@ -211,12 +217,20 @@ def drift_report(expected: Dict[str, Any], actual: ExperimentResult) -> str:
             f"  - queue_drops changed: {exp_drops} -> {actual.queue_drops} "
             "(loss pattern diverged)."
         )
-    lines.append(
-        "  If this change to the simulation's behaviour is *intentional* "
-        "(new physics, a bug fix that changes results), regenerate the "
-        "corpus with `python tools/regen_golden.py` and commit the new "
-        "hashes/traces, explaining the drift in the commit message. If "
-        "you were optimizing or refactoring, this is a regression — the "
-        "run is no longer byte-identical."
-    )
+    if events_moved and not digest_moved:
+        lines.append(
+            "  The physics held and only the event count moved. If that is "
+            "intended (timer coalescing, fewer pacing events), re-pin "
+            "events= with `python tools/regen_golden.py`, leave every "
+            "result_sha256 as it is, and say so in CHANGES.md."
+        )
+    else:
+        lines.append(
+            "  If this change to the simulation's behaviour is *intentional* "
+            "(new physics, a bug fix that changes results), regenerate the "
+            "corpus with `python tools/regen_golden.py` and commit the new "
+            "hashes/traces, explaining the drift in the commit message. If "
+            "you were optimizing or refactoring, this is a regression — the "
+            "run is no longer byte-identical."
+        )
     return "\n".join(lines)

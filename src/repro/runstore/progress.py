@@ -3,7 +3,7 @@
 The scheduler narrates a sweep through a ``progress`` callback taking
 :class:`JobEvent` instances and aggregates the same information into a
 :class:`SweepStats` (the ``--json`` summary of ``repro run`` and the
-``REPRO_BENCH_STATS`` dump of the benchmark harness).
+last stdout line of ``benchmarks/findings.py``).
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ class JobEvent:
 
 @dataclass
 class SweepStats:
-    """Counters for one scheduler invocation (or several, aggregated)."""
+    """Counters for one scheduler invocation."""
 
     jobs: int = 0            #: jobs requested (including duplicates)
     unique: int = 0          #: distinct cache keys among them
@@ -106,19 +106,6 @@ class SweepStats:
             self.retries += 1
         elif event.kind == "failed":
             self.failures += 1
-
-    def merge(self, other: "SweepStats") -> None:
-        """Accumulate another invocation's counters into this one."""
-        self.jobs += other.jobs
-        self.unique += other.unique
-        self.hits += other.hits
-        self.misses += other.misses
-        self.degraded += other.degraded
-        self.retries += other.retries
-        self.failures += other.failures
-        self.wall_seconds += other.wall_seconds
-        self.events += other.events
-        self.elapsed_seconds += other.elapsed_seconds
 
     def to_json(self) -> Dict[str, Any]:
         return {

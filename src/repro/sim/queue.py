@@ -192,9 +192,9 @@ class REDQueue(Queue):
     def __init__(
         self,
         capacity_bytes: int,
+        rng: random.Random,
         min_thresh_bytes: Optional[int] = None,
         max_thresh_bytes: Optional[int] = None,
-        rng: Optional[random.Random] = None,
     ) -> None:
         super().__init__(capacity_bytes)
         self.min_thresh = min_thresh_bytes if min_thresh_bytes is not None else capacity_bytes // 4
@@ -203,7 +203,7 @@ class REDQueue(Queue):
             raise ValueError("require 0 < min_thresh < max_thresh <= capacity")
         self.avg_bytes = 0.0
         self._count_since_drop = -1
-        self._rng = rng or random.Random(0x52ED)
+        self._rng = rng
         self.early_drop = self._early_drop
 
     def set_capacity(self, capacity_bytes: int, now: float = 0.0) -> None:

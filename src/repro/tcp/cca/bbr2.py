@@ -3,7 +3,8 @@
 The paper evaluates BBRv1 and notes that "BBRv2 remains a work in
 progress"; this module implements the *structural* BBRv2 changes that
 matter for the paper's fairness questions, so users can extend the
-sweeps to the successor algorithm (see ``benchmarks/bench_ext_bbr2.py``):
+sweeps to the successor algorithm (see the ``ext-bbr2`` entry of
+``benchmarks/findings.py``):
 
 - **loss responsiveness**: unlike v1, v2 reacts to loss events with a
   multiplicative cut (``BETA = 0.7``) and learns a volume-of-inflight

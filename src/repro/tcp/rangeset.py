@@ -16,7 +16,7 @@ receiver behind a drop-tail buffer overflow.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 Range = Tuple[int, int]
 
@@ -38,14 +38,6 @@ class RangeSet:
     def __len__(self) -> int:
         """Total number of integers covered."""
         return sum(end - start for start, end in zip(self._starts, self._ends))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RangeSet):
-            return NotImplemented
-        return self._starts == other._starts and self._ends == other._ends
-
-    def __iter__(self) -> Iterator[Range]:
-        return iter(self.ranges())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RangeSet({self.ranges()!r})"
@@ -118,10 +110,6 @@ class RangeSet:
             del starts[lo + 1:hi]
             del ends[lo + 1:hi]
         return holes
-
-    def __contains__(self, value: int) -> bool:
-        idx = bisect_right(self._starts, value) - 1
-        return idx >= 0 and value < self._ends[idx]
 
     def max_value(self) -> int:
         """Largest covered integer. Raises ``ValueError`` when empty."""

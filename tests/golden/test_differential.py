@@ -5,17 +5,20 @@ Three equivalences the optimized engine must preserve:
 - a run paused by its ``max_events`` budget and then resumed executes
   the exact same event sequence as one uninterrupted ``run()``;
 - a sanitized run (``REPRO_SANITIZE=1``) produces a byte-identical
-  result digest to a bare run — the sanitizer observes, never perturbs;
+  result digest and the same event count as a bare run — the sanitizer
+  observes, never perturbs;
 - a profiled run (``repro ... --profile`` wires a
-  :class:`~repro.obs.profiler.SimProfiler`) is digest-equal to a bare
-  run for the same reason.
+  :class:`~repro.obs.profiler.SimProfiler`) matches a bare run in both
+  for the same reason.
 
 A sanitized run must also check every event it pushes: the link and
 netem elements push onto the heap directly, not through
 ``Simulator.schedule``, and report each push themselves.
 
 The digest is the golden-corpus sha256 over the canonical result JSON,
-so "equal" here means every float bit and every counter.
+which covers every float bit and every physical counter but not
+``events_processed``; each test compares the event count as well, so
+"equal" here means both.
 """
 
 from __future__ import annotations
@@ -31,6 +34,11 @@ from repro.obs.profiler import SimProfiler
 from repro.sim.engine import Simulator
 from repro.tcp.cca.newreno import NewReno
 from tests.conftest import make_pipe
+
+
+def _fingerprint(result):
+    """The result digest with the event count it leaves out."""
+    return result_digest(result), result.events_processed
 
 
 def _small_scenario():
@@ -75,18 +83,18 @@ def test_paused_and_resumed_run_matches_run(sim):
 def test_sanitized_run_is_digest_equal(monkeypatch):
     scenario = _small_scenario()
     monkeypatch.delenv("REPRO_SANITIZE", raising=False)
-    bare = result_digest(run_experiment(scenario))
+    bare = _fingerprint(run_experiment(scenario))
     monkeypatch.setenv("REPRO_SANITIZE", "1")
-    sanitized = result_digest(run_experiment(scenario))
+    sanitized = _fingerprint(run_experiment(scenario))
     assert sanitized == bare
 
 
 def test_profiled_run_is_digest_equal():
     scenario = _small_scenario()
-    bare = result_digest(run_experiment(scenario))
+    bare = _fingerprint(run_experiment(scenario))
     profiler = SimProfiler()
     profiled_result = run_experiment(scenario, profiler=profiler)
-    assert result_digest(profiled_result) == bare
+    assert _fingerprint(profiled_result) == bare
     assert profiler.events > 0  # the profiler really was installed
 
 
@@ -110,11 +118,11 @@ def test_sanitized_golden_run_checks_every_push(monkeypatch):
     monkeypatch.setattr(SimSanitizer, "__init__", recording_init)
     monkeypatch.setattr(SimSanitizer, "on_schedule", counting_on_schedule)
     monkeypatch.setenv("REPRO_SANITIZE", "1")
-    _, digest, _ = run_golden(golden_scenarios()["golden-bbr-mix"])
+    result, digest, _ = run_golden(golden_scenarios()["golden-bbr-mix"])
     [sanitizer] = sanitizers
     pushed = sanitizer.sim.next_seq() - 1
     assert len(checked) == pushed > 100_000
     hashes = os.path.join(os.path.dirname(os.path.abspath(__file__)), "hashes.json")
     with open(hashes, encoding="utf-8") as fh:
-        expected = json.load(fh)["scenarios"]["golden-bbr-mix"]["result_sha256"]
-    assert digest == expected
+        expected = json.load(fh)["scenarios"]["golden-bbr-mix"]
+    assert (digest, result.events_processed) == (expected["result_sha256"], expected["events"])

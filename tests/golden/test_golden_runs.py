@@ -7,13 +7,16 @@ makes hot-path optimization safe: any change to event structure, float
 arithmetic order, RNG draw order or measurement accounting flips a
 digest here.
 
-On mismatch the failure message distinguishes *drift* (an intentional
-physics change — regenerate the corpus) from *breakage* (a refactor
+The result digest covers the physics; the event count is asserted on
+its own against the corpus's ``events``. On mismatch the failure
+message says which of the two moved, and distinguishes *drift* (an
+intentional change — regenerate the corpus) from *breakage* (a refactor
 that silently changed behaviour).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import gzip
 import json
 import os
@@ -25,6 +28,7 @@ from repro.core.goldens import (
     TRACED_SCENARIOS,
     drift_report,
     golden_scenarios,
+    result_digest,
     run_golden,
     trace_digest,
 )
@@ -71,6 +75,12 @@ def test_golden_run(name):
     assert digest == expected["result_sha256"], (
         f"{name}: {drift_report(expected, result)}"
     )
+    # The digest leaves the event count out, so it is pinned on its own.
+    # For an event-only change the report says to re-pin events= and to
+    # say so in CHANGES.md.
+    assert result.events_processed == expected["events"], (
+        f"{name}: {drift_report(expected, result)}"
+    )
 
     if traced:
         assert text is not None
@@ -90,3 +100,14 @@ def test_golden_run(name):
             f"{name}: committed trace artifact does not match hashes.json; "
             "rerun tools/regen_golden.py so both regenerate together"
         )
+
+
+def test_result_digest_leaves_out_events_processed_only():
+    """A copy of a golden result with another event count keeps its
+    digest; a copy with one flow's halvings changed does not."""
+    result, digest, _ = run_golden(SCENARIOS["golden-edge-10"])
+    recounted = dataclasses.replace(result, events_processed=result.events_processed + 1)
+    assert result_digest(recounted) == digest
+    flows = list(result.flows)
+    flows[0] = dataclasses.replace(flows[0], halvings=flows[0].halvings + 1)
+    assert result_digest(dataclasses.replace(result, flows=flows)) != digest

@@ -84,13 +84,13 @@ class TestDropTail:
 
 class TestRed:
     def test_below_min_threshold_never_drops(self):
-        q = REDQueue(100_000, min_thresh_bytes=50_000, max_thresh_bytes=80_000)
+        q = REDQueue(100_000, random.Random(1), min_thresh_bytes=50_000, max_thresh_bytes=80_000)
         for _ in range(10):
             assert q.offer(0.0, pkt())
         assert q.dropped_packets == 0
 
     def test_hard_limit_always_drops(self):
-        q = REDQueue(3000, min_thresh_bytes=1000, max_thresh_bytes=2000)
+        q = REDQueue(3000, random.Random(1), min_thresh_bytes=1000, max_thresh_bytes=2000)
         q.offer(0.0, pkt())
         q.offer(0.0, pkt())
         assert not q.offer(0.0, pkt(size=1500))  # would exceed capacity
@@ -113,7 +113,7 @@ class TestRed:
 
     def test_invalid_thresholds(self):
         with pytest.raises(ValueError):
-            REDQueue(1000, min_thresh_bytes=800, max_thresh_bytes=700)
+            REDQueue(1000, random.Random(1), min_thresh_bytes=800, max_thresh_bytes=700)
 
 
 class TestSetCapacity:

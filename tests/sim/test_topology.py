@@ -1,5 +1,7 @@
 """Tests for the dumbbell builder."""
 
+import random
+
 import pytest
 
 from repro.sim.engine import Simulator
@@ -91,7 +93,7 @@ def test_bottleneck_routes_by_flow(sim):
 
 
 def test_custom_queue_is_used(sim):
-    queue = REDQueue(100_000)
+    queue = REDQueue(100_000, random.Random(1))
     d = build_dumbbell(
         sim,
         [FlowSpec(NewReno())],

@@ -13,8 +13,10 @@ Usage::
     PYTHONPATH=src python tools/regen_golden.py [--check]
 
 ``--check`` regenerates nothing: it re-runs the scenarios and exits
-non-zero if any digest differs from the committed corpus (same
-comparison the tier-1 golden tests make, usable standalone in CI).
+non-zero if any result digest or event count differs from the committed
+corpus (same comparison the tier-1 golden tests make, usable standalone
+in CI). Each line says which of the two moved: a change that keeps the
+physics but not the event count shows ``EVENTS CHANGED`` alone.
 """
 
 from __future__ import annotations
@@ -76,13 +78,17 @@ def main(argv=None) -> int:
         old = previous.get(name)
         if old is None:
             status = "NEW"
-        elif old.get("result_sha256") == digest:
-            status = "unchanged"
         else:
-            status = "CHANGED"
-            failures += 1
-            if args.check:
-                print(drift_report(old, result))
+            moved = []
+            if old.get("result_sha256") != digest:
+                moved.append("DIGEST")
+            if old.get("events") != result.events_processed:
+                moved.append("EVENTS")
+            status = " ".join(moved + ["CHANGED"]) if moved else "unchanged"
+            if moved:
+                failures += 1
+                if args.check:
+                    print(drift_report(old, result))
         print(f"{name:20s} {digest[:16]}  events={result.events_processed:>8d}  {status}")
 
         if text is not None and not args.check:
@@ -97,7 +103,7 @@ def main(argv=None) -> int:
         if failures:
             print(f"{failures} scenario(s) diverged from the committed corpus")
             return 1
-        print("all golden digests match the committed corpus")
+        print("all golden digests and event counts match the committed corpus")
         return 0
 
     os.makedirs(GOLDEN_DIR, exist_ok=True)
