@@ -13,8 +13,12 @@ Design notes
   makes same-instant events fire in scheduling order (deterministic
   runs) and guarantees the comparison never reaches the callback field.
 - Cancellation is lazy: :meth:`Simulator.cancel` nulls the callback and
-  the main loop skips the entry when popped. ``cancel`` is O(1), which
-  matters because TCP retransmission timers are re-armed constantly.
+  the main loop skips the entry when popped, so ``cancel`` is O(1) but
+  the dead entry costs a ``heappop`` later. Its one caller in the
+  simulator is ``TcpSender._arm_send_timer``, which moves a pacing timer
+  earlier. The TCP retransmission and delayed-ACK timers, re-armed on
+  nearly every ACK or segment, are never cancelled: each stores a new
+  deadline and re-checks it when its event fires.
 - Dead entries do not pile up unboundedly: once cancelled entries
   outnumber live ones (past a small floor), ``cancel`` compacts the heap
   in place — filter out the dead, re-heapify. Live events keep their

@@ -11,9 +11,7 @@ per-MSS anyway, mirroring how the Linux stack tracks ``packets_out``.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
-
-from ..units import DATA_PACKET_BYTES
+from typing import Tuple
 
 #: Type alias for a SACK block: a half-open packet-number range.
 SackBlock = Tuple[int, int]
@@ -22,24 +20,31 @@ SackBlock = Tuple[int, int]
 class Packet:
     """A data segment or an ACK travelling through the simulated network.
 
+    There is no ``__init__``: ``TcpSender._try_send`` builds each data
+    segment and ``TcpReceiver._send_ack`` each ACK with ``__new__`` and
+    six slot stores, so a packet costs no Python call of its own. Every
+    slot is set on every packet.
+
     Attributes
     ----------
     flow_id:
         Identifier of the owning flow; used by queues/monitors to
         attribute drops and by receivers to route.
     seq:
-        Packet number of a data segment (index in MSS units).
+        Packet number of a data segment (index in MSS units); 0 on an
+        ACK.
     size:
         Wire size in bytes, used for serialisation delay and buffer
         occupancy.
     is_ack:
         True for ACK packets travelling the reverse path.
     ack_seq:
-        Cumulative ACK: the next packet number expected by the receiver.
+        Cumulative ACK: the next packet number expected by the receiver;
+        0 on a data segment.
     sack_blocks:
         Up to three out-of-order ranges (the TCP SACK option limit): the
         range holding the segment that triggered the ACK first, then the
-        lowest other ranges in ascending order.
+        lowest other ranges in ascending order. Empty on a data segment.
     """
 
     __slots__ = (
@@ -51,21 +56,12 @@ class Packet:
         "sack_blocks",
     )
 
-    def __init__(
-        self,
-        flow_id: int,
-        seq: int = 0,
-        size: int = DATA_PACKET_BYTES,
-        is_ack: bool = False,
-        ack_seq: int = 0,
-        sack_blocks: Optional[Tuple[SackBlock, ...]] = None,
-    ) -> None:
-        self.flow_id = flow_id
-        self.seq = seq
-        self.size = size
-        self.is_ack = is_ack
-        self.ack_seq = ack_seq
-        self.sack_blocks = sack_blocks or ()
+    flow_id: int
+    seq: int
+    size: int
+    is_ack: bool
+    ack_seq: int
+    sack_blocks: Tuple[SackBlock, ...]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         if self.is_ack:

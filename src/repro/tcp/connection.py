@@ -268,7 +268,14 @@ class TcpSender:
             meta.delivered_time = rate.delivered_time
             meta.is_app_limited = rate.app_limited_until > 0
             stats.packets_sent += 1
-            path_send(Packet(flow_id, seq, DATA_PACKET_BYTES))
+            packet = Packet.__new__(Packet)
+            packet.flow_id = flow_id
+            packet.seq = seq
+            packet.size = DATA_PACKET_BYTES
+            packet.is_ack = False
+            packet.ack_seq = 0
+            packet.sack_blocks = ()
+            path_send(packet)
             if self._rto_deadline is None:
                 self._set_rto_deadline(now + self.rtt.rto)
             in_flight += 1
@@ -660,8 +667,6 @@ class TcpReceiver:
     tests for a missing one.
     """
 
-    #: ACK at least every second full-sized segment (RFC 5681).
-    ACK_QUOTA = 2
     #: SACK blocks per ACK (the TCP option space fits three alongside
     #: timestamps).
     MAX_SACK_BLOCKS = 3
@@ -678,7 +683,7 @@ class TcpReceiver:
         "duplicate_packets",
         "acks_sent",
         "_ooo",
-        "_unacked_segments",
+        "_delack_deadline",
         "_delack_event",
     )
 
@@ -698,10 +703,17 @@ class TcpReceiver:
         self.duplicate_packets = 0
         self.acks_sent = 0
         self._ooo = RangeSet()
-        self._unacked_segments = 0
-        # None exactly when no delayed-ACK timer is pending: _on_delack
-        # clears it on entry and _send_ack clears it when it cancels, so
-        # arming tests the handle instead of calling event_pending().
+        # When the held segment's ACK is due; None when no segment is
+        # held. At most one is: the receiver ACKs at least every second
+        # full-sized segment (RFC 5681). _send_ack clears the deadline
+        # and cancels nothing, so the timer event can outlive it:
+        # _on_delack re-checks the deadline when it fires, as
+        # TcpSender._on_rto_timer does.
+        self._delack_deadline: Optional[float] = None
+        # None exactly when no delayed-ACK timer event is pending:
+        # _on_delack clears it on entry and the event is never
+        # cancelled, so arming tests the handle instead of calling
+        # event_pending().
         self._delack_event: Optional[Event] = None
 
     def send(self, packet: Packet) -> None:
@@ -722,14 +734,14 @@ class TcpReceiver:
             # single increment. Behaviour is identical to the general
             # path for this case.
             self.rcv_nxt = rcv_nxt + 1
-            if not self.delayed_ack:
+            if not self.delayed_ack or self._delack_deadline is not None:
+                # Every segment without delayed ACKs; with them, the
+                # second of a pair (the first is held).
                 self._send_ack(seq)
                 return
-            self._unacked_segments += 1
-            if self._unacked_segments >= self.ACK_QUOTA:
-                self._send_ack(seq)
-            elif self._delack_event is None:
-                self._delack_event = self.sim.schedule(self.DELACK_TIMEOUT, self._on_delack)
+            deadline = self._delack_deadline = self.sim.now + self.DELACK_TIMEOUT
+            if self._delack_event is None:
+                self._delack_event = self.sim.schedule_at(deadline, self._on_delack)
             return
         # Below the cumulative point, or already buffered (fill covers
         # nothing new): a duplicate.
@@ -749,8 +761,16 @@ class TcpReceiver:
 
     def _on_delack(self) -> None:
         self._delack_event = None
-        if self._unacked_segments > 0:
-            self._send_ack(None)
+        deadline = self._delack_deadline
+        if deadline is None:
+            return
+        if self.sim.now < deadline:
+            # Armed for a segment that has been ACKed since; a later
+            # segment set this deadline. Exact comparison, so the ACK
+            # leaves at the deadline's own float.
+            self._delack_event = self.sim.schedule_at(deadline, self._on_delack)
+            return
+        self._send_ack(None)
 
     def _sack_blocks(self, triggering_seq: Optional[int]) -> Tuple[SackBlock, ...]:
         """Up to :attr:`MAX_SACK_BLOCKS` out-of-order ranges.
@@ -779,17 +799,13 @@ class TcpReceiver:
         return tuple(zip(starts[:limit], ends[:limit]))
 
     def _send_ack(self, triggering_seq: Optional[int]) -> None:
-        self._unacked_segments = 0
-        if self._delack_event is not None:
-            self.sim.cancel(self._delack_event)
-            self._delack_event = None
-        ack = Packet(
-            self.flow_id,
-            0,
-            ACK_PACKET_BYTES,
-            True,
-            self.rcv_nxt,
-            self._sack_blocks(triggering_seq) if self._ooo._starts else (),
-        )
+        self._delack_deadline = None
+        ack = Packet.__new__(Packet)
+        ack.flow_id = self.flow_id
+        ack.seq = 0
+        ack.size = ACK_PACKET_BYTES
+        ack.is_ack = True
+        ack.ack_seq = self.rcv_nxt
+        ack.sack_blocks = self._sack_blocks(triggering_seq) if self._ooo._starts else ()
         self.acks_sent += 1
         self.reverse_path.send(ack)

@@ -96,7 +96,7 @@ def test_warmup_boundary_events_are_measured():
     assert result.queue_drops == 1835
     assert len(result.drop_times) == 1835
     assert set(result.drop_times) == {1.5}
-    assert result.events_processed == 57797
+    assert result.events_processed == 58050
 
 
 def test_bare_run_binds_no_forwarders(monkeypatch):

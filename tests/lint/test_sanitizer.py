@@ -9,10 +9,10 @@ import pytest
 from repro.lint.sanitizer import SanitizerError, SimSanitizer
 from repro.sim.engine import Simulator
 from repro.sim.link import Link
-from repro.sim.packet import Packet
 from repro.sim.queue import DropTailQueue
 from repro.tcp.cca.newreno import NewReno
 from tests.conftest import make_pipe
+from tests.packets import make_packet
 
 
 # ----------------------------------------------------------------------
@@ -83,7 +83,7 @@ def _watched_queue(capacity=10_000):
 def test_clean_queue_traffic_passes():
     _, queue = _watched_queue()
     for seq in range(5):
-        assert queue.offer(0.0, Packet(0, seq, 1000))
+        assert queue.offer(0.0, make_packet(0, seq, 1000))
     while queue.poll() is not None:
         pass
     assert queue.occupancy_bytes == 0
@@ -91,18 +91,18 @@ def test_clean_queue_traffic_passes():
 
 def test_injected_byte_leak_trips_on_enqueue():
     _, queue = _watched_queue()
-    assert queue.offer(0.0, Packet(0, 0, 1000))
+    assert queue.offer(0.0, make_packet(0, 0, 1000))
     # Inject the bug: bytes appear in the occupancy ledger without ever
     # having been admitted (the class of accounting slip the sanitizer
     # exists for).
     queue.occupancy_bytes += 123
     with pytest.raises(SanitizerError, match="byte conservation"):
-        queue.offer(0.0, Packet(0, 1, 1000))
+        queue.offer(0.0, make_packet(0, 1, 1000))
 
 
 def test_injected_byte_leak_trips_on_dequeue():
     _, queue = _watched_queue()
-    assert queue.offer(0.0, Packet(0, 0, 1000))
+    assert queue.offer(0.0, make_packet(0, 0, 1000))
     queue.occupancy_bytes -= 7  # leak in the other direction
     with pytest.raises(SanitizerError, match="byte conservation"):
         queue.poll()
@@ -110,16 +110,16 @@ def test_injected_byte_leak_trips_on_dequeue():
 
 def test_reject_path_checks_conservation():
     _, queue = _watched_queue(capacity=1500)
-    assert queue.offer(0.0, Packet(0, 0, 1000))
+    assert queue.offer(0.0, make_packet(0, 0, 1000))
     queue.occupancy_bytes += 1  # corrupt, then force a tail drop
     with pytest.raises(SanitizerError, match="byte conservation"):
-        queue.offer(0.0, Packet(0, 1, 1000))
+        queue.offer(0.0, make_packet(0, 1, 1000))
 
 
 def test_resize_eviction_stays_conserved():
     _, queue = _watched_queue(capacity=20_000)
     for seq in range(20):
-        assert queue.offer(0.0, Packet(0, seq, 1000))
+        assert queue.offer(0.0, make_packet(0, seq, 1000))
     # Shrinking below the backlog evicts from the tail: the in-queue drop
     # path must keep the ledger balanced through eviction and the drain.
     queue.set_capacity(5_000, now=1.0)
@@ -146,7 +146,7 @@ def test_link_transmits_clean_under_sanitizer():
     sink = _Counter()
     link = Link(sim, rate_bps=8_000_000, delay=0.001, routes=[sink.send])
     for seq in range(10):
-        link.send(Packet(0, seq, 1000))
+        link.send(make_packet(0, seq, 1000))
     sim.run()
     assert len(sink.packets) == 10
     assert link.queue.sanitizer is sim.sanitizer
@@ -157,7 +157,7 @@ def test_link_finish_while_idle_trips():
     link = Link(sim, rate_bps=8_000_000, delay=0.0, routes=[_Counter().send])
     assert not link.busy
     with pytest.raises(SanitizerError, match="while link idle"):
-        sim.sanitizer.on_link_finish(link, Packet(3, 0, 1000))
+        sim.sanitizer.on_link_finish(link, make_packet(3, 0, 1000))
 
 
 # ----------------------------------------------------------------------

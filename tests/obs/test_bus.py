@@ -3,10 +3,10 @@
 import pytest
 
 from repro.obs.bus import TOPICS, EventBus
-from repro.sim.packet import Packet
 from repro.sim.queue import DropTailQueue
 from repro.tcp.cca.newreno import NewReno
 from tests.conftest import make_pipe
+from tests.packets import make_packet
 
 
 def test_unknown_topic_rejected():
@@ -83,7 +83,7 @@ def test_bind_queue_forwards_enqueue_and_drop():
     bus.subscribe("enqueue", lambda now, pkt: enqueued.append(pkt.seq))
     bus.subscribe("drop", lambda now, pkt: dropped.append(pkt.seq))
     for seq in range(4):
-        queue.offer(0.5, Packet(flow_id=0, seq=seq, size=1000))
+        queue.offer(0.5, make_packet(flow_id=0, seq=seq, size=1000))
     assert enqueued == [0, 1, 2]
     assert dropped == [3]
 

@@ -10,10 +10,10 @@ from repro.instrumentation.flowmon import FlowMonitor
 from repro.obs.bus import EventBus
 from repro.obs.tracing import TraceRecorder, health_rows, trace_jsonl
 from repro.sim.engine import Simulator
-from repro.sim.packet import Packet
 from repro.sim.queue import DropTailQueue
 from repro.tcp.cca.newreno import NewReno
 from tests.conftest import make_pipe
+from tests.packets import make_packet
 
 
 class _Result:
@@ -48,7 +48,7 @@ def test_records_queue_and_fault_rows():
     queue = DropTailQueue(2000)
     bus.bind_queue(queue)
     for seq in range(3):
-        queue.offer(0.1, Packet(flow_id=4, seq=seq, size=1000))
+        queue.offer(0.1, make_packet(flow_id=4, seq=seq, size=1000))
     bus.publish("fault", 0.2, "link down")
     topics = [row["topic"] for row in recorder.events]
     assert topics == ["enqueue", "enqueue", "drop", "fault"]
@@ -78,7 +78,7 @@ def test_jsonl_round_trip():
     recorder = TraceRecorder(bus)
     queue = DropTailQueue(2000)
     bus.bind_queue(queue)
-    queue.offer(0.5, Packet(flow_id=2, seq=9, size=1000))
+    queue.offer(0.5, make_packet(flow_id=2, seq=9, size=1000))
     bus.publish("fault", 1.0, "x")
     text = trace_jsonl(recorder, _Result(None))
     assert text.endswith("\n") and " " not in text  # compact, newline-terminated

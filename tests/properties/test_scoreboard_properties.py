@@ -14,10 +14,15 @@ lists:
   below the highest SACKed one.
 - **Receiver.** ``TcpReceiver._sack_blocks`` must equal the original
   list-scan construction for random fragment sets and triggering
-  sequences. And random arrival orders with duplicates, driven through
-  ``TcpReceiver.send``, must give the ``rcv_nxt``, duplicate count and
-  ACK stream (each ``ack_seq`` and its SACK blocks) that a reference
-  over a set of received sequences gives.
+  sequences. And random arrival orders with duplicates, delivered at
+  random times through a running simulator, must give the ``rcv_nxt``,
+  duplicate count and ACK stream (each ACK's emission time, ``ack_seq``
+  and SACK blocks) that a reference over a set of received sequences
+  gives. The reference's delayed-ACK timer is the cancel-based one: an
+  ACK cancels it, and a held segment arms a fresh one. The receiver's
+  timer instead re-checks its deadline when it fires, so a stale event
+  re-arms at the deadline; the two must emit every ACK at the same
+  float time.
 
 Derandomized with ``database=None`` (see test_engine_properties).
 """
@@ -26,7 +31,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Set, Tuple
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.sim.engine import Simulator
@@ -34,6 +39,7 @@ from repro.sim.packet import Packet
 from repro.tcp.cca.newreno import NewReno
 from repro.tcp.connection import TcpReceiver, TcpSender
 from repro.tcp.rangeset import RangeSet
+from tests.packets import make_packet
 
 PROPERTY_SETTINGS = settings(
     max_examples=150, derandomize=True, database=None, deadline=None
@@ -62,14 +68,20 @@ class _Wire:
         self.sent.append(packet.seq)
 
 
-class _AckLog:
-    """Reverse path that records each ACK's cumulative point and blocks."""
+#: An ACK as the receiver emitted it: (time, ack_seq, SACK blocks).
+_Ack = Tuple[float, int, Tuple[Tuple[int, int], ...]]
 
-    def __init__(self) -> None:
-        self.acks: List[Tuple[int, Tuple[Tuple[int, int], ...]]] = []
+
+class _AckLog:
+    """Reverse path that records each ACK's time, cumulative point and
+    blocks."""
+
+    def __init__(self, sim: Simulator) -> None:
+        self.sim = sim
+        self.acks: List[_Ack] = []
 
     def send(self, packet: Packet) -> None:
-        self.acks.append((packet.ack_seq, packet.sack_blocks))
+        self.acks.append((self.sim.now, packet.ack_seq, packet.sack_blocks))
 
 
 class _Reference:
@@ -147,7 +159,7 @@ def test_sender_scoreboard_matches_brute_force(steps):
             ack_seq = min(una + advance, nxt)
             starts = [una + off % (nxt - una + 1) for off, _ in raw_blocks]
             blocks = [(lo, lo + length) for lo, (_, length) in zip(starts, raw_blocks)]
-            sender.send(Packet(0, is_ack=True, ack_seq=ack_seq, sack_blocks=tuple(blocks)))
+            sender.send(make_packet(0, is_ack=True, ack_seq=ack_seq, sack_blocks=tuple(blocks)))
             ref.on_ack(ack_seq, nxt, blocks)
         ref.on_sent(nxt, wire.sent)
         _check(sender, ref)
@@ -182,7 +194,8 @@ _FRAGMENTS = st.lists(
 @PROPERTY_SETTINGS
 @given(fragments=_FRAGMENTS, trigger=st.one_of(st.none(), st.integers(0, 130)))
 def test_receiver_sack_blocks_match_list_scan(fragments, trigger):
-    receiver = TcpReceiver(Simulator(sanitize=False), 0, _AckLog())
+    sim = Simulator(sanitize=False)
+    receiver = TcpReceiver(sim, 0, _AckLog(sim))
     receiver._ooo = RangeSet(fragments)
     expected = _list_scan_sack_blocks(
         receiver._ooo.ranges(), trigger, TcpReceiver.MAX_SACK_BLOCKS
@@ -201,29 +214,37 @@ def _runs(values: Set[int]) -> List[Tuple[int, int]]:
     return runs
 
 
-def _reference_receiver(arrivals: List[int], delayed_ack: bool):
+def _reference_receiver(arrivals: List[Tuple[float, int]], delayed_ack: bool):
     """RFC 5681/2018 receiving over a set of received sequences.
 
-    Returns ``(rcv_nxt, duplicates, acks)``. A duplicate, an arrival
-    that leaves or finds data above the cumulative point, and one that
-    fills a hole (advancing it by more than one) are ACKed at once;
-    other in-order data every second segment (the delayed-ACK timer
-    never fires: the simulator is not run).
+    ``arrivals`` are ``(time, seq)`` in time order. Returns ``(rcv_nxt,
+    duplicates, acks)``. A duplicate, an arrival that leaves or finds
+    data above the cumulative point, and one that fills a hole
+    (advancing it by more than one) are ACKed at once; other in-order
+    data every second segment, or :attr:`TcpReceiver.DELACK_TIMEOUT`
+    after a lone one. The timer is cancelled by every ACK and armed
+    afresh for each held segment. Arrivals due at the instant the timer
+    is due come first: they were scheduled before it.
     """
     received: Set[int] = set()
     rcv_nxt = duplicates = unacked = 0
-    acks: List[Tuple[int, Tuple[Tuple[int, int], ...]]] = []
+    timer_at: Optional[float] = None
+    acks: List[_Ack] = []
 
-    def ack(trigger: int) -> None:
+    def ack(now: float, trigger: Optional[int]) -> None:
+        nonlocal unacked, timer_at
+        unacked = 0
+        timer_at = None
         above = _runs({v for v in received if v >= rcv_nxt})
         blocks = _list_scan_sack_blocks(above, trigger, TcpReceiver.MAX_SACK_BLOCKS)
-        acks.append((rcv_nxt, blocks))
+        acks.append((now, rcv_nxt, blocks))
 
-    for seq in arrivals:
+    for now, seq in arrivals:
+        if timer_at is not None and timer_at < now:
+            ack(timer_at, None)
         if seq in received:
             duplicates += 1
-            unacked = 0
-            ack(seq)
+            ack(now, seq)
             continue
         received.add(seq)
         prior = rcv_nxt
@@ -231,29 +252,57 @@ def _reference_receiver(arrivals: List[int], delayed_ack: bool):
             rcv_nxt += 1
         buffered = any(v >= rcv_nxt for v in received)
         if not delayed_ack or seq >= rcv_nxt or rcv_nxt - prior > 1 or buffered:
-            unacked = 0
-            ack(seq)
+            ack(now, seq)
             continue
         unacked += 1
-        if unacked >= TcpReceiver.ACK_QUOTA:
-            unacked = 0
-            ack(seq)
+        if unacked >= 2:  # RFC 5681: ACK at least every second segment
+            ack(now, seq)
+        else:
+            timer_at = now + TcpReceiver.DELACK_TIMEOUT
+    if timer_at is not None:
+        ack(timer_at, None)
     return rcv_nxt, duplicates, acks
 
 
+_DELACK = TcpReceiver.DELACK_TIMEOUT
+
 # Sequences from a small space, so orders mix reordering, holes that
 # later fill, and duplicates both below and above the cumulative point.
-_ARRIVALS = st.lists(st.integers(0, 24), min_size=1, max_size=60)
+# Each comes a gap after the one before: a zero gap (several segments at
+# one instant), exactly the delayed-ACK timeout (an arrival due at the
+# instant a held segment's timer is), or any gap up to 2.5 timeouts, so
+# timers both fire and are overtaken.
+_GAP = st.one_of(st.sampled_from([0.0, _DELACK]), st.floats(0.0, 2.5 * _DELACK))
+_ARRIVALS = st.lists(st.tuples(st.integers(0, 24), _GAP), min_size=1, max_size=60)
 
 
 @PROPERTY_SETTINGS
 @given(arrivals=_ARRIVALS, delayed_ack=st.booleans())
+# A segment held while a stale timer is pending: 0 is held, 1 ACKs the
+# pair, 2 is held at 0.02 and its ACK is due at 0.06, after the timer
+# armed for 0 fires at 0.04.
+@example(arrivals=[(0, 0.0), (1, 0.01), (2, 0.01)], delayed_ack=True)
+# Segments due exactly at a deadline: 2 arrives at the instant the
+# stale timer armed for 0 is due, and 3 at the instant 2's ACK is due,
+# so 3 is ACKed with 2 as a pair.
+@example(arrivals=[(0, 0.0), (1, 0.0), (2, _DELACK), (3, _DELACK)], delayed_ack=True)
+# Gaps longer than the timeout: every lone segment is ACKed by its own
+# timer.
+@example(arrivals=[(0, 0.0), (1, 0.05), (2, 0.1), (3, 0.0)], delayed_ack=True)
 def test_receiver_matches_brute_force(arrivals, delayed_ack):
-    log = _AckLog()
-    receiver = TcpReceiver(Simulator(sanitize=False), 0, log, delayed_ack=delayed_ack)
-    for seq in arrivals:
-        receiver.send(Packet(0, seq))
-    rcv_nxt, duplicates, acks = _reference_receiver(arrivals, delayed_ack)
+    sim = Simulator(sanitize=False)
+    log = _AckLog(sim)
+    receiver = TcpReceiver(sim, 0, log, delayed_ack=delayed_ack)
+    timed: List[Tuple[float, int]] = []
+    now = 0.0
+    for seq, gap in arrivals:
+        now += gap
+        timed.append((now, seq))
+        sim.schedule_at(now, receiver.send, make_packet(0, seq))
+    # A timer that re-arms at its own instant never lets the clock move:
+    # the budget turns that into a missing ACK instead of a hang.
+    sim.run(max_events=4 * len(arrivals))
+    rcv_nxt, duplicates, acks = _reference_receiver(timed, delayed_ack)
     assert receiver.rcv_nxt == rcv_nxt
     assert receiver.duplicate_packets == duplicates
     assert receiver.received_packets == len(arrivals)

@@ -5,7 +5,7 @@ import pytest
 from repro.sim.engine import SimulationError, Simulator, event_pending
 from repro.sim.link import Link
 from repro.sim.netem import NetemDelay
-from repro.sim.packet import Packet
+from tests.packets import make_packet
 
 
 def test_initial_state():
@@ -315,10 +315,10 @@ def test_direct_pushes_share_the_sequence_stream():
 
     # Pushed at t = 0, in this order.
     sim.schedule(0.5, fired.append, "schedule-1")
-    finish_link.send(Packet(0, 0, 1000))
-    netem.send(Packet(0, 1, 1000))
+    finish_link.send(make_packet(0, 0, 1000))
+    netem.send(make_packet(0, 1, 1000))
     sim.schedule(0.25, quarter)
-    relay_link.send(Packet(0, 2, 1000))  # its completion fires after quarter()
+    relay_link.send(make_packet(0, 2, 1000))  # its completion fires after quarter()
     sim.schedule(0.5, fired.append, "schedule-2")
     sim.run()
     assert sim.now == 0.5  # repro-lint: disable=RPR003 -- exact by construction

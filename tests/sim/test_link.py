@@ -4,8 +4,8 @@ import pytest
 
 from repro.sim.engine import Simulator
 from repro.sim.link import Link
-from repro.sim.packet import Packet
 from repro.sim.queue import DropTailQueue
+from tests.packets import make_packet
 
 
 class Collector:
@@ -22,7 +22,7 @@ def test_link_serialisation_delay():
     sim = Simulator()
     sink = Collector(sim)
     link = Link(sim, rate_bps=1_200_000, delay=0.0, routes=[sink.send])
-    link.send(Packet(0, 0, size=1500))
+    link.send(make_packet(0, 0, size=1500))
     sim.run()
     assert sink.received[0][0] == pytest.approx(0.010)
 
@@ -32,7 +32,7 @@ def test_link_back_to_back_packets_serialise():
     sink = Collector(sim)
     link = Link(sim, rate_bps=1_200_000, delay=0.0, routes=[sink.send])
     for seq in range(3):
-        link.send(Packet(0, seq, size=1500))
+        link.send(make_packet(0, seq, size=1500))
     sim.run()
     times = [t for t, _ in sink.received]
     assert times == pytest.approx([0.010, 0.020, 0.030])
@@ -42,7 +42,7 @@ def test_link_adds_propagation_delay():
     sim = Simulator()
     sink = Collector(sim)
     link = Link(sim, rate_bps=1_200_000, delay=0.1, routes=[sink.send])
-    link.send(Packet(0, 0, size=1500))
+    link.send(make_packet(0, 0, size=1500))
     sim.run()
     assert sink.received[0][0] == pytest.approx(0.110)
 
@@ -53,7 +53,7 @@ def test_link_pipelines_propagation():
     sink = Collector(sim)
     link = Link(sim, rate_bps=1_200_000, delay=0.5, routes=[sink.send])
     for seq in range(2):
-        link.send(Packet(0, seq, size=1500))
+        link.send(make_packet(0, seq, size=1500))
     sim.run()
     times = [t for t, _ in sink.received]
     assert times == pytest.approx([0.510, 0.520])
@@ -64,7 +64,7 @@ def test_link_preserves_order():
     sink = Collector(sim)
     link = Link(sim, rate_bps=10_000_000, delay=0.01, routes=[sink.send])
     for seq in range(20):
-        link.send(Packet(0, seq))
+        link.send(make_packet(0, seq))
     sim.run()
     assert [p.seq for _, p in sink.received] == list(range(20))
 
@@ -75,7 +75,7 @@ def test_link_drops_on_full_queue():
     queue = DropTailQueue(3000)  # two packets
     link = Link(sim, rate_bps=1_200_000, routes=[sink.send], queue=queue)
     for seq in range(5):
-        link.send(Packet(0, seq))
+        link.send(make_packet(0, seq))
     sim.run()
     # First packet starts transmitting immediately (leaves the queue),
     # so 1 in service + 2 queued = 3 delivered, 2 dropped.
@@ -88,7 +88,7 @@ def test_link_counts_transmissions():
     sink = Collector(sim)
     link = Link(sim, rate_bps=1_000_000, routes=[sink.send])
     for seq in range(4):
-        link.send(Packet(0, seq, size=1000))
+        link.send(make_packet(0, seq, size=1000))
     sim.run()
     assert link.transmitted_packets == 4
     assert link.transmitted_bytes == 4000
@@ -98,11 +98,11 @@ def test_link_resumes_after_idle():
     sim = Simulator()
     sink = Collector(sim)
     link = Link(sim, rate_bps=1_200_000, routes=[sink.send])
-    link.send(Packet(0, 0))
+    link.send(make_packet(0, 0))
     sim.run()
     assert sim.now == pytest.approx(0.010)
     # Link went idle; a later arrival must restart the transmitter.
-    sim.schedule(1.0, link.send, Packet(0, 1))
+    sim.schedule(1.0, link.send, make_packet(0, 1))
     sim.run()
     assert len(sink.received) == 2
     # Arrival at 1.01 + 10 ms serialisation.
@@ -134,7 +134,7 @@ def test_link_down_pauses_transmitter_and_up_resumes():
     link = Link(sim, rate_bps=12_000, routes=[sink.send])  # 1 s per 1500 B packet
     link.set_down()
     for seq in range(3):
-        link.send(Packet(0, seq))
+        link.send(make_packet(0, seq))
     sim.run(until=1.0)
     assert sink.received == []  # nothing serialises while down
     assert len(link.queue) == 3  # ...but the queue kept accepting
@@ -147,8 +147,8 @@ def test_link_down_lets_inflight_packet_complete():
     sim = Simulator()
     sink = Collector(sim)
     link = Link(sim, rate_bps=12_000, routes=[sink.send])
-    link.send(Packet(0, 0))  # starts serialising immediately
-    link.send(Packet(0, 1))
+    link.send(make_packet(0, 0))  # starts serialising immediately
+    link.send(make_packet(0, 1))
     sim.schedule(0.5, link.set_down)  # mid-serialisation of seq 0
     sim.run()
     assert [p.seq for _, p in sink.received] == [0]  # in-flight completes
@@ -161,7 +161,7 @@ def test_link_down_overflows_queue_naturally():
     link = Link(sim, rate_bps=12_000, routes=[sink.send], queue=DropTailQueue(3000))
     link.set_down()
     for seq in range(5):
-        link.send(Packet(0, seq))
+        link.send(make_packet(0, seq))
     assert len(link.queue) == 2
     assert link.queue.dropped_packets == 3
 
@@ -174,7 +174,7 @@ def test_set_down_and_up_are_idempotent():
     link.set_down()
     link.set_down()
     link.set_up()
-    link.send(Packet(0, 0))
+    link.send(make_packet(0, 0))
     sim.run()
     assert len(sink.received) == 1
 
@@ -183,8 +183,8 @@ def test_set_rate_applies_from_next_serialisation():
     sim = Simulator()
     sink = Collector(sim)
     link = Link(sim, rate_bps=12_000, routes=[sink.send])
-    link.send(Packet(0, 0))
-    link.send(Packet(0, 1))
+    link.send(make_packet(0, 0))
+    link.send(make_packet(0, 1))
     link.set_rate(6_000)  # halve the rate; seq 0 already serialising at full
     sim.run()
     times = [t for t, _ in sink.received]
@@ -200,7 +200,7 @@ def test_loss_model_drops_before_queue():
     link = Link(sim, rate_bps=12_000, routes=[sink.send])
     link.loss_model = EveryOtherLoss()
     for seq in range(6):
-        link.send(Packet(0, seq))
+        link.send(make_packet(0, seq))
     sim.run()
     assert link.impaired_drops == 3
     assert link.queue.dropped_packets == 0  # channel loss, not congestion

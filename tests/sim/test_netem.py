@@ -6,7 +6,7 @@ import pytest
 
 from repro.sim.engine import Simulator
 from repro.sim.netem import NetemDelay
-from repro.sim.packet import Packet
+from tests.packets import make_packet
 
 
 class Collector:
@@ -22,7 +22,7 @@ def test_constant_delay():
     sim = Simulator()
     sink = Collector(sim)
     netem = NetemDelay(sim, 0.05, sink=sink)
-    netem.send(Packet(0, 0))
+    netem.send(make_packet(0, 0))
     sim.run()
     assert sink.times == [pytest.approx(0.05)]
 
@@ -32,7 +32,7 @@ def test_jitter_stays_within_bounds():
     sink = Collector(sim)
     netem = NetemDelay(sim, 0.05, sink=sink, jitter=0.01, rng=random.Random(2))
     for _ in range(200):
-        netem.send(Packet(0, 0))
+        netem.send(make_packet(0, 0))
     sim.run()
     assert all(0.04 - 1e-12 <= t <= 0.06 + 1e-12 for t in sink.times)
     assert len(set(round(t, 9) for t in sink.times)) > 50  # actually varies
@@ -46,7 +46,7 @@ def test_jitter_draw_matches_random_uniform():
     netem = NetemDelay(sim, 0.05, sink=sink, jitter=0.03, rng=random.Random(7))
     twin = random.Random(7)
     for _ in range(300):
-        netem.send(Packet(0, 0))
+        netem.send(make_packet(0, 0))
     expected = sorted(0.05 + twin.uniform(-0.03, 0.03) for _ in range(300))
     sim.run()
     assert sink.times == expected
@@ -56,7 +56,7 @@ def test_zero_delay_is_synchronous():
     sim = Simulator()
     sink = Collector(sim)
     netem = NetemDelay(sim, 0.0, sink=sink)
-    netem.send(Packet(0, 1))
+    netem.send(make_packet(0, 1))
     assert sink.times == [0.0]  # delivered without running the loop
 
 
@@ -99,7 +99,7 @@ def test_jitter_can_reorder_packets():
     tagger = Tagger()
     netem = NetemDelay(sim, 0.05, sink=tagger, jitter=0.04, rng=random.Random(11))
     for seq in range(100):
-        sim.schedule_at(seq * 0.001, netem.send, Packet(0, seq))
+        sim.schedule_at(seq * 0.001, netem.send, make_packet(0, seq))
     sim.run()
     arrival_seqs = [seq for _, seq in sorted(tagger.seen)]
     assert sorted(arrival_seqs) == list(range(100))  # nothing lost
@@ -111,7 +111,7 @@ def test_set_delay_changes_delivery_time_and_validates():
     sink = Collector(sim)
     netem = NetemDelay(sim, 0.05, sink=sink)
     netem.set_delay(0.2)
-    netem.send(Packet(0, 0))
+    netem.send(make_packet(0, 0))
     sim.run()
     assert sink.times == [pytest.approx(0.2)]
     with pytest.raises(ValueError):
@@ -125,6 +125,6 @@ def test_set_delay_clamps_inherited_jitter():
     netem.set_delay(0.01)  # old jitter would exceed the new delay
     assert netem.jitter <= netem.delay
     for _ in range(50):
-        netem.send(Packet(0, 0))
+        netem.send(make_packet(0, 0))
     sim.run()
     assert all(t >= 0.0 for t in sink.times)

@@ -5,12 +5,12 @@ import random
 import pytest
 
 from repro.obs import EventBus
-from repro.sim.packet import Packet
 from repro.sim.queue import DropTailQueue, REDQueue
+from tests.packets import make_packet
 
 
 def pkt(flow=0, size=1500):
-    return Packet(flow, 0, size)
+    return make_packet(flow, 0, size)
 
 
 def bus_for(queue):
@@ -34,7 +34,7 @@ class TestDropTail:
 
     def test_fifo_order(self):
         q = DropTailQueue(10_000)
-        packets = [Packet(0, seq) for seq in range(3)]
+        packets = [make_packet(0, seq) for seq in range(3)]
         for p in packets:
             q.offer(0.0, p)
         assert [q.poll().seq for _ in range(3)] == [0, 1, 2]
@@ -129,7 +129,7 @@ class TestSetCapacity:
         q = DropTailQueue(6000)
         _, drops = bus_for(q)
         for seq in range(4):
-            q.offer(0.0, Packet(0, seq, 1500))
+            q.offer(0.0, make_packet(0, seq, 1500))
         q.set_capacity(3000, now=2.5)
         assert q.occupancy_bytes == 3000
         assert q.dropped_packets == 2
@@ -156,7 +156,7 @@ class TestSetCapacity:
 
 def fill(queue, when, flow, n):
     for _ in range(n):
-        queue.offer(when, Packet(flow, 0))
+        queue.offer(when, make_packet(flow, 0))
 
 
 class TestCounters:
@@ -206,27 +206,27 @@ class TestCounters:
 
     def test_drop_times_recorded(self):
         q = DropTailQueue(1500)
-        q.offer(1.0, Packet(0, 0))
-        q.offer(2.5, Packet(0, 1))
-        q.offer(3.5, Packet(0, 2))
+        q.offer(1.0, make_packet(0, 0))
+        q.offer(2.5, make_packet(0, 1))
+        q.offer(3.5, make_packet(0, 2))
         assert q.drop_times == [2.5, 3.5]
 
     def test_drop_times_disabled(self):
         q = DropTailQueue(1500)
         q.record_drop_times = False
-        q.offer(1.0, Packet(0, 0))
-        q.offer(2.0, Packet(0, 1))
+        q.offer(1.0, make_packet(0, 0))
+        q.offer(2.0, make_packet(0, 1))
         assert q.drop_times == []
         assert q.drops_by_flow[0] == 1
 
     def test_warmup_cut(self):
         q = DropTailQueue(1500)
         q.count_from = 5.0
-        q.offer(1.0, Packet(0, 0))   # before cut: not attributed
-        q.offer(2.0, Packet(0, 1))   # drop before cut: not attributed
+        q.offer(1.0, make_packet(0, 0))   # before cut: not attributed
+        q.offer(2.0, make_packet(0, 1))   # drop before cut: not attributed
         q.poll()
-        q.offer(6.0, Packet(0, 2))   # after cut
-        q.offer(6.0, Packet(0, 3))   # drop after cut
+        q.offer(6.0, make_packet(0, 2))   # after cut
+        q.offer(6.0, make_packet(0, 3))   # drop after cut
         assert dict(q.arrivals_by_flow) == {0: 1}
         assert dict(q.drops_by_flow) == {0: 1}
         assert q.drop_times == [6.0]
@@ -258,18 +258,18 @@ class TestCounters:
 
 def _drive_droptail(q):
     for seq in range(6):
-        q.offer(0.5 * seq, Packet(seq % 3, seq))
+        q.offer(0.5 * seq, make_packet(seq % 3, seq))
 
 
 def _drive_red(q):
     for seq in range(2000):
-        if q.offer(0.01 * seq, Packet(seq % 4, seq)) and q.occupancy_bytes > 30_000:
+        if q.offer(0.01 * seq, make_packet(seq % 4, seq)) and q.occupancy_bytes > 30_000:
             q.poll()
 
 
 def _drive_shrink(q):
     for seq in range(8):
-        q.offer(0.0, Packet(seq % 2, seq))
+        q.offer(0.0, make_packet(seq % 2, seq))
     q.set_capacity(4500, now=1.0)
 
 

@@ -10,6 +10,7 @@ from repro.obs import EventBus
 from repro.sim.engine import Simulator
 from repro.tcp.cca.newreno import NewReno
 from tests.conftest import make_pipe
+from tests.packets import make_packet
 
 
 class TestBasicTransfer:
@@ -225,11 +226,9 @@ class TestAccounting:
         assert sender.stats.acks_received == receiver.acks_sent
 
     def test_sender_rejects_data_packet(self, sim):
-        from repro.sim.packet import Packet
-
         sender, _, _ = make_pipe(sim, NewReno())
         with pytest.raises(ValueError):
-            sender.send(Packet(0, 0))
+            sender.send(make_packet(0, 0))
 
 
 class TestPacing:

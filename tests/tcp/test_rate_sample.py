@@ -31,6 +31,7 @@ from repro.tcp.connection import TcpSender
 from repro.tcp.rate_sample import RateSample
 from repro.units import DATA_PACKET_BYTES
 from tests.conftest import make_pipe
+from tests.packets import make_packet
 
 
 class _FixedWindow(CongestionControl):
@@ -175,7 +176,7 @@ class _Harness:
         sender = self.sender
         una, nxt, pipe = sender.snd_una, sender.snd_nxt, sender.in_flight
         before = len(self.cca.samples)
-        sender.send(Packet(0, is_ack=True, ack_seq=ack_seq, sack_blocks=blocks))
+        sender.send(make_packet(0, is_ack=True, ack_seq=ack_seq, sack_blocks=blocks))
         [rs] = self.cca.samples[before:]
         expected = self.ref.on_ack(at, una, nxt, ack_seq, blocks, sender.rtt.min_rtt)
         assert {name: getattr(rs, name) for name in expected} == expected

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.sim.engine import Simulator
-from repro.sim.packet import Packet
 from repro.tcp.connection import TcpReceiver
+from tests.packets import make_packet
 
 
 class AckCollector:
@@ -22,7 +22,7 @@ def make_receiver(sim, delayed_ack=False, **kwargs):
 
 
 def data(seq):
-    return Packet(0, seq)
+    return make_packet(0, seq)
 
 
 def test_in_order_data_advances_rcv_nxt(sim):
@@ -90,7 +90,7 @@ def test_sack_block_for_triggering_segment_first(sim):
 def test_receiver_rejects_ack_packet(sim):
     receiver, _ = make_receiver(sim)
     with pytest.raises(ValueError):
-        receiver.send(Packet(0, is_ack=True, ack_seq=1))
+        receiver.send(make_packet(0, is_ack=True, ack_seq=1))
 
 
 class TestDelayedAck:
