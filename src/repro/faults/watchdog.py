@@ -8,7 +8,7 @@ kills the whole job and discards everything.
 
 :class:`SimWatchdog` is the graceful alternative. Armed on a
 :class:`~repro.sim.engine.Simulator`, it checks every
-``check_interval`` simulated seconds whether each flow has made
+``stall_budget / 4`` simulated seconds whether each flow has made
 *delivery* progress — cumulative delivered packets or ACKs received,
 read through :meth:`repro.instrumentation.flowmon.FlowMonitor.
 progress_marks` — and declares a flow **stalled** once it has gone
@@ -50,32 +50,21 @@ class WatchdogConfig:
         it is declared stalled. Must comfortably exceed the longest
         legitimate quiet period — the RTO backoff ceiling (60 s by
         default) is the natural floor for production runs; tests use
-        smaller budgets against scaled-down RTO ceilings.
-    check_interval:
-        How often the watchdog samples, in simulated seconds
-        (default: ``stall_budget / 4``).
-    abort_when_all_stalled:
-        Abort the run once every runnable flow is stalled. With
-        ``False`` the watchdog only records stalled flows in ``health``.
+        smaller budgets against scaled-down RTO ceilings. The watchdog
+        samples every quarter of it and aborts the run once every
+        runnable flow is stalled.
     """
 
     stall_budget: float = 60.0
-    check_interval: Optional[float] = None
-    abort_when_all_stalled: bool = True
 
     def __post_init__(self) -> None:
         if self.stall_budget <= 0:
             raise ValueError("stall_budget must be positive")
-        if self.check_interval is not None and self.check_interval <= 0:
-            raise ValueError("check_interval must be positive")
 
     @property
     def interval(self) -> float:
-        return (
-            self.check_interval
-            if self.check_interval is not None
-            else self.stall_budget / 4.0
-        )
+        """Simulated seconds between two checks."""
+        return self.stall_budget / 4.0
 
 
 class SimWatchdog:
@@ -138,7 +127,7 @@ class SimWatchdog:
             if since >= self.config.stall_budget:
                 stalled.append(fid)
         self.stalled_flows = stalled
-        if runnable and len(stalled) == runnable and self.config.abort_when_all_stalled:
+        if runnable and len(stalled) == runnable:
             self.abort("stall")
             return
         self.sim.schedule(self.config.interval, self._check)

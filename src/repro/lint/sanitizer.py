@@ -262,18 +262,31 @@ class SimSanitizer:
                 flow_id=flow,
             )
         # The ACK handler re-arms the RTO by storing a deadline whenever
-        # the handle is set, so a handle to a fired or cancelled event
-        # would leave the connection with no retransmission timer.
-        rto_event = sender._rto_event
-        if rto_event is not None:
-            from ..sim.engine import event_pending  # import cycle guard
+        # the handle is set, so a handle to a fired event would leave
+        # the connection with no retransmission timer.
+        from ..sim.engine import _TIME, event_pending  # import cycle guard
 
-            if not event_pending(rto_event):
-                self._fail(
-                    "TcpSender",
-                    "RTO timer handle is set but its event is no longer pending",
-                    flow_id=flow,
-                )
+        rto_event = sender._rto_event
+        if rto_event is not None and not event_pending(rto_event):
+            self._fail(
+                "TcpSender",
+                "RTO timer handle is set but its event is no longer pending",
+                flow_id=flow,
+            )
+        # A pending pacing timer is kept, never moved earlier, which is
+        # sound only while _pacing_next never drops below its time.
+        send_timer = sender._send_timer
+        if (
+            send_timer is not None
+            and event_pending(send_timer)
+            and send_timer[_TIME] > sender._pacing_next
+        ):
+            self._fail(
+                "TcpSender",
+                f"pacing timer pending at t={send_timer[_TIME]!r} "
+                f"after _pacing_next={sender._pacing_next!r}",
+                flow_id=flow,
+            )
         lost_bound = max(0, sender._lost_scan - sender.snd_una)
         if sender.lost_out > lost_bound:
             self._fail(

@@ -12,21 +12,12 @@ Design notes
   Python ``__lt__`` would dominate the profile. The ``seq`` tiebreaker
   makes same-instant events fire in scheduling order (deterministic
   runs) and guarantees the comparison never reaches the callback field.
-- Cancellation is lazy: :meth:`Simulator.cancel` nulls the callback and
-  the main loop skips the entry when popped, so ``cancel`` is O(1) but
-  the dead entry costs a ``heappop`` later. Its one caller in the
-  simulator is ``TcpSender._arm_send_timer``, which moves a pacing timer
-  earlier. The TCP retransmission and delayed-ACK timers, re-armed on
-  nearly every ACK or segment, are never cancelled: each stores a new
-  deadline and re-checks it when its event fires.
-- Dead entries do not pile up unboundedly: once cancelled entries
-  outnumber live ones (past a small floor), ``cancel`` compacts the heap
-  in place — filter out the dead, re-heapify. Live events keep their
-  ``(time, seq)`` keys, so the sequence of *executed* events is
-  identical with or without compaction; only the heap's internal size
-  (and thus per-operation cost) changes. The rebuild reuses the same
-  list object, so a ``run()`` loop holding a local reference stays
-  valid even when a handler's ``cancel`` triggers compaction mid-run.
+- Events are never cancelled, so every heap entry is a live event. The
+  TCP timers that are re-armed on nearly every ACK or segment (the
+  retransmission and delayed-ACK timers) store a new deadline and
+  re-check it when their event fires; the pacing timer is only ever
+  moved later, so a pending one is kept as it is. Executing an event
+  nulls its callback, the "fired" mark :func:`event_pending` reads.
 - Sequence numbers come from one shared stream, ``Simulator.next_seq``
   (``itertools.count(1).__next__``). The two per-packet schedulers,
   :class:`~repro.sim.link.Link` (transmit completion and propagation)
@@ -41,8 +32,8 @@ Design notes
   Code outside this module that depends on the event layout, and must
   change with it: the two pushes in ``Link._finish`` and the one in
   ``NetemDelay.send`` (which build the list), and
-  ``TcpSender._arm_send_timer`` (which reads ``_TIME`` and ``_FN`` of
-  its timer handle).
+  ``TcpSender._try_send`` (which reads ``_FN`` of its pacing timer
+  handle).
 - ``run`` keeps two copies of the dispatch loop: the instrumented one
   (sanitizer and/or profiler brackets around every handler) and a bare
   one with no per-event instrumentation checks. They execute events
@@ -59,8 +50,8 @@ from typing import Any, Callable, List, Optional
 from ..lint.sanitizer import SimSanitizer, maybe_sanitizer
 
 #: A scheduled event: ``[time, seq, fn, args]``; ``fn is None`` once
-#: cancelled or executed. Treat as opaque outside this module except for
-#: the documented helpers below.
+#: executed. Treat as opaque outside this module except for the
+#: documented helpers below.
 Event = List[Any]
 
 _TIME = 0
@@ -70,16 +61,11 @@ _ARGS = 3
 
 _heappush = heapq.heappush
 _heappop = heapq.heappop
-_heapify = heapq.heapify
 _INF = float("inf")
-
-#: Compaction floor: below this many dead entries the heap is left
-#: alone, so small simulations never pay the rebuild.
-_COMPACT_MIN = 256
 
 
 def event_pending(event: Event) -> bool:
-    """True while the event is scheduled and not yet cancelled/fired."""
+    """True while the event is scheduled and has not yet fired."""
     return event[_FN] is not None
 
 
@@ -113,7 +99,6 @@ class Simulator:
         "now",
         "_heap",
         "next_seq",
-        "_cancelled",
         "_running",
         "_stop_requested",
         "_events_processed",
@@ -127,8 +112,6 @@ class Simulator:
         #: The shared sequence stream: each call returns the next event
         #: sequence number (1, 2, ...). Direct pushers draw from it too.
         self.next_seq: Callable[[], int] = itertools.count(1).__next__
-        #: Cancelled-but-not-yet-popped entries still in the heap.
-        self._cancelled = 0
         self._running = False
         self._stop_requested = False
         self._events_processed = 0
@@ -144,7 +127,7 @@ class Simulator:
 
     @property
     def events_processed(self) -> int:
-        """Number of events executed so far (cancelled events excluded)."""
+        """Number of events executed so far."""
         return self._events_processed
 
     def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> Event:
@@ -169,23 +152,6 @@ class Simulator:
         _heappush(self._heap, event)
         return event
 
-    def cancel(self, event: Event) -> None:
-        """Cancel a pending event. Cancelling twice is a harmless no-op."""
-        if event[_FN] is None:
-            return
-        event[_FN] = None
-        event[_ARGS] = ()
-        cancelled = self._cancelled + 1
-        heap = self._heap
-        if cancelled >= _COMPACT_MIN and cancelled * 2 > len(heap):
-            # In-place rebuild (slice assignment keeps the list identity
-            # for any run() loop holding a reference to it).
-            heap[:] = [e for e in heap if e[_FN] is not None]
-            _heapify(heap)
-            self._cancelled = 0
-        else:
-            self._cancelled = cancelled
-
     def stop(self) -> None:
         """Ask a running :meth:`run` loop to return after the current event.
 
@@ -197,20 +163,12 @@ class Simulator:
         self._stop_requested = True
 
     def _next_pending_time(self) -> Optional[float]:
-        """Firing time of the earliest live event, or ``None`` if drained.
-
-        Pops dead (cancelled) entries off the top as a side effect —
-        harmless, they would be skipped anyway.
-        """
+        """Firing time of the earliest pending event, or ``None`` if drained."""
         heap = self._heap
-        while heap:
-            event = heap[0]
-            if event[_FN] is None:
-                _heappop(heap)
-                self._cancelled -= 1
-                continue
-            return event[_TIME]  # type: ignore[no-any-return]
-        return None
+        if not heap:
+            return None
+        time: float = heap[0][_TIME]
+        return time
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
         """Run the event loop.
@@ -247,32 +205,21 @@ class Simulator:
                 # Bare loop: no per-event instrumentation checks.
                 while heap:
                     event = heap[0]
-                    fn = event[_FN]
-                    if fn is None:
-                        _heappop(heap)
-                        self._cancelled -= 1
-                        continue
                     time = event[_TIME]
                     if time > limit or budget <= 0:
                         break
                     budget -= 1
                     _heappop(heap)
                     self.now = time
-                    args = event[_ARGS]
+                    fn = event[_FN]
                     event[_FN] = None
-                    event[_ARGS] = ()
-                    fn(*args)
+                    fn(*event[_ARGS])
                     processed += 1
                     if self._stop_requested:
                         break
             else:
                 while heap:
                     event = heap[0]
-                    fn = event[_FN]
-                    if fn is None:
-                        _heappop(heap)
-                        self._cancelled -= 1
-                        continue
                     time = event[_TIME]
                     if time > limit or budget <= 0:
                         break
@@ -281,15 +228,14 @@ class Simulator:
                     if sanitizer is not None:
                         sanitizer.on_execute(time)
                     self.now = time
-                    args = event[_ARGS]
+                    fn = event[_FN]
                     event[_FN] = None
-                    event[_ARGS] = ()
                     if profiler is not None:
                         start = profiler.clock()
-                        fn(*args)
+                        fn(*event[_ARGS])
                         profiler.record(fn, profiler.clock() - start)
                     else:
-                        fn(*args)
+                        fn(*event[_ARGS])
                     processed += 1
                     if self._stop_requested:
                         break

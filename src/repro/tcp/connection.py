@@ -24,7 +24,7 @@ import heapq
 from bisect import bisect_right
 from typing import Callable, List, Optional, Tuple
 
-from ..sim.engine import _FN, _TIME, Event, Simulator
+from ..sim.engine import _FN, Event, Simulator
 from ..sim.link import Sink
 from ..sim.packet import Packet, SackBlock
 from ..units import ACK_PACKET_BYTES, DATA_PACKET_BYTES
@@ -168,9 +168,6 @@ class TcpSender:
         """Cumulative delivered packets (includes SACKed)."""
         return self.rate_estimator.delivered
 
-    def _has_new_data(self) -> bool:
-        return self.total_packets is None or self.snd_nxt < self.total_packets
-
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
@@ -233,7 +230,17 @@ class TcpSender:
             if in_flight >= cwnd_packets:
                 break
             if pacing_rate is not None and now < self._pacing_next:
-                self._arm_send_timer(self._pacing_next)
+                # Schedule the pacing timer only when none is pending, as
+                # Linux's tcp_pacing_check() does. A pending one is never
+                # late: _pacing_next only grows, so the timer was armed
+                # for a time at or before the current one. The handle is
+                # the engine's event list, whose fn is None once it fired
+                # (see the design notes in repro.sim.engine).
+                timer = self._send_timer
+                if timer is None or timer[_FN] is None:
+                    self._send_timer = self.sim.schedule_at(
+                        self._pacing_next, self._try_send
+                    )
                 break
             seq = self._next_retransmit() if self._retx_heap else None
             if seq is None:
@@ -286,17 +293,6 @@ class TcpSender:
                 if pacing_next < now:
                     pacing_next = now
                 self._pacing_next = pacing_next + gap
-
-    def _arm_send_timer(self, at: float) -> None:
-        # The handle is the engine's event list, read in place (see the
-        # design notes in repro.sim.engine); its fn is None once the
-        # timer fired or was cancelled.
-        timer = self._send_timer
-        if timer is not None and timer[_FN] is not None:
-            if timer[_TIME] <= at:
-                return
-            self.sim.cancel(timer)
-        self._send_timer = self.sim.schedule_at(at, self._try_send)
 
     # ------------------------------------------------------------------
     # ACK processing (entry point: reverse path delivers ACKs here)
@@ -585,8 +581,9 @@ class TcpSender:
     # RTO machinery (lazy re-arm to avoid heap churn)
     #
     # ``_rto_event`` is None exactly when no RTO event is pending: the
-    # handler clears it on entry and nothing cancels it, so a non-None
-    # handle needs no event_pending() test. The sanitizer checks this.
+    # handler clears it on entry and the engine has no cancellation, so
+    # a non-None handle needs no event_pending() test. The sanitizer
+    # checks this.
     # ------------------------------------------------------------------
 
     def _set_rto_deadline(self, deadline: float) -> None:
@@ -705,14 +702,14 @@ class TcpReceiver:
         self._ooo = RangeSet()
         # When the held segment's ACK is due; None when no segment is
         # held. At most one is: the receiver ACKs at least every second
-        # full-sized segment (RFC 5681). _send_ack clears the deadline
-        # and cancels nothing, so the timer event can outlive it:
-        # _on_delack re-checks the deadline when it fires, as
+        # full-sized segment (RFC 5681). _send_ack clears only the
+        # deadline, so the timer event can outlive it: _on_delack
+        # re-checks the deadline when it fires, as
         # TcpSender._on_rto_timer does.
         self._delack_deadline: Optional[float] = None
         # None exactly when no delayed-ACK timer event is pending:
-        # _on_delack clears it on entry and the event is never
-        # cancelled, so arming tests the handle instead of calling
+        # _on_delack clears it on entry and the engine has no
+        # cancellation, so arming tests the handle instead of calling
         # event_pending().
         self._delack_event: Optional[Event] = None
 

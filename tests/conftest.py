@@ -7,8 +7,6 @@ real packet-level machinery end to end.
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
 from repro.sim.engine import Simulator
@@ -16,31 +14,9 @@ from repro.sim.netem import NetemDelay
 from repro.tcp.connection import TcpReceiver, TcpSender
 
 
-def pytest_addoption(parser: pytest.Parser) -> None:
-    parser.addoption(
-        "--sanitize",
-        action="store_true",
-        default=False,
-        help="run the whole suite with the runtime simulation sanitizer "
-        "enabled (equivalent to REPRO_SANITIZE=1)",
-    )
-
-
-def pytest_configure(config: pytest.Config) -> None:
-    if config.getoption("--sanitize"):
-        # Every Simulator() constructed anywhere in the suite reads this.
-        os.environ["REPRO_SANITIZE"] = "1"
-
-
 @pytest.fixture
 def sim() -> Simulator:
     return Simulator()
-
-
-@pytest.fixture
-def sanitized_sim() -> Simulator:
-    """A simulator with invariant checking on regardless of env/flags."""
-    return Simulator(sanitize=True)
 
 
 class LossyWire:

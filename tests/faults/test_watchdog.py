@@ -26,12 +26,9 @@ class TestWatchdogConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             WatchdogConfig(stall_budget=0.0)
-        with pytest.raises(ValueError):
-            WatchdogConfig(stall_budget=5.0, check_interval=-1.0)
 
     def test_interval_defaults_to_quarter_budget(self):
         assert WatchdogConfig(stall_budget=8.0).interval == 2.0
-        assert WatchdogConfig(stall_budget=8.0, check_interval=0.5).interval == 0.5
 
 
 class TestStallDetection:
@@ -65,16 +62,6 @@ class TestStallDetection:
         assert result.measured_duration == 0.0
         assert all(f.goodput_bps == 0.0 for f in result.flows)
         assert result.jfi() == 1.0  # all-zero allocations, defined as fair
-
-    def test_record_only_mode_does_not_abort(self):
-        scenario = deadlock_scenario(duration=40.0)
-        result = run_experiment(
-            scenario,
-            watchdog=WatchdogConfig(stall_budget=8.0, abort_when_all_stalled=False),
-        )
-        assert result.health.ok  # ran to the configured duration
-        assert result.health.stalled_flows == [0, 1, 2]  # ...but stalls recorded
-        assert result.measured_duration == pytest.approx(39.0)
 
     def test_healthy_run_reports_no_stalls(self):
         scenario = edge_scale(flows=2, duration=6.0, warmup=1.0, seed=7)

@@ -7,7 +7,7 @@ import math
 import pytest
 
 from repro.lint.sanitizer import SanitizerError, SimSanitizer
-from repro.sim.engine import Simulator
+from repro.sim.engine import _FN, _TIME, Simulator
 from repro.sim.link import Link
 from repro.sim.queue import DropTailQueue
 from repro.tcp.cca.newreno import NewReno
@@ -240,10 +240,32 @@ def test_stale_rto_handle_trips():
     sender.start()  # the first transmission arms the RTO timer
     assert sender._rto_event is not None
     sim.sanitizer.check_sender(sender)  # handle set, event pending: clean
-    # Cancelled behind the handle's back: the ACK handler would keep
-    # storing deadlines for a timer that can never fire.
-    sim.cancel(sender._rto_event)
+    # Marked fired, as the engine does on execution, while the handle
+    # is still set: the ACK handler would keep storing deadlines for a
+    # timer that can never fire.
+    sender._rto_event[_FN] = None
     with pytest.raises(SanitizerError, match="RTO timer handle is set"):
+        sim.sanitizer.check_sender(sender)
+
+
+class _PacedReno(NewReno):
+    @property
+    def pacing_rate(self):
+        return 1_500 * 8 * 100.0  # 100 packets per second
+
+
+def test_pacing_timer_after_pacing_next_trips():
+    sim = Simulator(sanitize=True)
+    sender, _, _ = make_pipe(sim, _PacedReno(), total_packets=20)
+    sender.start()  # one packet, then the pacing timer for the next
+    timer = sender._send_timer
+    assert timer is not None and timer[_FN] is not None
+    assert timer[_TIME] == sender._pacing_next
+    sim.sanitizer.check_sender(sender)  # timer due at _pacing_next: clean
+    # A pending timer is kept rather than moved earlier, so a
+    # _pacing_next below it would hold the next packet back too long.
+    sender._pacing_next = timer[_TIME] / 2
+    with pytest.raises(SanitizerError, match="pacing timer pending"):
         sim.sanitizer.check_sender(sender)
 
 

@@ -1,11 +1,12 @@
 """Property tests: the heap-based Simulator vs a brute-force reference.
 
-The optimized engine (lazy cancellation, mid-run compaction, the bare
-fast-path loop) must execute exactly the same events in exactly the
-same order as the obviously correct O(n^2) scheduler below. Hypothesis
-drives both with the same randomly generated program of schedules,
-nested schedules, cancellations, budgets and horizons, and the test
-compares the full execution logs plus the final clock.
+The optimized engine (the heap, the bare fast-path loop) must execute
+exactly the same events in exactly the same order as the obviously
+correct O(n^2) scheduler below. Hypothesis drives both with the same
+randomly generated program of schedules, nested schedules, stops,
+budgets and horizons, and the test compares the full execution logs
+plus the final clock. After every program, every entry left in the
+engine's heap must still be a live event.
 
 All tests are derandomized (fixed example corpus per hypothesis
 version) with ``database=None``, so CI never depends on the local
@@ -19,7 +20,7 @@ from typing import Any, List, Optional, Tuple
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.engine import Simulator
+from repro.sim.engine import _FN, Simulator
 
 PROPERTY_SETTINGS = settings(
     max_examples=120, derandomize=True, database=None, deadline=None
@@ -30,9 +31,8 @@ class NaiveScheduler:
     """Reference implementation: linear scan for the minimum (time, seq).
 
     Mirrors the documented Simulator semantics — FIFO among same-time
-    events, lazy cancellation, lifetime event budget, clock advanced to
-    ``until`` only on natural completion — with none of the heap, the
-    compaction or the fast-path tricks.
+    events, lifetime event budget, clock advanced to ``until`` only on
+    natural completion — with none of the heap or the fast-path tricks.
     """
 
     def __init__(self) -> None:
@@ -49,17 +49,12 @@ class NaiveScheduler:
         self._pending.append(event)
         return event
 
-    def cancel(self, event: List[Any]) -> None:
-        event[2] = None
-
     def stop(self) -> None:
         self._stop = True
 
     def _next_live(self) -> Optional[List[Any]]:
         best = None
         for event in self._pending:
-            if event[2] is None:
-                continue
             if best is None or (event[0], event[1]) < (best[0], best[1]):
                 best = event
         return best
@@ -91,10 +86,9 @@ class NaiveScheduler:
 # One program instruction: (delay, action, param). Actions:
 #   "log"    — handler records (now, tag)
 #   "spawn"  — handler additionally schedules a log event param later
-#   "cancel" — handler cancels the param-th root event (modulo count)
 _INSTRUCTION = st.tuples(
     st.floats(min_value=0.0, max_value=8.0, allow_nan=False, allow_infinity=False),
-    st.sampled_from(["log", "spawn", "cancel"]),
+    st.sampled_from(["log", "spawn"]),
     st.floats(min_value=0.0, max_value=4.0, allow_nan=False, allow_infinity=False),
 )
 
@@ -105,22 +99,23 @@ def _execute(sim, program, log: Optional[List[Tuple[float, str]]] = None) -> Lis
     """Load ``program`` into a scheduler and return its execution log."""
     if log is None:
         log = []
-    roots: List[Any] = []
 
     def make_handler(tag: str, action: str, param: float):
         def handler() -> None:
             log.append((sim.now, tag))
             if action == "spawn":
                 sim.schedule(param, log.append, (sim.now + param, f"{tag}-child"))
-            elif action == "cancel" and roots:
-                target = roots[int(param * 10) % len(roots)]
-                sim.cancel(target)
 
         return handler
 
     for idx, (delay, action, param) in enumerate(program):
-        roots.append(sim.schedule(delay, make_handler(f"e{idx}", action, param)))
+        sim.schedule(delay, make_handler(f"e{idx}", action, param))
     return log
+
+
+def _assert_heap_live(sim: Simulator) -> None:
+    """Events are never cancelled, so no dead entry sits in the heap."""
+    assert all(event[_FN] is not None for event in sim._heap)
 
 
 @PROPERTY_SETTINGS
@@ -134,6 +129,7 @@ def test_run_matches_naive_reference(program):
     assert log_sim == log_ref
     assert sim.now == ref.now
     assert sim.events_processed == ref.events_processed
+    _assert_heap_live(sim)
 
 
 @PROPERTY_SETTINGS
@@ -150,6 +146,7 @@ def test_run_until_matches_naive_reference(program, until):
     assert log_sim == log_ref
     assert sim.now == ref.now
     assert sim.events_processed == ref.events_processed
+    _assert_heap_live(sim)
 
 
 @PROPERTY_SETTINGS
@@ -163,6 +160,7 @@ def test_budget_matches_naive_reference(program, budget):
     assert log_sim == log_ref
     assert sim.now == ref.now
     assert sim.events_processed == ref.events_processed
+    _assert_heap_live(sim)
 
 
 class _StoppableLog(list):
@@ -190,31 +188,10 @@ def test_stop_matches_naive_reference(program, stop_after):
         sched.run(until=10.0)
         return list(log), sched.now, sched.events_processed
 
-    log_sim, now_sim, n_sim = run_side(Simulator(sanitize=False))
+    sim = Simulator(sanitize=False)
+    log_sim, now_sim, n_sim = run_side(sim)
     log_ref, now_ref, n_ref = run_side(NaiveScheduler())
     assert log_sim == log_ref
     assert now_sim == now_ref
     assert n_sim == n_ref
-
-
-@PROPERTY_SETTINGS
-@given(
-    n=st.integers(min_value=300, max_value=700),
-    keep_every=st.integers(min_value=2, max_value=7),
-)
-def test_mass_cancellation_compaction_preserves_order(n, keep_every):
-    """Cancelling most of a large population forces heap compaction
-    (the in-place rebuild past _COMPACT_MIN); survivors must still fire
-    in exact (time, seq) order."""
-    sim = Simulator(sanitize=False)
-    fired: List[int] = []
-    events = [sim.schedule(float(i % 13), fired.append, i) for i in range(n)]
-    survivors = [i for i in range(n) if i % keep_every == 0]
-    for i in range(n):
-        if i % keep_every != 0:
-            sim.cancel(events[i])
-            sim.cancel(events[i])  # double-cancel must stay a no-op
-    sim.run()
-    expected = sorted(survivors, key=lambda i: (float(i % 13), i))
-    assert fired == expected
-    assert sim.events_processed == len(survivors)
+    _assert_heap_live(sim)

@@ -80,7 +80,7 @@ def test_key_scheme_is_pinned():
     )
     guarded = RunOptions(watchdog=WatchdogConfig(stall_budget=6.0), max_events=10_000)
     assert Job(sc, guarded).key() == (
-        "37bd3cb4324427049af4a07f9b878cceb5dc646cad009b74fc96b718038c7f9a"
+        "4063d43e0b75d35c1d619e1b3a9e448fe923ebecbe198dd0eaa22e13f1f4ee28"
     )
     blackout = FaultSchedule.from_spec("blackout", sc.duration).events
     assert Job(sc.with_overrides(faults=blackout)).key() == (
