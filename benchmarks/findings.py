@@ -20,8 +20,12 @@ decided after every report has run.
 
 Results live in the run store under ``benchmarks/_cache/``. Its
 smoke-profile objects are committed; the directory is in ``.gitignore``
-so that local objects never churn in diffs. To publish refreshed objects
-after a physics change, ``git add -f benchmarks/_cache/objects/<key>.pkl``.
+so that local objects never churn in diffs. Store keys hash the golden
+corpus, so regenerating it after a physics change re-keys every object.
+To publish refreshed objects, run ``REPRO_BENCH_PROFILE=smoke python
+benchmarks/findings.py`` (cold: every key is new), then ``repro cache
+gc`` (collects the old-physics objects), ``git rm`` the old objects and
+``git add -f benchmarks/_cache/objects/<key>.pkl`` the new ones.
 
 Three environment knobs:
 
@@ -54,7 +58,6 @@ from repro.analysis.stats import median  # noqa: E402
 from repro.analysis.throughput import loss_to_halving_ratio  # noqa: E402
 from repro.core.results import ExperimentResult  # noqa: E402
 from repro.core.scenarios import FlowGroup, Scenario  # noqa: E402
-from repro.models.ware_bbr import predict_bbr_share  # noqa: E402
 from repro.runstore import Job, RunStore, run_jobs  # noqa: E402
 from repro.units import MSS, bdp_bytes, gbps, mbps, megabytes  # noqa: E402
 
@@ -388,10 +391,10 @@ def fig5(r: Results) -> List[Check]:
 
 def one_bbr(rival: str, figure: str, r: Results) -> List[Check]:
     """Figs 6 and 7, Finding 6: one BBR flow takes ~40% against thousands
-    of NewReno or Cubic flows whatever their count (Ware et al.'s model)."""
+    of NewReno or Cubic flows whatever their count (Ware et al.'s claim)."""
     share = {key: result.shares()["bbr"] for key, result in r.items()}
     print_shares(f"{figure}: 1 BBR flow's share vs {rival} (paper: ~40%, flat in count)",
-                 share, {"home link": 0.40, "Ware model": predict_bbr_share(1.0)})
+                 share, {"home link": 0.40})
     # The flow far exceeds its fair share, one scaled flow among n/SCALE.
     return [
         (value > 4 * SCALE / n, f"BBR at {n} flows/{rtt * 1000:.0f}ms took {value:.2%}, "

@@ -3,7 +3,7 @@
 
 Runs three head-to-head competitions on the same scaled CoreScale
 bottleneck and compares measured shares against the paper's reference
-numbers and the Ware et al. model prediction:
+numbers:
 
 1. Cubic vs NewReno, equal counts   (paper: Cubic takes 70-80%)
 2. one BBR flow vs many NewReno     (paper: BBR takes ~40%)
@@ -14,7 +14,7 @@ Run time: several minutes of wall clock.
     python examples/inter_cca_competition.py
 """
 
-from repro import FlowGroup, Scenario, predict_bbr_share, run_experiment
+from repro import FlowGroup, Scenario, run_experiment
 from repro.units import bdp_bytes, mbps
 
 BOTTLENECK = mbps(200)
@@ -51,8 +51,7 @@ def main() -> None:
     print(f"   cubic share: {r.shares()['cubic']:.1%}   "
           f"(newreno intra-JFI {r.jfi('newreno'):.3f})")
 
-    print("2) one BBR flow vs 99 NewReno (paper: BBR ~40%; "
-          f"Ware model: {predict_bbr_share(1.0):.0%})")
+    print("2) one BBR flow vs 99 NewReno (paper: BBR ~40%)")
     r = compete("one-bbr", (FlowGroup("bbr", 1, RTT),
                             FlowGroup("newreno", 99, RTT)),
                 duration=150.0, warmup=50.0)

@@ -44,7 +44,6 @@ from .models import (
     cubic_throughput,
     mathis_throughput,
     padhye_throughput,
-    predict_bbr_share,
 )
 from .obs import (
     EventBus,
@@ -52,7 +51,6 @@ from .obs import (
     TraceRecorder,
 )
 from .runstore import (
-    CACHE_VERSION,
     Job,
     JobEvent,
     RunOptions,
@@ -73,7 +71,6 @@ __all__ = [
     "edge_scale",
     "core_scale",
     "run_experiment",
-    "CACHE_VERSION",
     "Job",
     "JobEvent",
     "RunOptions",
@@ -101,6 +98,5 @@ __all__ = [
     "mathis_throughput",
     "padhye_throughput",
     "cubic_throughput",
-    "predict_bbr_share",
     "__version__",
 ]

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import datetime
 import functools
 import json
 import os
@@ -47,7 +46,6 @@ from .models.mathis import mathis_throughput
 from .models.padhye import padhye_throughput
 from .obs import EventBus, SimProfiler, TraceRecorder, trace_jsonl
 from .runstore import (
-    CACHE_VERSION,
     Job,
     RunOptions,
     RunStore,
@@ -56,6 +54,7 @@ from .runstore import (
     print_progress,
     run_jobs,
 )
+from .runstore.keys import physics_fingerprint
 from .units import MSS
 
 #: Where ``repro cache`` (and ``--store`` without a value) looks by default.
@@ -259,12 +258,6 @@ def _fmt_size(size: int) -> str:
     return f"{size}B"  # pragma: no cover - unreachable
 
 
-def _fmt_when(created: float) -> str:
-    if created <= 0:
-        return "-"
-    return datetime.datetime.fromtimestamp(created).strftime("%Y-%m-%d %H:%M")
-
-
 def _cmd_cache_ls(args: argparse.Namespace) -> int:
     store = RunStore(args.store)
     entries = store.ls()
@@ -275,12 +268,12 @@ def _cmd_cache_ls(args: argparse.Namespace) -> int:
     if not entries:
         print(f"store {args.store}: empty")
         return 0
-    print(f"store {args.store}: {len(entries)} entries (cache v{CACHE_VERSION})")
+    print(f"store {args.store}: {len(entries)} entries")
     for e in entries:
-        flag = "" if e.version == CACHE_VERSION else f"  [stale v{e.version}]"
+        flag = "" if e.physics == physics_fingerprint() else "  [stale]"
         print(
-            f"{e.key[:12]}  {_fmt_size(e.size):>9s}  wall={e.wall_seconds:7.2f}s  "
-            f"{_fmt_when(e.created)}  {e.name}{flag}"
+            f"{e.key[:12]}  {_fmt_size(e.size):>9s}  events={e.events:<10d}  "
+            f"{e.name}{flag}"
         )
     return 0
 
@@ -306,9 +299,8 @@ def _cmd_cache_info(args: argparse.Namespace) -> int:
         json.dump(meta, sys.stdout, indent=2)
         print()
         return 0
-    for field_name in ("key", "name", "version", "size", "wall_seconds", "events"):
+    for field_name in ("key", "name", "size", "events", "physics"):
         print(f"{field_name:14s} {meta.get(field_name, '-')}")
-    print(f"{'created':14s} {_fmt_when(float(meta.get('created', 0.0)))}")
     payload = store.get(key)
     summary = getattr(payload, "summary", None)
     if callable(summary):
@@ -318,7 +310,7 @@ def _cmd_cache_info(args: argparse.Namespace) -> int:
 
 def _cmd_cache_gc(args: argparse.Namespace) -> int:
     store = RunStore(args.store)
-    report = store.gc(dry_run=args.dry_run, all_versions=args.all_versions)
+    report = store.gc(dry_run=args.dry_run)
     if args.json:
         json.dump(report.to_json(), sys.stdout, indent=2)
         print()
@@ -480,13 +472,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_info.set_defaults(fn=_cmd_cache_info)
 
     p_gc = cache_sub.add_parser(
-        "gc", help="delete temp leftovers, corrupt objects and stale versions"
+        "gc", help="delete temp leftovers, corrupt objects and results of older physics"
     )
     _add_store_arg(p_gc)
     p_gc.add_argument("--dry-run", action="store_true",
                       help="report what would be removed without removing")
-    p_gc.add_argument("--all-versions", action="store_true",
-                      help="keep entries from older CACHE_VERSIONs")
     p_gc.set_defaults(fn=_cmd_cache_gc)
 
     p_lint = sub.add_parser(

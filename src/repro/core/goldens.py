@@ -28,6 +28,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import os
 from typing import Any, Dict, Optional, Tuple
 
 from ..faults.schedule import FaultSchedule
@@ -42,6 +43,16 @@ from .scenarios import FlowGroup, Scenario, core_scale, edge_scale
 #: Format 2 leaves ``events_processed`` out of the digest; the corpus pins
 #: it as its own ``events`` field.
 GOLDEN_FORMAT = 2
+
+#: The committed corpus, which the run-store key also hashes (see
+#: :func:`repro.runstore.keys.physics_fingerprint`). It is found from
+#: this file's place in the source tree, so ``PYTHONPATH=src`` and
+#: ``pip install -e .`` read the same file; a copy of the package
+#: installed without the tree has no corpus.
+HASHES_PATH = os.path.normpath(os.path.join(
+    os.path.dirname(os.path.abspath(__file__)),
+    "..", "..", "..", "tests", "golden", "hashes.json",
+))
 
 #: Row cap for golden traces: keeps the committed artifacts small while
 #: still pinning the exact event-by-event behaviour of the opening

@@ -64,9 +64,8 @@ class Scenario:
     ack_jitter_fraction: float = 0.02
     #: Deterministic fault schedule applied during the run (see
     #: :mod:`repro.faults`). Part of the scenario — and therefore of the
-    #: run-store cache key — because faults change the result. An empty
-    #: tuple is omitted from the canonical key form so unfaulted
-    #: scenarios keep their pre-fault-subsystem cache keys.
+    #: run-store cache key, which hashes ``dataclasses.asdict`` of the
+    #: scenario — because faults change the result.
     faults: Tuple[FaultEvent, ...] = ()
 
     def __post_init__(self) -> None:

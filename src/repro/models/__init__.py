@@ -5,7 +5,6 @@ from __future__ import annotations
 from .cubic_model import cubic_constant, cubic_throughput
 from .mathis import MATHIS_C_DELAYED_SACK, derive_constant, mathis_throughput
 from .padhye import padhye_throughput
-from .ware_bbr import EMPIRICAL_NEUTRAL_SHARE, predict_bbr_share, probe_sample_share
 
 __all__ = [
     "mathis_throughput",
@@ -14,7 +13,4 @@ __all__ = [
     "padhye_throughput",
     "cubic_throughput",
     "cubic_constant",
-    "predict_bbr_share",
-    "probe_sample_share",
-    "EMPIRICAL_NEUTRAL_SHARE",
 ]

@@ -67,7 +67,7 @@ class EventBus:
     """Typed-topic publish/subscribe hub for one simulation run."""
 
     def __init__(self) -> None:
-        # One list per topic, created up front and captured by identity
+        # One list per topic, made up front and captured by identity
         # in forwarders, so subscribing after a bind still takes effect.
         self._subs: Dict[str, List[Subscriber]] = {topic: [] for topic in TOPICS}
 

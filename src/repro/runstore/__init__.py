@@ -3,8 +3,9 @@ results plus a fault-tolerant parallel scheduler.
 
 The subsystem has four layers:
 
-- :mod:`repro.runstore.keys` — canonical JSON serialization of a
-  (scenario, options, :data:`CACHE_VERSION`) job and its sha256 key;
+- :mod:`repro.runstore.keys` — the sha256 key of a (scenario, options)
+  job: canonical JSON of both plus the physics fingerprint, a hash of
+  the golden corpus;
 - :mod:`repro.runstore.store` — the on-disk content-addressed store
   (atomic writes, corruption-tolerant loads, listing from the
   self-describing objects, ``gc``);
@@ -24,7 +25,7 @@ Typical use::
 
 from __future__ import annotations
 
-from .keys import CACHE_VERSION, canonical_json, job_key
+from .keys import canonical_json, job_key
 from .progress import JobEvent, ProgressCallback, SweepStats, print_progress
 from .scheduler import (
     Job,
@@ -37,7 +38,6 @@ from .scheduler import (
 from .store import GcReport, RunStore, StoreEntry
 
 __all__ = [
-    "CACHE_VERSION",
     "GcReport",
     "Job",
     "JobEvent",

@@ -2,9 +2,10 @@
 
 :func:`run_jobs` executes a batch of simulation jobs with:
 
-- **deduplication** — jobs with identical cache keys (same scenario,
-  options and :data:`~repro.runstore.keys.CACHE_VERSION`) simulate
-  once; the result fans out to every requesting position;
+- **deduplication** — jobs with identical cache keys (same scenario
+  and options, under the same
+  :func:`~repro.runstore.keys.physics_fingerprint`) simulate once; the
+  result fans out to every requesting position;
 - **caching** — with a :class:`~repro.runstore.store.RunStore`
   attached, previously stored results are served without simulating
   and fresh results are persisted *by the worker, as soon as each job
@@ -64,8 +65,7 @@ class RunOptions:
 
     Each field is one keyword. A field left at ``None`` (``watchdog``
     and ``max_events`` by default) is omitted from both the kwargs and
-    the canonical (hashed) form, so cache keys written before those
-    options existed stay valid.
+    the canonical (hashed) form.
     """
 
     record_drop_times: bool = True
@@ -228,11 +228,7 @@ def _execute(
         # Degraded (watchdog/budget-truncated) partial results are stored
         # too: the truncation is deterministic, so a re-run would only
         # reproduce the same partial result the slow way.
-        meta: Dict[str, Any] = {
-            "name": scenario.name,
-            "wall_seconds": wall,
-            "events": events,
-        }
+        meta: Dict[str, Any] = {"name": scenario.name, "events": events}
         if degraded:
             meta["health_reason"] = health.reason
         try:
@@ -387,7 +383,6 @@ class _Sweep:
         self._fill(key, payload)
         self.emit(
             kind, key, attempt=attempt,
-            wall_seconds=float(meta.get("wall_seconds", 0.0)),
             events=int(meta.get("events", 0)),
             payload=payload,
         )

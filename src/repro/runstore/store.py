@@ -7,7 +7,10 @@ Layout (all under one *store root*, e.g. ``benchmarks/_cache``)::
 Each object is a self-describing *envelope* ``{"key", "meta",
 "payload"}`` and is the only record of its result: :meth:`RunStore.ls`
 reads the envelopes themselves, so there is no separate index to keep
-in step with the objects.
+in step with the objects. The meta holds the scenario name, the event
+count and the physics fingerprint the result was simulated under, and
+nothing host-dependent: the same result stored under the same key is
+the same bytes on every run.
 
 Durability rules:
 
@@ -32,11 +35,10 @@ import os
 import pickle
 import re
 import tempfile
-import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from .keys import CACHE_VERSION
+from .keys import physics_fingerprint
 
 _OBJECT_RE = re.compile(r"^[0-9a-f]{64}\.pkl$")
 _TMP_PREFIX = ".tmp-"
@@ -48,21 +50,18 @@ class StoreEntry:
 
     key: str
     name: str
-    version: int
     size: int
-    wall_seconds: float
     events: int
-    created: float
+    #: Fingerprint of the physics the result was simulated under.
+    physics: str
 
     def to_json(self) -> Dict[str, Any]:
         return {
             "key": self.key,
             "name": self.name,
-            "version": self.version,
             "size": self.size,
-            "wall_seconds": self.wall_seconds,
             "events": self.events,
-            "created": self.created,
+            "physics": self.physics,
         }
 
 
@@ -125,17 +124,15 @@ class RunStore:
         os.makedirs(self.objects_dir, exist_ok=True)
         entry_meta = dict(meta or {})
         entry_meta.setdefault("name", "")
-        entry_meta.setdefault("version", CACHE_VERSION)
-        entry_meta.setdefault("wall_seconds", 0.0)
         entry_meta.setdefault("events", 0)
-        # Host-clock read is intentional: 'created' is bookkeeping for
-        # humans (cache ls), never simulation input.
-        entry_meta.setdefault("created", time.time())  # repro-lint: disable=RPR001
+        entry_meta.setdefault("physics", physics_fingerprint())
         envelope = {"key": key, "meta": entry_meta, "payload": payload}
         fd, tmp = tempfile.mkstemp(prefix=_TMP_PREFIX, dir=self.objects_dir)
         try:
             with os.fdopen(fd, "wb") as fh:
-                pickle.dump(envelope, fh, protocol=pickle.HIGHEST_PROTOCOL)
+                # A pinned protocol keeps an object's bytes independent
+                # of the interpreter's default.
+                pickle.dump(envelope, fh, protocol=5)
             os.replace(tmp, self._object_path(key))
         except BaseException:
             with contextlib.suppress(OSError):
@@ -188,7 +185,7 @@ class RunStore:
             return []
 
     def ls(self) -> List[StoreEntry]:
-        """Every readable stored result, most recent first.
+        """Every readable stored result, in key order.
 
         Read-only: a corrupt or mis-keyed object is skipped here and
         left for ``gc``.
@@ -210,13 +207,10 @@ class RunStore:
             rows.append(StoreEntry(
                 key=key,
                 name=str(meta.get("name", "")),
-                version=int(meta.get("version", 0)),
                 size=size,
-                wall_seconds=float(meta.get("wall_seconds", 0.0)),
                 events=int(meta.get("events", 0)),
-                created=float(meta.get("created", 0.0)),
+                physics=str(meta.get("physics", "")),
             ))
-        rows.sort(key=lambda e: (-e.created, e.key))
         return rows
 
     def resolve(self, prefix: str) -> List[str]:
@@ -231,11 +225,12 @@ class RunStore:
     # Garbage collection
     # ------------------------------------------------------------------
 
-    def gc(self, dry_run: bool = False, all_versions: bool = False) -> GcReport:
-        """Delete temp leftovers, corrupt objects and stale-version results.
+    def gc(self, dry_run: bool = False) -> GcReport:
+        """Delete temp leftovers, corrupt objects and stale results: those
+        whose meta ``physics`` is not the current
+        :func:`~repro.runstore.keys.physics_fingerprint`, which no key
+        reaches any more.
 
-        ``all_versions=True`` keeps old-:data:`CACHE_VERSION` entries
-        (only trash — temp files and corrupt objects — is collected).
         ``dry_run=True`` reports the same files and bytes but deletes
         nothing.
         """
@@ -260,8 +255,7 @@ class RunStore:
                 if os.path.exists(path):  # corrupt, not concurrently removed
                     _collect(path)
                 continue
-            version = int(envelope["meta"].get("version", 0))
-            if not all_versions and version != CACHE_VERSION:
+            if envelope["meta"].get("physics") != physics_fingerprint():
                 _collect(path)
                 continue
             report.kept += 1

@@ -1,5 +1,6 @@
 """Unit tests for fault events, schedules, the spec grammar and presets."""
 
+import dataclasses
 import pickle
 
 import pytest
@@ -13,7 +14,6 @@ from repro.faults.schedule import (
     FaultSchedule,
 )
 from repro.runstore import Job
-from repro.runstore.keys import scenario_to_canonical
 
 
 class TestFaultEvent:
@@ -124,11 +124,8 @@ class TestScenarioIntegration:
         with pytest.raises(TypeError):
             edge_scale(flows=2).with_overrides(faults=("down@8",))
 
-    def test_empty_faults_preserve_legacy_cache_key(self):
-        """The canonical form omits an empty schedule so every key minted
-        before the faults field existed still resolves."""
+    def test_explicit_empty_faults_keep_the_cache_key(self):
         scenario = edge_scale(flows=2, seed=3)
-        assert "faults" not in scenario_to_canonical(scenario)
         assert Job(scenario).key() == Job(scenario.with_overrides(faults=())).key()
 
     def test_faulted_scenario_changes_cache_key(self):
@@ -136,7 +133,7 @@ class TestScenarioIntegration:
         faulted = scenario.with_overrides(
             faults=(FaultEvent("link_down", time=8.0, duration=2.0),)
         )
-        assert "faults" in scenario_to_canonical(faulted)
+        assert dataclasses.asdict(faulted)["faults"]
         assert Job(faulted).key() != Job(scenario).key()
 
     def test_different_fault_values_change_cache_key(self):

@@ -24,9 +24,8 @@ which covers every float bit and every physical counter but not
 from __future__ import annotations
 
 import json
-import os
 
-from repro.core.goldens import golden_scenarios, result_digest, run_golden
+from repro.core.goldens import HASHES_PATH, golden_scenarios, result_digest, run_golden
 from repro.core.experiment import run_experiment
 from repro.core.scenarios import edge_scale
 from repro.lint.sanitizer import SimSanitizer
@@ -122,7 +121,6 @@ def test_sanitized_golden_run_checks_every_push(monkeypatch):
     [sanitizer] = sanitizers
     pushed = sanitizer.sim.next_seq() - 1
     assert len(checked) == pushed > 100_000
-    hashes = os.path.join(os.path.dirname(os.path.abspath(__file__)), "hashes.json")
-    with open(hashes, encoding="utf-8") as fh:
+    with open(HASHES_PATH, encoding="utf-8") as fh:
         expected = json.load(fh)["scenarios"]["golden-bbr-mix"]
     assert (digest, result.events_processed) == (expected["result_sha256"], expected["events"])

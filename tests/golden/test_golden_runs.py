@@ -25,6 +25,7 @@ import pytest
 
 from repro.core.goldens import (
     GOLDEN_FORMAT,
+    HASHES_PATH,
     TRACED_SCENARIOS,
     drift_report,
     golden_scenarios,
@@ -34,9 +35,7 @@ from repro.core.goldens import (
 )
 from repro.tcp.cca import CCA_REGISTRY
 
-GOLDEN_DIR = os.path.dirname(os.path.abspath(__file__))
-HASHES_PATH = os.path.join(GOLDEN_DIR, "hashes.json")
-TRACES_DIR = os.path.join(GOLDEN_DIR, "traces")
+TRACES_DIR = os.path.join(os.path.dirname(HASHES_PATH), "traces")
 
 with open(HASHES_PATH, encoding="utf-8") as _fh:
     CORPUS = json.load(_fh)

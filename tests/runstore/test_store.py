@@ -2,7 +2,8 @@
 
 import os
 
-from repro.runstore import CACHE_VERSION, Job, RunStore
+from repro.runstore import Job, RunStore
+from repro.runstore.keys import physics_fingerprint
 
 from .fakes import scenario
 
@@ -23,15 +24,12 @@ def _put(store, i, **meta):
 
 def test_roundtrip_and_meta(tmp_path):
     store = _store(tmp_path)
-    key = _put(store, 1, wall_seconds=1.5, events=42)
+    key = _put(store, 1, events=42)
     assert _exists(store, key)
     assert store.get(key) == {"seed": 1}
     payload, meta = store.fetch(key)
     assert payload == {"seed": 1}
-    assert meta["name"] == "s1"
-    assert meta["wall_seconds"] == 1.5
-    assert meta["events"] == 42
-    assert meta["version"] == CACHE_VERSION
+    assert meta == {"name": "s1", "events": 42, "physics": physics_fingerprint()}
     full = store.meta(key)
     assert full["key"] == key and full["size"] > 0
 
@@ -79,32 +77,43 @@ def test_put_leaves_no_temp_files(tmp_path):
 
 def test_ls_lists_what_put_wrote_without_a_manifest(tmp_path):
     store = _store(tmp_path)
-    older = _put(store, 1, wall_seconds=1.5, events=42, created=100.0)
-    newer = _put(store, 2, wall_seconds=0.5, events=7, created=200.0)
-    tie = _put(store, 3, created=100.0)
+    one = _put(store, 1, events=42)
+    two = _put(store, 2, events=7)
+    three = _put(store, 3)
     corrupt = os.path.join(store.objects_dir, "a" * 64 + ".pkl")
     with open(corrupt, "wb") as fh:
         fh.write(b"junk")
 
     rows = RunStore(store.root).ls()
-    # Most recent first, ties broken by key; the corrupt object is
-    # skipped, and left in place for gc.
-    assert [e.key for e in rows] == [newer] + sorted([older, tie])
+    # Key order; the corrupt object is skipped, and left in place for gc.
+    assert [e.key for e in rows] == sorted([one, two, three])
     assert os.path.exists(corrupt)
     by_key = {e.key: e for e in rows}
-    assert by_key[older].to_json() == {
-        "key": older,
+    assert by_key[one].to_json() == {
+        "key": one,
         "name": "s1",
-        "version": CACHE_VERSION,
-        "size": os.path.getsize(os.path.join(store.objects_dir, older + ".pkl")),
-        "wall_seconds": 1.5,
+        "size": os.path.getsize(os.path.join(store.objects_dir, one + ".pkl")),
         "events": 42,
-        "created": 100.0,
+        "physics": physics_fingerprint(),
     }
-    assert (by_key[newer].name, by_key[newer].events) == ("s2", 7)
+    assert (by_key[two].name, by_key[two].events) == ("s2", 7)
     # The objects are the only record: no index or lock file appears.
     written = [name for _, _, names in os.walk(store.root) for name in names]
     assert not [name for name in written if name.startswith("manifest")]
+
+
+def test_same_payload_stores_the_same_bytes(tmp_path):
+    """An object's bytes depend on its key and content alone, not on when
+    or how fast it was written."""
+    store = _store(tmp_path)
+    key_a, key_b = Job(scenario(1)).key(), Job(scenario(2)).key()
+    for key in (key_a, key_b):
+        store.put(key, {"seed": 1}, meta={"name": "s", "events": 3})
+    blobs = []
+    for key in (key_a, key_b):
+        with open(os.path.join(store.objects_dir, key + ".pkl"), "rb") as fh:
+            blobs.append(fh.read().replace(key.encode("ascii"), b"KEY"))
+    assert blobs[0] == blobs[1]
 
 
 def test_resolve_prefix(tmp_path):
@@ -117,7 +126,7 @@ def test_resolve_prefix(tmp_path):
 def test_gc_collects_trash_and_stale_versions(tmp_path):
     store = _store(tmp_path)
     keep = _put(store, 1)
-    stale = _put(store, 2, version=CACHE_VERSION - 1)
+    stale = _put(store, 2, physics="0" * 64)
     tmp_file = os.path.join(store.objects_dir, ".tmp-leftover")
     with open(tmp_file, "wb") as fh:
         fh.write(b"junk")
@@ -137,14 +146,6 @@ def test_gc_collects_trash_and_stale_versions(tmp_path):
     assert not os.path.exists(tmp_file)
     assert not os.path.exists(corrupt)
     assert [e.key for e in store.ls()] == [keep]
-
-
-def test_gc_all_versions_keeps_old_entries(tmp_path):
-    store = _store(tmp_path)
-    stale = _put(store, 2, version=CACHE_VERSION - 1)
-    report = store.gc(all_versions=True)
-    assert report.kept == 1
-    assert _exists(store, stale)
 
 
 def test_gc_dry_run_keeps_and_counts_corrupt_objects(tmp_path):

@@ -27,7 +27,6 @@ def test_model_functions_exported():
     assert repro.mathis_throughput(1448, 0.02, 0.01) > 0
     assert repro.padhye_throughput(1448, 0.02, 0.01) > 0
     assert repro.cubic_throughput(1448, 0.02, 0.01) > 0
-    assert 0 <= repro.predict_bbr_share(1.0) <= 1
 
 
 def test_make_cca_exported():

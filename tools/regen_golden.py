@@ -8,6 +8,12 @@ a simulation-behaviour change is intentional; a pure performance
 refactor must leave every hash untouched (that is the point of the
 corpus).
 
+The run-store key hashes this corpus, so a regeneration re-keys every
+stored result: afterwards, refresh the committed benchmark objects with
+a cold ``REPRO_BENCH_PROFILE=smoke python benchmarks/findings.py``,
+then ``repro cache gc``, ``git rm`` of the old objects under
+``benchmarks/_cache/objects`` and ``git add -f`` of the new ones.
+
 Usage::
 
     PYTHONPATH=src python tools/regen_golden.py [--check]
@@ -32,6 +38,7 @@ sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 
 from repro.core.goldens import (  # noqa: E402  (path bootstrap above)
     GOLDEN_FORMAT,
+    HASHES_PATH,
     TRACED_SCENARIOS,
     drift_report,
     golden_scenarios,
@@ -39,9 +46,7 @@ from repro.core.goldens import (  # noqa: E402  (path bootstrap above)
     trace_digest,
 )
 
-GOLDEN_DIR = os.path.join(REPO_ROOT, "tests", "golden")
-HASHES_PATH = os.path.join(GOLDEN_DIR, "hashes.json")
-TRACES_DIR = os.path.join(GOLDEN_DIR, "traces")
+TRACES_DIR = os.path.join(os.path.dirname(HASHES_PATH), "traces")
 
 
 def load_corpus() -> dict:
@@ -106,7 +111,7 @@ def main(argv=None) -> int:
         print("all golden digests and event counts match the committed corpus")
         return 0
 
-    os.makedirs(GOLDEN_DIR, exist_ok=True)
+    os.makedirs(os.path.dirname(HASHES_PATH), exist_ok=True)
     with open(HASHES_PATH, "w", encoding="utf-8") as fh:
         json.dump(corpus, fh, indent=2, sort_keys=True)
         fh.write("\n")
