@@ -498,7 +498,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        status: int = args.fn(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe (``repro cache ls | head``). Point
+        # stdout at devnull so the interpreter's flush at exit cannot
+        # raise again, and exit 1 as Python does on EPIPE.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return status
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -162,6 +162,20 @@ class Simulator:
         """
         self._stop_requested = True
 
+    def release(self) -> None:
+        """Drop every pending event; the simulation cannot continue.
+
+        Nulls each pending entry's callback, so :func:`event_pending`
+        reads False and a timer handle that still holds its entry no
+        longer holds its owner's bound method, then empties the heap.
+        This cuts every reference cycle that runs through a pending
+        event.
+        """
+        heap = self._heap
+        for event in heap:
+            event[_FN] = None
+        heap.clear()
+
     def _next_pending_time(self) -> Optional[float]:
         """Firing time of the earliest pending event, or ``None`` if drained."""
         heap = self._heap

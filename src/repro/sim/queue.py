@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import random
 from collections import defaultdict, deque
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from .packet import Packet
 
@@ -31,8 +31,8 @@ if TYPE_CHECKING:  # pragma: no cover - type-only import
 #: The bus forwarder, called as ``fn(now, kind, packet)`` with kind
 #: ``"enqueue"`` or ``"drop"``.
 QueueForwarder = Callable[[float, str, Packet], None]
-#: A discipline's early-drop test, called as ``fn(now, packet)``.
-EarlyDrop = Callable[[float, Packet], bool]
+#: A discipline's early-drop test, called as ``fn(queue, now, packet)``.
+EarlyDrop = Callable[[Any, float, Packet], bool]
 
 
 class Queue:
@@ -82,8 +82,10 @@ class Queue:
         #: Set only by EventBus.bind_queue; None on an unobserved queue.
         self.forwarder: Optional[QueueForwarder] = None
         #: The discipline's test for an arrival that fits, called as
-        #: ``fn(now, packet)`` and returning True to drop it; None (the
-        #: drop-tail default) admits every arrival that fits.
+        #: ``fn(queue, now, packet)`` and returning True to drop it; None
+        #: (the drop-tail default) admits every arrival that fits. A
+        #: plain function, not a bound method: a queue holding its own
+        #: bound method would be a reference cycle.
         self.early_drop: Optional[EarlyDrop] = None
         self._items: deque[Packet] = deque()
         #: Byte-conservation auditor; set by SimSanitizer.watch_queue().
@@ -113,7 +115,7 @@ class Queue:
         size = packet.size
         occupancy = self.occupancy_bytes
         if occupancy + size <= self.capacity_bytes and (
-            self.early_drop is None or not self.early_drop(now, packet)
+            self.early_drop is None or not self.early_drop(self, now, packet)
         ):
             self._items.append(packet)
             self.occupancy_bytes = occupancy + size
@@ -204,7 +206,7 @@ class REDQueue(Queue):
         self.avg_bytes = 0.0
         self._count_since_drop = -1
         self._rng = rng
-        self.early_drop = self._early_drop
+        self.early_drop = REDQueue._early_drop
 
     def set_capacity(self, capacity_bytes: int, now: float = 0.0) -> None:
         """Resize, rescaling both RED thresholds proportionally."""

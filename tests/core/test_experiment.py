@@ -150,3 +150,101 @@ def test_bbr_flows_get_distinct_rngs():
     sc = tiny_scenario(groups=(FlowGroup("bbr", 2, 0.02),), duration=5.0)
     result = run_experiment(sc)
     assert all(f.goodput_bps > 0 for f in result.flows)
+
+
+def _faulted_with_watchdog():
+    from repro.faults import FaultEvent, WatchdogConfig
+
+    sc = tiny_scenario(duration=60.0).with_overrides(
+        faults=(FaultEvent("link_down", time=2.0),)
+    )
+    result = run_experiment(sc, watchdog=WatchdogConfig(stall_budget=4.0))
+    assert result.health is not None and not result.health.ok
+    return result
+
+
+def _with_bus():
+    from repro.obs.bus import EventBus
+
+    bus = EventBus()
+    drops = []
+    bus.subscribe("drop", lambda now, packet: drops.append(now))
+    bus.subscribe("cwnd", lambda now, flow_id, kind, cwnd: None)
+    result = run_experiment(tiny_scenario(buffer_bytes=20_000), bus=bus)
+    assert drops
+    return result
+
+
+def _with_profiler():
+    from repro.obs.profiler import SimProfiler
+
+    profiler = SimProfiler()
+    result = run_experiment(tiny_scenario(), profiler=profiler)
+    assert profiler.events == result.events_processed
+    return result
+
+
+def _budget_exhausted():
+    from repro.sim.engine import SimulationError
+
+    try:
+        run_experiment(tiny_scenario(), max_events=2_000)
+    except SimulationError:
+        return None
+    raise AssertionError("the event budget did not trip")
+
+
+_LIFETIME_RUNS = {
+    "newreno": lambda: run_experiment(tiny_scenario()),
+    "bbr-vs-cubic": lambda: run_experiment(
+        tiny_scenario(groups=(FlowGroup("bbr", 2, 0.02), FlowGroup("cubic", 2, 0.02)))
+    ),
+    "bbr2": lambda: run_experiment(tiny_scenario(groups=(FlowGroup("bbr2", 2, 0.02),))),
+    "red": lambda: run_experiment(tiny_scenario(use_red_queue=True, duration=3.0)),
+    "faulted-watchdog": _faulted_with_watchdog,
+    "convergence": lambda: run_experiment(
+        tiny_scenario(duration=8.0), convergence_check=True, convergence_tolerance=0.05
+    ),
+    "bus": _with_bus,
+    "profiler": _with_profiler,
+    "budget-raises": _budget_exhausted,
+}
+
+
+def _world_counts():
+    """Live instances of each simulated-world type, by type name."""
+    import collections
+    import gc
+
+    from repro.sim.link import Link
+    from repro.sim.netem import NetemDelay
+    from repro.sim.packet import Packet
+    from repro.sim.queue import Queue
+    from repro.tcp.connection import PacketMeta, TcpReceiver, TcpSender
+
+    world = (TcpSender, TcpReceiver, Link, Queue, NetemDelay, Packet, PacketMeta)
+    by_type = collections.Counter(type(obj) for obj in gc.get_objects())
+    return {
+        cls.__name__: n for cls, n in by_type.items() if issubclass(cls, world) and n
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_LIFETIME_RUNS))
+def test_world_is_freed_without_the_collector(case):
+    """Every run leaves its world a tree, so reference counting alone
+    frees it once the result is dropped: no sender, receiver, link,
+    queue, netem element, packet or packet record outlives the run.
+    (Under REPRO_SANITIZE=1 a Simulator/SimSanitizer pair stays in a
+    cycle, which holds none of these.)"""
+    import gc
+
+    gc.collect()
+    gc.disable()
+    try:
+        before = _world_counts()
+        result = _LIFETIME_RUNS[case]()
+        del result
+        after = _world_counts()
+    finally:
+        gc.enable()
+    assert after == before

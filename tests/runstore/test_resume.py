@@ -74,29 +74,30 @@ def test_sigkilled_sweep_resumes_with_only_missing_keys(tmp_path):
     store_dir = tmp_path / "store"
 
     # First run: kill -9 the driver once at least one result is persisted.
-    proc = _spawn(script, store_dir)
-    deadline = time.monotonic() + 60.0
-    try:
-        while _stored(store_dir) < 1:
-            if proc.poll() is not None:
-                pytest.fail(
-                    "sweep finished before it could be killed:\n"
-                    + proc.stderr.read()
-                )
-            if time.monotonic() > deadline:
-                pytest.fail("no result persisted within 60s")
-            time.sleep(0.01)
-    finally:
-        proc.kill()  # SIGKILL: no cleanup handlers run
-        proc.wait()
+    # The with block closes the killed child's pipes.
+    with _spawn(script, store_dir) as proc:
+        deadline = time.monotonic() + 60.0
+        try:
+            while _stored(store_dir) < 1:
+                if proc.poll() is not None:
+                    pytest.fail(
+                        "sweep finished before it could be killed:\n"
+                        + proc.stderr.read()
+                    )
+                if time.monotonic() > deadline:
+                    pytest.fail("no result persisted within 60s")
+                time.sleep(0.01)
+        finally:
+            proc.kill()  # SIGKILL: no cleanup handlers run
+            proc.wait()
 
     survived = _stored(store_dir)
     assert 0 < survived < _N_JOBS
 
     # Second run: same sweep, same store — completes, re-running only
     # the scenarios with no stored result.
-    done = _spawn(script, store_dir)
-    out, err = done.communicate(timeout=120)
+    with _spawn(script, store_dir) as done:
+        out, err = done.communicate(timeout=120)
     assert done.returncode == 0, err
     stats = json.loads(out.strip().splitlines()[-1])
     assert stats["hits"] == survived

@@ -96,6 +96,20 @@ def test_event_helpers():
     assert not event_pending(ev)
 
 
+def test_release_drops_every_pending_event():
+    sim = Simulator()
+    fired = []
+    early = sim.schedule(1.0, fired.append, "early")
+    late = sim.schedule(5.0, fired.append, "late")
+    sim.run(until=2.0)
+    sim.release()
+    assert not event_pending(early) and not event_pending(late)
+    assert late[2] is None  # the handle no longer holds its callback
+    sim.run()
+    assert fired == ["early"]
+    assert sim.now == 2.0
+
+
 def test_events_scheduled_from_callbacks():
     sim = Simulator()
     fired = []

@@ -1,6 +1,10 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -320,3 +324,31 @@ def test_timeout_applies_without_store(capsys):
     assert code == 1
     assert captured.out == ""
     assert "[timeout, 1 attempt(s)]: timed out after 0.0001s" in captured.err
+
+
+def test_closed_pipe_exits_quietly(tmp_path):
+    """``repro cache ls --json | true``: a reader that closes at once
+    gets no traceback on stderr, and the exit status is Python's own
+    for EPIPE (1)."""
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "cache", "ls", "--json",
+             "--store", str(tmp_path / "store")],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            text=True,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in proc.stderr
+    assert "BrokenPipeError" not in proc.stderr
+    assert proc.returncode == 1
