@@ -16,7 +16,8 @@ around it hook their mutation points into it:
   marked busy, and the link never finishes more bytes than its queue
   released;
 - **TCP senders** — ``cwnd >= 1`` MSS after every CCA decision,
-  scoreboard counters non-negative, ``snd_una <= snd_nxt``, and the
+  scoreboard counters non-negative, ``snd_una <= snd_nxt``, one
+  scoreboard entry per sequence in ``[snd_una, snd_nxt)``, and the
   SACK scoreboard (one :class:`~repro.tcp.rangeset.RangeSet`)
   structurally consistent, holding exactly ``sacked_out`` sequences,
   all within ``[snd_una, snd_nxt)``; every lost packet lies below the
@@ -227,6 +228,17 @@ class SimSanitizer:
             self._fail(
                 "TcpSender",
                 f"snd_una {sender.snd_una} ahead of snd_nxt {sender.snd_nxt}",
+                flow_id=flow,
+            )
+        # The scoreboard is a window over [snd_una, snd_nxt): entry i
+        # belongs to sequence snd_una + i, so a stray or missing entry
+        # shifts every later sequence's metadata.
+        if len(sender._meta) != sender.snd_nxt - sender.snd_una:
+            self._fail(
+                "TcpSender",
+                f"scoreboard holds {len(sender._meta)} entries for the "
+                f"{sender.snd_nxt - sender.snd_una} sequences in "
+                f"[snd_una, snd_nxt) = [{sender.snd_una}, {sender.snd_nxt})",
                 flow_id=flow,
             )
         if sender.sacked_out < 0 or sender.lost_out < 0 or sender.retrans_out < 0:

@@ -41,10 +41,8 @@ import signal
 import threading
 import time
 import traceback
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.experiment import run_experiment
 from ..core.scenarios import Scenario
@@ -52,6 +50,9 @@ from ..faults.watchdog import WatchdogConfig
 from .keys import job_key
 from .progress import JobEvent, ProgressCallback, SweepStats
 from .store import RunStore
+
+if TYPE_CHECKING:  # pragma: no cover - types only; run_pool imports the pool
+    from concurrent.futures import Future
 
 RunFn = Callable[..., Any]
 
@@ -422,7 +423,15 @@ class _Sweep:
         result or from ``submit`` itself — is always recovered in one
         place: rebuild the pool, salvage what finished, and re-queue the
         survivors within their retry budgets.
+
+        The pool stack (``concurrent.futures`` and ``multiprocessing``,
+        with ``socket``, ``subprocess`` and ``logging`` under them) is
+        imported here, by the first pool run: a process that only runs
+        jobs inline never loads it.
         """
+        from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+        from concurrent.futures.process import BrokenProcessPool
+
         attempts: Dict[str, int] = {}
         # Costliest first (sorted() is stable, so equal costs keep input
         # order), reversed because to_submit is popped LIFO.

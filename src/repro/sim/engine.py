@@ -169,12 +169,14 @@ class Simulator:
         reads False and a timer handle that still holds its entry no
         longer holds its owner's bound method, then empties the heap.
         This cuts every reference cycle that runs through a pending
-        event.
+        event. It also drops the sanitizer, whose back-reference to
+        this simulator is the one other cycle a run builds.
         """
         heap = self._heap
         for event in heap:
             event[_FN] = None
         heap.clear()
+        self.sanitizer = None
 
     def _next_pending_time(self) -> Optional[float]:
         """Firing time of the earliest pending event, or ``None`` if drained."""

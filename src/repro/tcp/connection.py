@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_right
-from typing import Callable, List, Optional, Tuple
+from collections import deque
+from typing import Callable, Deque, List, Optional, Tuple
 
 from ..sim.engine import _FN, Event, Simulator
 from ..sim.link import Sink
@@ -130,7 +131,12 @@ class TcpSender:
         self.completed = False
         self._rto_checked = True
 
-        self._meta: dict[int, PacketMeta] = {}
+        # The scoreboard is a window: entry i belongs to sequence
+        # snd_una + i, so it holds exactly snd_nxt - snd_una entries. A
+        # new packet's meta is appended and the cumulative ACK pops from
+        # the left, so an outstanding packet costs its PacketMeta and
+        # one deque slot (~120 B), with no per-sequence key.
+        self._meta: Deque[PacketMeta] = deque()
         self._sacked = RangeSet()
         # Loss-scan watermark: every sequence below it has been visited
         # by the loss marker or marked lost by an RTO, so the un-SACKed
@@ -192,8 +198,8 @@ class TcpSender:
             seq = heapq.heappop(self._retx_heap)
             if seq < self.snd_una:
                 continue
-            meta = self._meta.get(seq)
-            if meta is None or meta.sacked or not meta.lost or not meta.retx_pending:
+            meta = self._meta[seq - self.snd_una]
+            if meta.sacked or not meta.lost or not meta.retx_pending:
                 continue
             return seq
         return None
@@ -255,9 +261,9 @@ class TcpSender:
                 meta.in_retrans_out = False
                 meta.sacked = False
                 meta.lost = False
-                meta_map[seq] = meta
+                meta_map.append(meta)
             else:
-                meta = meta_map[seq]
+                meta = meta_map[seq - self.snd_una]
                 meta.retransmitted = True
                 meta.retx_pending = False
                 meta.in_retrans_out = True
@@ -339,16 +345,14 @@ class TcpSender:
         # --- cumulative ACK -------------------------------------------
         ack_seq = ack.ack_seq
         if ack_seq > prior_una:
-            meta_pop = meta_map.pop
+            meta_popleft = meta_map.popleft
             sacked_out = self.sacked_out
             if sacked_out:
                 self._sacked.remove_below(ack_seq)
             lost_out = self.lost_out
             retrans_out = self.retrans_out
-            for seq in range(prior_una, ack_seq):
-                meta = meta_pop(seq, None)
-                if meta is None:
-                    continue
+            for _ in range(ack_seq - prior_una):
+                meta = meta_popleft()
                 if meta.sacked:
                     sacked_out -= 1
                 else:
@@ -384,7 +388,6 @@ class TcpSender:
         # --- SACK blocks ----------------------------------------------
         sack_blocks = ack.sack_blocks
         if sack_blocks:
-            meta_get = meta_map.get
             sacked_set = self._sacked
             # The set's bound lists; fill() and remove_below() update them
             # in place, so they stay valid across the loop.
@@ -413,9 +416,9 @@ class TcpSender:
                     continue
                 # Record the block and walk only what it newly covers.
                 for gap_lo, gap_hi in sacked_set.fill(lo, hi):
-                    for seq in range(gap_lo, gap_hi):
-                        meta = meta_get(seq)
-                        if meta is None or meta.sacked:
+                    for i in range(gap_lo - snd_una, gap_hi - snd_una):
+                        meta = meta_map[i]
+                        if meta.sacked:
                             continue
                         meta.sacked = True
                         sacked_out += 1
@@ -556,19 +559,20 @@ class TcpSender:
         """
         sacked_set = self._sacked
         threshold = sacked_set.max_value()
+        snd_una = self.snd_una
         lo = self._lost_scan
-        if lo < self.snd_una:
-            lo = self.snd_una
+        if lo < snd_una:
+            lo = snd_una
         if threshold <= lo:
             return 0
         self._lost_scan = threshold
-        meta_get = self._meta.get
+        meta_map = self._meta
         retx_heap = self._retx_heap
         newly = 0
         for hole_lo, hole_hi in sacked_set.holes_between(lo, threshold):
             for seq in range(hole_lo, hole_hi):
-                meta = meta_get(seq)
-                if meta is None or meta.sacked or meta.lost or meta.retransmitted:
+                meta = meta_map[seq - snd_una]
+                if meta.sacked or meta.lost or meta.retransmitted:
                     continue
                 meta.lost = True
                 meta.retx_pending = True
@@ -619,10 +623,7 @@ class TcpSender:
         self._retx_heap = []
         self.retrans_out = 0
         self.lost_out = 0
-        for seq in range(self.snd_una, self.snd_nxt):
-            meta = self._meta.get(seq)
-            if meta is None:
-                continue
+        for seq, meta in enumerate(self._meta, self.snd_una):
             meta.in_retrans_out = False
             if meta.sacked:
                 meta.lost = False

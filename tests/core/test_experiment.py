@@ -216,13 +216,18 @@ def _world_counts():
     import collections
     import gc
 
+    from repro.lint.sanitizer import SimSanitizer
+    from repro.sim.engine import Simulator
     from repro.sim.link import Link
     from repro.sim.netem import NetemDelay
     from repro.sim.packet import Packet
     from repro.sim.queue import Queue
     from repro.tcp.connection import PacketMeta, TcpReceiver, TcpSender
 
-    world = (TcpSender, TcpReceiver, Link, Queue, NetemDelay, Packet, PacketMeta)
+    world = (
+        Simulator, SimSanitizer, TcpSender, TcpReceiver, Link, Queue, NetemDelay,
+        Packet, PacketMeta,
+    )
     by_type = collections.Counter(type(obj) for obj in gc.get_objects())
     return {
         cls.__name__: n for cls, n in by_type.items() if issubclass(cls, world) and n
@@ -232,10 +237,9 @@ def _world_counts():
 @pytest.mark.parametrize("case", sorted(_LIFETIME_RUNS))
 def test_world_is_freed_without_the_collector(case):
     """Every run leaves its world a tree, so reference counting alone
-    frees it once the result is dropped: no sender, receiver, link,
-    queue, netem element, packet or packet record outlives the run.
-    (Under REPRO_SANITIZE=1 a Simulator/SimSanitizer pair stays in a
-    cycle, which holds none of these.)"""
+    frees it once the result is dropped: no simulator, sanitizer,
+    sender, receiver, link, queue, netem element, packet or packet
+    record outlives the run, sanitized (REPRO_SANITIZE=1) or not."""
     import gc
 
     gc.collect()

@@ -11,6 +11,7 @@ from repro.sim.engine import _FN, _TIME, Simulator
 from repro.sim.link import Link
 from repro.sim.queue import DropTailQueue
 from repro.tcp.cca.newreno import NewReno
+from repro.tcp.rate_sample import PacketMeta
 from tests.conftest import make_pipe
 from tests.packets import make_packet
 
@@ -190,6 +191,14 @@ def test_corrupt_rangeset_trips():
         sim.sanitizer.check_sender(sender)
 
 
+def _new_meta():
+    """A never-sent packet's metadata, every scoreboard flag clear."""
+    meta = PacketMeta.__new__(PacketMeta)
+    meta.retransmitted = meta.retx_pending = meta.in_retrans_out = False
+    meta.sacked = meta.lost = False
+    return meta
+
+
 def _sender_with_window(snd_una, snd_nxt):
     """A sanitized sender whose window is [snd_una, snd_nxt), nothing
     SACKed or lost: a consistent scoreboard for a test to corrupt."""
@@ -197,8 +206,20 @@ def _sender_with_window(snd_una, snd_nxt):
     sender, _, _ = make_pipe(sim, NewReno(), total_packets=20)
     sender.snd_una = snd_una
     sender.snd_nxt = snd_nxt
+    sender._meta.extend(_new_meta() for _ in range(snd_una, snd_nxt))
     sim.sanitizer.check_sender(sender)  # clean before the corruption
     return sim, sender
+
+
+def test_stray_scoreboard_entry_trips():
+    sim, sender = _sender_with_window(5, 10)
+    # A sixth entry for five sequences: every index past it would read
+    # the wrong sequence's metadata.
+    sender._meta.append(_new_meta())
+    with pytest.raises(
+        SanitizerError, match=r"scoreboard holds 6 entries for the 5 sequences"
+    ):
+        sim.sanitizer.check_sender(sender)
 
 
 def test_sacked_count_mismatch_trips():

@@ -120,7 +120,7 @@ class _Reference:
 
 
 def _check(sender: TcpSender, ref: _Reference) -> None:
-    meta = sender._meta
+    meta = dict(enumerate(sender._meta, sender.snd_una))
     marked = {seq for seq, m in meta.items() if m.lost}
     assert marked == ref.lost
     assert sender.lost_out == len(ref.lost)

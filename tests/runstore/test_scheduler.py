@@ -1,10 +1,15 @@
 """Fault-tolerant scheduler tests: dedup, hits, crash retry, timeouts."""
 
+import concurrent.futures
+import os
+import subprocess
+import sys
 import threading
 from concurrent.futures import Future
 
 import pytest
 
+import repro
 from repro.core.scenarios import FlowGroup
 from repro.runstore import (
     Job,
@@ -242,7 +247,9 @@ class _RecordingPool:
 
 
 def test_pool_dispatches_costliest_first(monkeypatch):
-    monkeypatch.setattr(scheduler, "ProcessPoolExecutor", _RecordingPool)
+    # run_pool imports the pool class from concurrent.futures when it
+    # runs, so the stand-in goes there.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "submitted", [])
 
     def sized(name, duration, mbps):
@@ -304,3 +311,38 @@ def test_unknown_cca_fails_in_pool_and_other_results_survive():
     assert "unknown CCA" in err.failures[0].error
     assert err.results[0] is not None and err.results[2] is not None
     assert err.results[1] is None
+
+
+# A fresh interpreter: import the package, run one simulation directly
+# and one inline through run_jobs, then list what of the pool stack got
+# loaded on the way.
+_INLINE_ONLY = """
+import sys
+import repro
+from repro.core.scenarios import FlowGroup, Scenario
+from repro.runstore import Job, run_jobs
+from repro.units import mbps
+
+scenario = Scenario(
+    name="inline", bottleneck_bw_bps=mbps(10), buffer_bytes=100_000,
+    groups=(FlowGroup("newreno", 1, 0.02),), duration=0.3, warmup=0.1,
+    stagger_max=0.0, seed=1,
+)
+assert repro.run_experiment(scenario).events_processed > 0
+assert run_jobs([Job(scenario)], workers=1).ok
+print(sorted(m for m in sys.modules if m.split(".")[0] in ("concurrent", "multiprocessing")))
+"""
+
+
+def test_inline_runs_never_import_the_pool():
+    """Only a pool run loads concurrent.futures and multiprocessing; the
+    pool tests above cover workers=2."""
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    child = subprocess.run(
+        [sys.executable, "-c", _INLINE_ONLY],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == "[]"

@@ -28,7 +28,7 @@ from repro.sim.engine import Simulator
 from repro.sim.packet import Packet
 from repro.tcp.cca.base import CongestionControl
 from repro.tcp.connection import TcpSender
-from repro.tcp.rate_sample import RateSample
+from repro.tcp.rate_sample import PacketMeta, RateSample
 from repro.units import DATA_PACKET_BYTES
 from tests.conftest import make_pipe
 from tests.packets import make_packet
@@ -135,6 +135,11 @@ class _DraftRates:
         return self.generate_rate_sample(rs, min_rtt)
 
 
+def _scoreboard(sender: TcpSender) -> Dict[int, PacketMeta]:
+    """The sender's outstanding packets' metadata, by sequence."""
+    return dict(enumerate(sender._meta, sender.snd_una))
+
+
 class _Harness:
     """A TcpSender whose forward path is this object: every transmission
     is replayed into the reference once the step that caused it ends."""
@@ -191,7 +196,7 @@ class _Harness:
             rate.delivered, rate.delivered_time, rate.first_sent_time,
             rate.app_limited_until,
         ) == (ref.delivered, ref.delivered_time, ref.first_sent_time, ref.app_limited)
-        for seq, meta in self.sender._meta.items():
+        for seq, meta in _scoreboard(self.sender).items():
             stamps = {name: getattr(meta, name) for name in ref.packets[seq]}
             assert stamps == ref.packets[seq], seq
 
@@ -199,7 +204,7 @@ class _Harness:
 def test_send_stamps_connection_state():
     h = _Harness()
     h.start(at=1.0)
-    meta = h.sender._meta[0]
+    meta = _scoreboard(h.sender)[0]
     assert meta.delivered == 0
     assert meta.delivered_time == 1.0  # idle restart resets to now
     assert meta.first_sent_time == 1.0
@@ -210,8 +215,8 @@ def test_send_stamps_connection_state():
 def test_new_packet_state_has_clear_scoreboard_flags():
     h = _Harness()
     h.start()
-    assert len(h.sender._meta) == 10
-    for meta in h.sender._meta.values():
+    assert len(_scoreboard(h.sender)) == 10
+    for meta in _scoreboard(h.sender).values():
         assert not (
             meta.retransmitted or meta.retx_pending or meta.in_retrans_out
             or meta.sacked or meta.lost
@@ -221,11 +226,11 @@ def test_new_packet_state_has_clear_scoreboard_flags():
 def test_retransmission_restamps_the_same_state():
     h = _Harness()
     h.start()
-    meta = h.sender._meta[0]
+    meta = _scoreboard(h.sender)[0]
     # Packets 1-3 SACKed: packet 0 is marked lost and retransmitted at
     # once, into a pipe that is not empty.
     h.ack(0.05, 0, (1, 4))
-    assert h.sender._meta[0] is meta
+    assert _scoreboard(h.sender)[0] is meta
     assert meta.retransmitted  # scoreboard flags are left alone
     assert meta.sent_time == 0.05
     assert meta.first_sent_time == 0.0  # no idle restart
@@ -295,14 +300,14 @@ def test_app_limited_marking_and_clearing():
     h.ref.mark_app_limited(2)
     assert h.sender.rate_estimator.app_limited_until == 2
     h.start()
-    assert all(meta.is_app_limited for meta in h.sender._meta.values())
+    assert all(meta.is_app_limited for meta in _scoreboard(h.sender).values())
     rs = h.ack(0.05, 1)
     assert rs.is_app_limited
     assert h.sender.rate_estimator.app_limited_until == 2
     # Delivering past the marker clears it; later packets are not marked.
     h.ack(0.06, 3)
     assert h.sender.rate_estimator.app_limited_until == 0
-    assert not h.sender._meta[12].is_app_limited
+    assert not _scoreboard(h.sender)[12].is_app_limited
 
 
 def test_prior_in_flight_recorded():
@@ -321,7 +326,7 @@ def test_idle_restart_resets_first_sent_time():
     h.ack(0.1, 1)
     h.sim.run(until=gap)  # the pacing timer sends packet 1
     h._flush()
-    meta = h.sender._meta[1]
+    meta = _scoreboard(h.sender)[1]
     assert meta.first_sent_time == gap
     rs = h.ack(gap + 0.1, 2)
     # The idle gap must not depress the rate sample: interval ~0.1 s.
