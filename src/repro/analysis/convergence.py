@@ -9,7 +9,7 @@ runs can apply it proportionally.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 
 class ConvergenceTracker:
@@ -18,21 +18,14 @@ class ConvergenceTracker:
     Feed it time-ordered ``observe(time, value)`` samples; ``converged``
     flips to True once the samples span a full trailing ``window`` and
     stayed within ``tolerance`` (relative to the window's maximum) over
-    it. Optionally invokes a callback the first time convergence is
-    reached (e.g. to stop a simulation).
+    it.
     """
 
-    def __init__(
-        self,
-        window: float,
-        tolerance: float = 0.01,
-        on_converged: Optional[Callable[[float], None]] = None,
-    ) -> None:
+    def __init__(self, window: float, tolerance: float = 0.01) -> None:
         if window <= 0:
             raise ValueError("window must be positive")
         self.window = window
         self.tolerance = tolerance
-        self.on_converged = on_converged
         self.converged = False
         self.converged_at: Optional[float] = None
         self._times: List[float] = []
@@ -55,8 +48,6 @@ class ConvergenceTracker:
         if not self.converged and self._spans_window() and self._stable():
             self.converged = True
             self.converged_at = time
-            if self.on_converged is not None:
-                self.on_converged(time)
         return self.converged
 
     def _spans_window(self) -> bool:

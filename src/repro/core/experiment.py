@@ -6,8 +6,10 @@ Given a :class:`~repro.core.scenarios.Scenario`, :func:`run_experiment`:
 2. staggers flow starts uniformly in ``[0, stagger_max]`` (the paper
    staggers over 0-2 minutes);
 3. discards everything before ``warmup`` (the paper discards the first
-   five minutes) — goodput, drops and cwnd events all start counting at
-   the warm-up cut;
+   five minutes): the warm-up runs every event before the cut and none
+   at it, and a :class:`~repro.instrumentation.flowmon.FlowMonitor`
+   window opened there differences the senders' and the queue's
+   lifetime counters, so an event due exactly at the cut is measured;
 4. optionally stops early once aggregate goodput is stable (the paper's
    "<1% change over 20 minutes" rule, applied over a proportional
    window);
@@ -33,6 +35,7 @@ faulted runs are bit-reproducible and cacheable.
 
 from __future__ import annotations
 
+import math
 import random
 from typing import List, Optional, Tuple
 
@@ -176,10 +179,10 @@ def run_experiment(
         An :class:`~repro.obs.bus.EventBus` to bind every sender and the
         bottleneck queue to (and to publish fault events on), so callers
         can subscribe observers — trace recorders, ad-hoc samplers — before
-        the run. Results never come from the bus: halvings and RTOs are
-        read from each sender's stats and drops/arrivals from the
-        queue's own counters, all cut at ``scenario.warmup``. Without a
-        bus nothing is bound and observation costs nothing.
+        the run. Results never come from the bus: they are the senders'
+        and the queue's own counters, differenced across the measurement
+        window. Without a bus nothing is bound and observation costs
+        nothing.
     profiler:
         A :class:`~repro.obs.profiler.SimProfiler` to install on the
         simulator. Profiling is observation-only: the returned result
@@ -218,25 +221,18 @@ def run_experiment(
         sim,
         specs,
         bottleneck_bw_bps=scenario.bottleneck_bw_bps,
-        buffer_bytes=scenario.buffer_bytes,
         queue=queue,
         delayed_ack=scenario.delayed_ack,
     )
 
     try:
-        # Results come from the components' own counters, which count only
-        # events at or after the warm-up cut (an event due exactly at the
-        # cut is measured, as tcpprobe and the switch drop log would).
-        queue.count_from = scenario.warmup
-        queue.record_drop_times = record_drop_times
+        queue.record_drop_times = False  # until the cut
         senders = [flow.sender for flow in dumbbell.flows]
-        for sender in senders:
-            sender.stats.count_from = scenario.warmup
         if bus is not None:
             for sender in senders:
                 bus.bind_sender(sender)
             bus.bind_queue(queue)
-        flow_mon = FlowMonitor(sim, senders)
+        flow_mon = FlowMonitor(sim, senders, queue)
 
         injector: Optional[FaultInjector] = None
         if scenario.faults:
@@ -252,7 +248,7 @@ def run_experiment(
         dog: Optional[SimWatchdog] = None
         if watchdog is not None:
             dog = SimWatchdog(
-                sim, flow_mon, [spec.start_time for spec in specs], config=watchdog
+                sim, senders, [spec.start_time for spec in specs], config=watchdog
             )
             dog.arm()
 
@@ -269,13 +265,21 @@ def run_experiment(
             return ""
 
         dumbbell.start_all()
-        reason = ""
-        sim.run(until=scenario.warmup, max_events=budget)
-        if sim.now < scenario.warmup:
-            reason = _interrupt_reason()
+        # Warm-up runs every event before the cut and none at it, so the
+        # window opens exactly at the cut without an event of its own
+        # (the golden corpus pins ``events_processed``). A run truncated
+        # during warm-up still opens and closes it, with nothing inside.
+        before_cut = math.nextafter(scenario.warmup, -math.inf)
+        sim.run(until=before_cut, max_events=budget)
+        reason = _interrupt_reason() if sim.now < before_cut else ""
+        flow_mon.open_window(scenario.warmup)
+        queue.record_drop_times = record_drop_times
+        if not reason:
+            sim.run(until=scenario.warmup, max_events=budget)
+            if sim.now < scenario.warmup:
+                reason = _interrupt_reason()
 
         if not reason:
-            flow_mon.open_window()
             if convergence_check:
                 measured_span = scenario.duration - scenario.warmup
                 window = max(CONVERGENCE_WINDOW_FRACTION * measured_span, 1e-9)
@@ -306,35 +310,27 @@ def run_experiment(
                 "partial result instead of failing."
             )
 
-        # A truncated run may never have opened the measurement window (abort
-        # during warm-up) or closed it at zero width; report zero goodput for
-        # such windows rather than failing.
-        window_open = (
-            flow_mon.window_start is not None
-            and flow_mon.window_end is not None
-            and flow_mon.window_end > flow_mon.window_start
-        )
-        measured_duration = sim.now - scenario.warmup if window_open else 0.0
-
+        # A run truncated during warm-up closed its window before it
+        # started: zero duration and zero goodput, not a failure.
+        measured_duration = flow_mon.duration
         flows: List[FlowResult] = []
         for flow, cca_name in zip(dumbbell.flows, cca_names):
             sender = flow.sender
+            counts = flow_mon.counts(flow.flow_id)
             flows.append(
                 FlowResult(
                     flow_id=flow.flow_id,
                     cca=cca_name,
                     base_rtt=flow.spec.rtt,
                     measured_rtt=sender.rtt.srtt,
-                    goodput_bps=flow_mon.goodput_bps(flow.flow_id) if window_open else 0.0,
-                    delivered_packets=(
-                        flow_mon.delivered_packets(flow.flow_id) if window_open else 0
+                    goodput_bps=(
+                        counts["delivered_packets"] * MSS * 8.0 / measured_duration
+                        if measured_duration
+                        else 0.0
                     ),
                     packets_sent=sender.stats.packets_sent,
                     retransmits=sender.stats.retransmits,
-                    halvings=sender.stats.halvings,
-                    rtos=sender.stats.rtos,
-                    queue_drops=queue.drops_by_flow.get(flow.flow_id, 0),
-                    queue_arrivals=queue.arrivals_by_flow.get(flow.flow_id, 0),
+                    **counts,
                 )
             )
 
@@ -352,8 +348,8 @@ def run_experiment(
             scenario=scenario,
             flows=flows,
             measured_duration=measured_duration,
-            queue_drops=sum(queue.drops_by_flow.values()),
-            queue_arrivals=sum(queue.arrivals_by_flow.values()),
+            queue_drops=sum(f.queue_drops for f in flows),
+            queue_arrivals=sum(f.queue_arrivals for f in flows),
             drop_times=list(queue.drop_times),
             events_processed=sim.events_processed,
             health=health,

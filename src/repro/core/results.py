@@ -66,7 +66,11 @@ class RunHealth:
 
 @dataclass
 class FlowResult:
-    """Measurements for one flow over the measurement window."""
+    """Measurements for one flow.
+
+    Goodput and every count but ``packets_sent`` and ``retransmits``
+    cover the measurement window only; those two count the whole run.
+    """
 
     flow_id: int
     cca: str

@@ -9,10 +9,9 @@ kills the whole job and discards everything.
 :class:`SimWatchdog` is the graceful alternative. Armed on a
 :class:`~repro.sim.engine.Simulator`, it checks every
 ``stall_budget / 4`` simulated seconds whether each flow has made
-*delivery* progress — cumulative delivered packets or ACKs received,
-read through :meth:`repro.instrumentation.flowmon.FlowMonitor.
-progress_marks` — and declares a flow **stalled** once it has gone
-``stall_budget`` simulated seconds without either counter moving.
+*delivery* progress — a change in its sender's cumulative delivered
+packets or ACKs received — and declares a flow **stalled** once it has
+gone ``stall_budget`` simulated seconds without either counter moving.
 Retransmissions into a dead link do not count as progress (packets-sent
 keeps growing during a blackout; deliveries do not).
 
@@ -33,10 +32,10 @@ graceful partial result.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..instrumentation.flowmon import FlowMonitor
 from ..sim.engine import Simulator
+from ..tcp.connection import TcpSender
 
 
 @dataclass(frozen=True)
@@ -73,14 +72,14 @@ class SimWatchdog:
     def __init__(
         self,
         sim: Simulator,
-        monitor: FlowMonitor,
+        senders: Sequence[TcpSender],
         start_times: Sequence[float],
         config: Optional[WatchdogConfig] = None,
     ) -> None:
-        if len(start_times) != len(monitor.senders):
-            raise ValueError("need one start time per monitored flow")
+        if len(start_times) != len(senders):
+            raise ValueError("need one start time per watched flow")
         self.sim = sim
-        self.monitor = monitor
+        self.senders = senders
         self.config = config or WatchdogConfig()
         self.aborted = False
         self.abort_reason = ""
@@ -88,9 +87,9 @@ class SimWatchdog:
         self.checks = 0
         self._start_times: Dict[int, float] = {
             sender.flow_id: start
-            for sender, start in zip(monitor.senders, start_times)
+            for sender, start in zip(senders, start_times)
         }
-        self._last_marks: Dict[int, Any] = {}
+        self._last_marks: Dict[int, Tuple[int, int]] = {}
         self._last_progress: Dict[int, float] = {}
         self._armed = False
 
@@ -110,15 +109,14 @@ class SimWatchdog:
     def _check(self) -> None:
         self.checks += 1
         now = self.sim.now
-        marks = self.monitor.progress_marks()
         stalled: List[int] = []
         runnable = 0
-        for sender in self.monitor.senders:
+        for sender in self.senders:
             fid = sender.flow_id
             if sender.completed or now < self._start_times[fid]:
                 continue  # finished, or not yet started: can't stall
             runnable += 1
-            mark = marks[fid]
+            mark = (sender.delivered_packets, sender.stats.acks_received)
             if mark != self._last_marks.get(fid):
                 self._last_marks[fid] = mark
                 self._last_progress[fid] = now

@@ -1,4 +1,4 @@
-"""Measurement instrumentation: per-flow goodput over the measured window."""
+"""Measurement instrumentation: per-flow counts over the measured window."""
 
 from __future__ import annotations
 

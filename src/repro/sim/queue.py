@@ -7,8 +7,8 @@ drop-tail; DESIGN.md lists queue discipline as an ablation axis).
 
 Queues are passive containers: the owning :class:`repro.sim.link.Link`
 drives enqueue/dequeue. Each queue is also the paper's drop logger: it
-counts arrivals and drops per flow from a measurement cut onward and
-can keep the drop timestamps. A queue drops a packet in two places:
+counts arrivals and drops per flow over its lifetime and can keep the
+drop timestamps. A queue drops a packet in two places:
 at arrival, in :meth:`Queue.offer`, the one admission path every
 discipline shares (the arrival does not fit, or the discipline's
 early-drop hook refuses it), and when :meth:`Queue.set_capacity`
@@ -43,20 +43,17 @@ class Queue:
     only if the discipline's :attr:`early_drop` hook says so. Drop-tail
     leaves that hook ``None``.
 
-    Besides the lifetime ``enqueued_packets``/``dropped_packets`` totals,
-    a queue attributes every arrival and drop at or after ``count_from``
-    to its flow (``arrivals_by_flow``/``drops_by_flow``) and, while
-    ``record_drop_times`` is set, logs each counted drop's time in
-    ``drop_times``. ``run_experiment`` sets ``count_from`` to the
-    scenario's warm-up, so an event due exactly at the cut is counted.
+    A queue counts every admitted arrival and every drop per flow over
+    its lifetime (``arrivals_by_flow``/``drops_by_flow``) and, while
+    ``record_drop_times`` is set, logs each drop's time in
+    ``drop_times``. The measurement window is
+    :class:`~repro.instrumentation.flowmon.FlowMonitor`'s: it differences
+    these counters across the window.
     """
 
     __slots__ = (
         "capacity_bytes",
         "occupancy_bytes",
-        "enqueued_packets",
-        "dropped_packets",
-        "count_from",
         "record_drop_times",
         "arrivals_by_flow",
         "drops_by_flow",
@@ -72,9 +69,6 @@ class Queue:
             raise ValueError("queue capacity must be positive")
         self.capacity_bytes = capacity_bytes
         self.occupancy_bytes = 0
-        self.enqueued_packets = 0
-        self.dropped_packets = 0
-        self.count_from = 0.0
         self.record_drop_times = True
         self.arrivals_by_flow: defaultdict[int, int] = defaultdict(int)
         self.drops_by_flow: defaultdict[int, int] = defaultdict(int)
@@ -94,14 +88,22 @@ class Queue:
     def __len__(self) -> int:
         return len(self._items)
 
+    @property
+    def enqueued_packets(self) -> int:
+        """Arrivals admitted over the queue's lifetime."""
+        return sum(self.arrivals_by_flow.values())
+
+    @property
+    def dropped_packets(self) -> int:
+        """Drops over the queue's lifetime."""
+        return sum(self.drops_by_flow.values())
+
     def _count_drop(self, now: float, packet: Packet) -> None:
         """Account one drop; both drop paths (arrival reject and resize
         eviction, the only in-queue drop) go through here."""
-        self.dropped_packets += 1
-        if now >= self.count_from:
-            self.drops_by_flow[packet.flow_id] += 1
-            if self.record_drop_times:
-                self.drop_times.append(now)
+        self.drops_by_flow[packet.flow_id] += 1
+        if self.record_drop_times:
+            self.drop_times.append(now)
         if self.forwarder is not None:
             self.forwarder(now, "drop", packet)
 
@@ -119,11 +121,9 @@ class Queue:
         ):
             self._items.append(packet)
             self.occupancy_bytes = occupancy + size
-            self.enqueued_packets += 1
+            self.arrivals_by_flow[packet.flow_id] += 1
             if self.sanitizer is not None:
                 self.sanitizer.on_enqueue(self, packet)
-            if now >= self.count_from:
-                self.arrivals_by_flow[packet.flow_id] += 1
             if self.forwarder is not None:
                 self.forwarder(now, "enqueue", packet)
             return True

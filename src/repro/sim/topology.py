@@ -26,7 +26,7 @@ from ..tcp.connection import TcpReceiver, TcpSender
 from .engine import Simulator
 from .link import Link
 from .netem import NetemDelay
-from .queue import DropTailQueue, Queue
+from .queue import Queue
 
 #: One-way propagation delay of each bottleneck hop, seconds. A flow's
 #: base RTT must be at least four of them (two each way).
@@ -89,8 +89,7 @@ def build_dumbbell(
     sim: Simulator,
     flow_specs: Sequence[FlowSpec],
     bottleneck_bw_bps: float,
-    buffer_bytes: int,
-    queue: Optional[Queue] = None,
+    queue: Queue,
     delayed_ack: bool = True,
 ) -> Dumbbell:
     """Build the paper's dumbbell for the given flows.
@@ -103,15 +102,12 @@ def build_dumbbell(
     bottleneck_bw_bps:
         Bottleneck link rate (the paper varies this between 100 Mbps and
         10 Gbps).
-    buffer_bytes:
-        Bottleneck buffer size (the paper uses ~1 BDP at 200 ms).
     queue:
-        Custom queue discipline; defaults to drop-tail like the paper.
+        The bottleneck queue: its discipline and buffer size (the paper
+        uses drop-tail at ~1 BDP at 200 ms).
     """
     if not flow_specs:
         raise ValueError("at least one flow is required")
-    if queue is None:
-        queue = DropTailQueue(buffer_bytes)
     # All forward-path propagation (sender->switch access hop plus
     # switch->receiver hop) is folded into the bottleneck's delivery
     # delay: the edge links never congest (25 Gbps in the paper), so

@@ -60,7 +60,7 @@ class Bbr(CongestionControl):
         super().__init__()
         self._rng = rng or random.Random(0xBB12)
         # Filters and estimates.
-        self.btlbw_filter = WindowedFilter(self.BTLBW_FILTER_LEN, mode="max")
+        self.btlbw_filter = WindowedFilter(self.BTLBW_FILTER_LEN)
         self.btlbw: Optional[float] = None  # packets / second
         self.rtprop: Optional[float] = None
         self.rtprop_stamp = 0.0

@@ -36,7 +36,6 @@ class Cubic(CongestionControl):
         self.k = 0.0
         self.epoch_start: Optional[float] = None
         self.w_est = 0.0
-        self._ack_count = 0.0
 
     def on_ack(self, rs: RateSample, conn: "TcpSender") -> None:
         if rs.newly_acked <= 0 or conn.in_recovery:
@@ -58,7 +57,6 @@ class Cubic(CongestionControl):
         target = self._w_cubic(t + rtt)
         # TCP-friendly region (RFC 8312 §4.2): track the window standard
         # AIMD would have reached.
-        self._ack_count += rs.newly_acked
         self.w_est += (
             3.0 * (1.0 - self.BETA) / (1.0 + self.BETA) * rs.newly_acked / self.cwnd
         )
@@ -81,7 +79,6 @@ class Cubic(CongestionControl):
             self.w_max = self.cwnd
         self.k = ((self.w_max - self.cwnd) / self.C) ** (1.0 / 3.0)
         self.w_est = self.cwnd
-        self._ack_count = 0.0
 
     def _w_cubic(self, t: float) -> float:
         return self.C * (t - self.k) ** 3 + self.w_max

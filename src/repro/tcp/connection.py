@@ -42,9 +42,9 @@ CwndForwarder = Callable[[float, str, float], None]
 class ConnectionStats:
     """Counters a single sender accumulates over its lifetime.
 
-    ``halvings`` and ``rtos`` are the tcpprobe view the results report:
-    the fast-recovery entries and RTOs at or after ``count_from``, which
-    ``run_experiment`` sets to the warm-up cut.
+    The results' halvings and RTOs are ``loss_recovery_events`` and
+    ``rto_events`` differenced across the measurement window by
+    :class:`~repro.instrumentation.flowmon.FlowMonitor`.
     """
 
     __slots__ = (
@@ -54,9 +54,6 @@ class ConnectionStats:
         "rto_events",
         "acks_received",
         "spurious_rtos",
-        "count_from",
-        "halvings",
-        "rtos",
     )
 
     def __init__(self) -> None:
@@ -66,19 +63,6 @@ class ConnectionStats:
         self.rto_events = 0
         self.acks_received = 0
         self.spurious_rtos = 0
-        self.count_from = 0.0
-        self.halvings = 0
-        self.rtos = 0
-
-    @property
-    def congestion_events(self) -> int:
-        """Total multiplicative-decrease events (fast recoveries + RTOs).
-
-        This is the event count the paper's "CWND halving rate" measures:
-        each entry into recovery reduces the window once, regardless of
-        how many packets were dropped in the triggering burst.
-        """
-        return self.loss_recovery_events + self.rto_events
 
 
 class TcpSender:
@@ -535,10 +519,7 @@ class TcpSender:
         self.in_recovery = True
         self.in_rto_recovery = False
         self.recovery_point = self.snd_nxt
-        stats = self.stats
-        stats.loss_recovery_events += 1
-        if self.sim.now >= stats.count_from:
-            stats.halvings += 1
+        self.stats.loss_recovery_events += 1
         self.cca.on_loss_event(self)
         self._notify_cwnd("loss_event")
 
@@ -609,11 +590,7 @@ class TcpSender:
         self._fire_rto()
 
     def _fire_rto(self) -> None:
-        now = self.sim.now
-        stats = self.stats
-        stats.rto_events += 1
-        if now >= stats.count_from:
-            stats.rtos += 1
+        self.stats.rto_events += 1
         self.rtt.on_timeout()
         # Let the CCA react while in_flight still reflects the pre-RTO
         # pipe (RFC 5681 sets ssthresh from FlightSize).
@@ -641,7 +618,7 @@ class TcpSender:
         self._notify_cwnd("rto")
         if self._sanitizer is not None:
             self._sanitizer.check_sender(self)
-        self._set_rto_deadline(now + self.rtt.rto)
+        self._set_rto_deadline(self.sim.now + self.rtt.rto)
         self._try_send()
 
     # ------------------------------------------------------------------

@@ -13,13 +13,6 @@ class TestTracker:
         assert verdicts[-1] is True
         assert tracker.converged_at == 5.0
 
-    def test_callback_fires_once(self):
-        fired = []
-        tracker = ConvergenceTracker(5.0, on_converged=fired.append)
-        for t in range(20):
-            tracker.observe(float(t), 1.0)
-        assert fired == [5.0]
-
     def test_never_converges_on_growth(self):
         tracker = ConvergenceTracker(window=5.0, tolerance=0.01)
         for t in range(50):

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.sim.engine import Simulator
+from repro.sim.queue import DropTailQueue
 from repro.sim.topology import FlowSpec, build_dumbbell
 from repro.tcp.cca.bbr import DRAIN, PROBE_BW, PROBE_RTT, STARTUP, Bbr
 from repro.tcp.rate_sample import RateSample
@@ -48,7 +49,7 @@ class TestSoloBehaviour:
             sim,
             [FlowSpec(make_bbr(), rtt=0.02)],
             bottleneck_bw_bps=mbps(20),
-            buffer_bytes=100_000,
+            queue=DropTailQueue(100_000),
         )
         d.start_all()
         return sim, d.flows[0].sender

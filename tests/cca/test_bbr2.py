@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.sim.engine import Simulator
+from repro.sim.queue import DropTailQueue
 from repro.sim.topology import FlowSpec, build_dumbbell
 from repro.tcp.cca.bbr2 import (
     PROBE_CRUISE,
@@ -120,7 +121,7 @@ def test_solo_flow_utilises_link():
         sim,
         [FlowSpec(make_bbr2(), rtt=0.02)],
         bottleneck_bw_bps=mbps(20),
-        buffer_bytes=100_000,
+        queue=DropTailQueue(100_000),
     )
     d.start_all()
     sim.run(until=8.0)

@@ -1,4 +1,4 @@
-"""Tests for the windowed max/min filters, including properties."""
+"""Tests for the windowed max filter, including properties."""
 
 import pytest
 from hypothesis import given, settings
@@ -8,38 +8,22 @@ from repro.tcp.cca.filters import WindowedFilter
 
 
 def test_max_filter_tracks_maximum():
-    f = WindowedFilter(10.0, mode="max")
+    f = WindowedFilter(10.0)
     assert f.update(5.0, 0.0) == 5.0
     assert f.update(3.0, 1.0) == 5.0
     assert f.update(8.0, 2.0) == 8.0
-    assert f.get() == 8.0
 
 
 def test_max_filter_expires_old_samples():
-    f = WindowedFilter(10.0, mode="max")
+    f = WindowedFilter(10.0)
     f.update(100.0, 0.0)
     f.update(5.0, 1.0)
     assert f.update(6.0, 11.0) == 6.0  # the 100 aged out
 
 
-def test_min_filter():
-    f = WindowedFilter(10.0, mode="min")
-    assert f.update(5.0, 0.0) == 5.0
-    assert f.update(7.0, 1.0) == 5.0
-    assert f.update(2.0, 2.0) == 2.0
-    assert f.update(9.0, 13.0) == 9.0  # the 2 aged out
-
-
-def test_empty_filter():
-    f = WindowedFilter(1.0)
-    assert f.get() is None
-
-
 def test_invalid_configuration():
     with pytest.raises(ValueError):
         WindowedFilter(0.0)
-    with pytest.raises(ValueError):
-        WindowedFilter(1.0, mode="median")
 
 
 samples = st.lists(
@@ -52,24 +36,11 @@ samples = st.lists(
 @given(samples, st.floats(1, 50))
 @settings(max_examples=200, deadline=None)
 def test_max_matches_bruteforce(sample_list, window):
-    f = WindowedFilter(window, mode="max")
+    f = WindowedFilter(window)
     history = []
     for value, t_int in sorted(sample_list, key=lambda p: p[1]):
         t = float(t_int)
         got = f.update(value, t)
         history.append((t, value))
         expected = max(v for ht, v in history if ht >= t - window)
-        assert got == expected
-
-
-@given(samples, st.floats(1, 50))
-@settings(max_examples=200, deadline=None)
-def test_min_matches_bruteforce(sample_list, window):
-    f = WindowedFilter(window, mode="min")
-    history = []
-    for value, t_int in sorted(sample_list, key=lambda p: p[1]):
-        t = float(t_int)
-        got = f.update(value, t)
-        history.append((t, value))
-        expected = min(v for ht, v in history if ht >= t - window)
         assert got == expected

@@ -81,9 +81,9 @@ def test_warmup_excluded_from_counters():
 def test_warmup_boundary_events_are_measured():
     """A buffer shrink due exactly at the warm-up cut is inside the window.
 
-    ``sim.run(until=warmup)`` executes events due at exactly ``warmup``,
-    so a counter snapshot taken after it would miss all of these drops;
-    the counters must test ``now >= warmup`` themselves.
+    Warm-up stops just before the cut, so the window's opening snapshot
+    is taken before all of these drops; one taken after
+    ``sim.run(until=warmup)`` would miss them.
     """
     from repro.core.scenarios import edge_scale
     from repro.faults import FaultSchedule

@@ -113,13 +113,14 @@ class TestInjection:
 
     def test_double_arm_rejected(self):
         from repro.sim.engine import Simulator
+        from repro.sim.queue import DropTailQueue
         from repro.sim.topology import FlowSpec, build_dumbbell
         from repro.tcp.cca.newreno import NewReno
 
         sim = Simulator()
         dumbbell = build_dumbbell(
             sim, [FlowSpec(cca=NewReno(), rtt=0.02)], bottleneck_bw_bps=1e7,
-            buffer_bytes=30_000,
+            queue=DropTailQueue(30_000),
         )
         injector = FaultInjector(
             sim,

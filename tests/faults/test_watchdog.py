@@ -7,9 +7,9 @@ import pytest
 from repro.core.experiment import default_event_budget, run_experiment
 from repro.core.scenarios import edge_scale
 from repro.faults import FaultEvent, SimWatchdog, WatchdogConfig
-from repro.instrumentation.flowmon import FlowMonitor
 from repro.runstore import Job, RunOptions, RunStore, run_jobs
 from repro.sim.engine import SimulationError, Simulator
+from repro.sim.queue import DropTailQueue
 from repro.sim.topology import FlowSpec, build_dumbbell
 from repro.tcp.cca.newreno import NewReno
 
@@ -76,10 +76,10 @@ class TestStallDetection:
             sim,
             [FlowSpec(cca=NewReno(), rtt=0.02, total_packets=10)],
             bottleneck_bw_bps=1e7,
-            buffer_bytes=30_000,
+            queue=DropTailQueue(30_000),
         )
-        monitor = FlowMonitor(sim, [f.sender for f in dumbbell.flows])
-        dog = SimWatchdog(sim, monitor, [0.0], WatchdogConfig(stall_budget=1.0))
+        senders = [f.sender for f in dumbbell.flows]
+        dog = SimWatchdog(sim, senders, [0.0], WatchdogConfig(stall_budget=1.0))
         dog.arm()
         dumbbell.start_all()
         sim.run(until=30.0)
@@ -92,12 +92,12 @@ class TestStallDetection:
             sim,
             [FlowSpec(cca=NewReno(), rtt=0.02)],
             bottleneck_bw_bps=1e7,
-            buffer_bytes=30_000,
+            queue=DropTailQueue(30_000),
         )
-        monitor = FlowMonitor(sim, [f.sender for f in dumbbell.flows])
+        senders = [f.sender for f in dumbbell.flows]
         with pytest.raises(ValueError):
-            SimWatchdog(sim, monitor, [0.0, 1.0])  # start-time count mismatch
-        dog = SimWatchdog(sim, monitor, [0.0])
+            SimWatchdog(sim, senders, [0.0, 1.0])  # start-time count mismatch
+        dog = SimWatchdog(sim, senders, [0.0])
         dog.arm()
         with pytest.raises(RuntimeError):
             dog.arm()

@@ -1,15 +1,17 @@
 """Tests for structured JSONL trace export."""
 
 import json
+import pickle
+from collections import Counter
 
 import pytest
 
+from repro.core.experiment import run_experiment
 from repro.core.results import RunHealth
-from repro.faults.watchdog import SimWatchdog, WatchdogConfig
-from repro.instrumentation.flowmon import FlowMonitor
+from repro.core.scenarios import core_scale, edge_scale
+from repro.faults.watchdog import WatchdogConfig
 from repro.obs.bus import EventBus
 from repro.obs.tracing import TraceRecorder, health_rows, trace_jsonl
-from repro.sim.engine import Simulator
 from repro.sim.queue import DropTailQueue
 from repro.tcp.cca.newreno import NewReno
 from tests.conftest import make_pipe
@@ -123,61 +125,56 @@ def test_cwnd_rows_match_live_sender_stats(sim):
     sim.run(until=20.0)
     assert sender.completed
     kinds = [row["kind"] for row in recorder.events if row["topic"] == "cwnd"]
-    assert kinds.count("loss_event") == sender.stats.halvings == 1
+    assert kinds.count("loss_event") == sender.stats.loss_recovery_events == 1
     assert kinds.count("ack") == sender.stats.acks_received
-
-
-def _lossy_run(sim, observe=None):
-    """One deterministic lossy flow; ``observe(sender, bus)`` wires
-    observers before the run starts (no bus at all when omitted)."""
-    sender, _, _ = make_pipe(
-        sim, NewReno(), total_packets=400, drop_indices={40, 120, 250}
-    )
-    extras = None
-    if observe is not None:
-        bus = EventBus()
-        bus.bind_sender(sender)
-        extras = observe(sender, bus)
-    sender.start()
-    sim.run(until=30.0)
-    assert sender.completed
-    return sender, extras
 
 
 def test_three_observers_coexist_with_identical_counts():
     # A trace recorder, the stall watchdog and an ad-hoc cwnd sampler
-    # all watch ONE sender; the recorder's congestion rows match the
-    # sender's own counters and an unobserved baseline run.
-    baseline, _ = _lossy_run(Simulator())
-    assert baseline.stats.congestion_events > 0
+    # all watch one lossy run; the recorder's congestion rows match the
+    # run's FlowResult counts, and the result is an unobserved run's.
+    scenario = edge_scale(flows=4, duration=4.0, warmup=1.0, seed=3).with_overrides(
+        buffer_bytes=30_000
+    )
+    watchdog = WatchdogConfig(stall_budget=2.0)
+    baseline = run_experiment(scenario, watchdog=watchdog)
 
-    sim = Simulator()
-    sampled = {"acks": 0, "cwnd": []}
+    bus = EventBus()
+    recorder = TraceRecorder(bus, start_time=scenario.warmup)
+    sampled = []
 
-    def wire(sender, bus):
-        recorder = TraceRecorder(bus)
-        monitor = FlowMonitor(sim, [sender])
-        dog = SimWatchdog(sim, monitor, [0.0], config=WatchdogConfig(stall_budget=5.0))
-        dog.arm()
+    def sample(now, fid, kind, cwnd):
+        if now >= scenario.warmup:
+            sampled.append((fid, kind))
 
-        def sample(now, fid, kind, cwnd):
-            if kind == "ack":
-                sampled["acks"] += 1
-            sampled["cwnd"].append(cwnd)
-
-        bus.subscribe("cwnd", sample)
-        return recorder, dog
-
-    sender, (recorder, dog) = _lossy_run(sim, wire)
+    bus.subscribe("cwnd", sample)
+    observed = run_experiment(scenario, watchdog=watchdog, bus=bus)
 
     # All three observers saw the run...
-    assert sampled["acks"] == sender.stats.acks_received > 0
-    assert len(sampled["cwnd"]) == len(recorder.events)
-    assert dog.checks > 0 and not dog.aborted
-    # ...and the recorder's counts are the sender's and the baseline's.
-    kinds = [row["kind"] for row in recorder.events]
-    assert kinds.count("loss_event") == sender.stats.halvings == baseline.stats.halvings
-    assert kinds.count("rto") == sender.stats.rtos == baseline.stats.rtos
-    # The simulation itself was untouched by observation.
-    assert sender.snd_una == baseline.snd_una
-    assert sender.stats.congestion_events == baseline.stats.congestion_events
+    assert observed.health.ok and observed.health.stalled_flows == []
+    rows = [(row["flow"], row["kind"]) for row in recorder.events if row["topic"] == "cwnd"]
+    assert rows == sampled
+    # ...the recorder's counts are the run's...
+    for flow in observed.flows:
+        kinds = [kind for fid, kind in rows if fid == flow.flow_id]
+        assert kinds.count("loss_event") == flow.halvings
+        assert kinds.count("rto") == flow.rtos
+    assert sum(f.congestion_events for f in observed.flows) > 0
+    # ...and the simulation itself was untouched by observation.
+    assert pickle.dumps(observed) == pickle.dumps(baseline)
+
+
+def test_queue_rows_match_the_windowed_counts():
+    # The recorder's start_time filter cuts the trace on its own; its
+    # enqueue/drop rows must be the run's windowed queue counts.
+    base = core_scale(flows=1000, scale=100, duration=1.5, warmup=0.5, seed=2)
+    scenario = base.with_overrides(buffer_bytes=base.buffer_bytes // 4)
+    bus = EventBus()
+    recorder = TraceRecorder(bus, start_time=scenario.warmup)
+    result = run_experiment(scenario, bus=bus)
+    rows = Counter((row["topic"], row["flow"]) for row in recorder.events)
+    assert result.queue_drops > 0
+    for flow in result.flows:
+        assert (rows["enqueue", flow.flow_id], rows["drop", flow.flow_id]) == (
+            flow.queue_arrivals, flow.queue_drops,
+        )

@@ -160,7 +160,7 @@ def fill(queue, when, flow, n):
 
 
 class TestCounters:
-    """The queue is the drop log: per-flow arrivals and drops from a cut."""
+    """The queue is the drop log: lifetime per-flow arrivals and drops."""
 
     def test_counts_and_attribution(self):
         q = DropTailQueue(3000)  # 2 packets
@@ -168,6 +168,7 @@ class TestCounters:
         fill(q, 1.0, flow=2, n=2)  # both dropped
         assert dict(q.arrivals_by_flow) == {1: 2}
         assert dict(q.drops_by_flow) == {2: 2}
+        assert (q.enqueued_packets, q.dropped_packets) == (2, 2)
 
     def test_loss_rates(self):
         from repro.core.results import FlowResult
@@ -219,20 +220,6 @@ class TestCounters:
         assert q.drop_times == []
         assert q.drops_by_flow[0] == 1
 
-    def test_warmup_cut(self):
-        q = DropTailQueue(1500)
-        q.count_from = 5.0
-        q.offer(1.0, make_packet(0, 0))   # before cut: not attributed
-        q.offer(2.0, make_packet(0, 1))   # drop before cut: not attributed
-        q.poll()
-        q.offer(6.0, make_packet(0, 2))   # after cut
-        q.offer(6.0, make_packet(0, 3))   # drop after cut
-        assert dict(q.arrivals_by_flow) == {0: 1}
-        assert dict(q.drops_by_flow) == {0: 1}
-        assert q.drop_times == [6.0]
-        # the lifetime totals still see everything
-        assert q.enqueued_packets == 2 and q.dropped_packets == 2
-
     def test_two_subscribers_coexist_with_counters(self):
         # A second bus subscriber must not displace the first, and neither
         # may disturb the queue's own counters.
@@ -246,14 +233,6 @@ class TestCounters:
         assert first == second == [1.0]
         assert dict(q.arrivals_by_flow) == {1: 2}
         assert dict(q.drops_by_flow) == {1: 1}
-
-    def test_event_exactly_at_cut_is_counted(self):
-        q = DropTailQueue(1500)
-        q.count_from = 5.0
-        fill(q, 5.0, flow=3, n=2)
-        assert dict(q.arrivals_by_flow) == {3: 1}
-        assert dict(q.drops_by_flow) == {3: 1}
-        assert q.drop_times == [5.0]
 
 
 def _drive_droptail(q):

@@ -6,7 +6,7 @@ import pytest
 
 from repro.sim.engine import Simulator
 from repro.sim.netem import NetemDelay
-from repro.sim.queue import REDQueue
+from repro.sim.queue import DropTailQueue, REDQueue
 from repro.sim.topology import BOTTLENECK_PROP_DELAY, FlowSpec, build_dumbbell
 from repro.tcp.cca.newreno import NewReno
 from repro.units import mbps
@@ -14,7 +14,7 @@ from repro.units import mbps
 
 def test_build_wires_one_pair_per_flow(sim):
     specs = [FlowSpec(NewReno()) for _ in range(3)]
-    d = build_dumbbell(sim, specs, bottleneck_bw_bps=mbps(10), buffer_bytes=100_000)
+    d = build_dumbbell(sim, specs, bottleneck_bw_bps=mbps(10), queue=DropTailQueue(100_000))
     assert len(d.flows) == 3
     ids = [f.flow_id for f in d.flows]
     assert ids == [0, 1, 2]
@@ -27,20 +27,20 @@ def test_build_wires_one_pair_per_flow(sim):
 
 def test_requires_flows(sim):
     with pytest.raises(ValueError):
-        build_dumbbell(sim, [], bottleneck_bw_bps=mbps(10), buffer_bytes=100_000)
+        build_dumbbell(sim, [], bottleneck_bw_bps=mbps(10), queue=DropTailQueue(100_000))
 
 
 def test_rtt_below_fixed_propagation_rejected(sim):
     specs = [FlowSpec(NewReno(), rtt=0.0001)]
     with pytest.raises(ValueError):
-        build_dumbbell(sim, specs, bottleneck_bw_bps=mbps(10), buffer_bytes=100_000)
+        build_dumbbell(sim, specs, bottleneck_bw_bps=mbps(10), queue=DropTailQueue(100_000))
 
 
 def test_minimum_rtt_flow_reverse_path_is_pure_delay(sim):
     """A flow whose RTT is all fixed propagation, with no jitter, still
     gets a netem element: the bare reverse propagation, drawing nothing."""
     spec = FlowSpec(NewReno(), rtt=4 * BOTTLENECK_PROP_DELAY)
-    d = build_dumbbell(sim, [spec], bottleneck_bw_bps=mbps(10), buffer_bytes=100_000)
+    d = build_dumbbell(sim, [spec], bottleneck_bw_bps=mbps(10), queue=DropTailQueue(100_000))
     reverse = d.flows[0].receiver.reverse_path
     assert isinstance(reverse, NetemDelay)
     # Exact: the element must schedule the very delay the bare hop did.
@@ -58,7 +58,7 @@ def test_flows_draw_distinct_jitter(sim):
         FlowSpec(NewReno(), jitter=0.002),
         FlowSpec(NewReno(), jitter=0.002, jitter_seed=0),
     ]
-    d = build_dumbbell(sim, specs, bottleneck_bw_bps=mbps(10), buffer_bytes=100_000)
+    d = build_dumbbell(sim, specs, bottleneck_bw_bps=mbps(10), queue=DropTailQueue(100_000))
     draws = [
         [flow.receiver.reverse_path._rng.random() for _ in range(20)]
         for flow in d.flows
@@ -71,7 +71,7 @@ def test_base_rtt_is_respected(sim):
     """A single unconstrained flow should measure ~its configured RTT."""
     spec = FlowSpec(NewReno(), rtt=0.080)
     d = build_dumbbell(
-        sim, [spec], bottleneck_bw_bps=mbps(100), buffer_bytes=1_000_000
+        sim, [spec], bottleneck_bw_bps=mbps(100), queue=DropTailQueue(1_000_000)
     )
     d.start_all()
     sim.run(until=0.5)
@@ -83,7 +83,7 @@ def test_bottleneck_routes_by_flow(sim):
     """The bottleneck hands each packet straight to its own flow's
     receiver: routes[flow_id] is that receiver's bound send."""
     specs = [FlowSpec(NewReno(), rtt=0.02) for _ in range(2)]
-    d = build_dumbbell(sim, specs, bottleneck_bw_bps=mbps(10), buffer_bytes=100_000)
+    d = build_dumbbell(sim, specs, bottleneck_bw_bps=mbps(10), queue=DropTailQueue(100_000))
     assert d.bottleneck.routes == [flow.receiver.send for flow in d.flows]
     d.start_all()
     sim.run(until=1.0)
@@ -98,7 +98,6 @@ def test_custom_queue_is_used(sim):
         sim,
         [FlowSpec(NewReno())],
         bottleneck_bw_bps=mbps(10),
-        buffer_bytes=100_000,
         queue=queue,
     )
     assert d.queue is queue
@@ -109,7 +108,7 @@ def test_staggered_starts(sim):
         FlowSpec(NewReno(), start_time=0.0),
         FlowSpec(NewReno(), start_time=0.3),
     ]
-    d = build_dumbbell(sim, specs, bottleneck_bw_bps=mbps(10), buffer_bytes=100_000)
+    d = build_dumbbell(sim, specs, bottleneck_bw_bps=mbps(10), queue=DropTailQueue(100_000))
     d.start_all()
     sim.run(until=0.1)
     assert d.flows[0].sender.stats.packets_sent > 0
@@ -123,7 +122,7 @@ def test_single_flow_saturates_link(sim):
         sim,
         [FlowSpec(NewReno(), rtt=0.02)],
         bottleneck_bw_bps=mbps(10),
-        buffer_bytes=50_000,
+        queue=DropTailQueue(50_000),
     )
     d.start_all()
     sim.run(until=5.0)

@@ -7,7 +7,6 @@ timing and loss are fully controlled.
 import pytest
 
 from repro.obs import EventBus
-from repro.sim.engine import Simulator
 from repro.tcp.cca.newreno import NewReno
 from tests.conftest import make_pipe
 from tests.packets import make_packet
@@ -137,36 +136,6 @@ class TestLossRecovery:
         sim.run(until=30.0)
         halvings = [e for e in events if e[0] == "loss_event"]
         assert len(halvings) == 1
-
-    def test_halving_counters_start_at_count_from(self, sim):
-        # Two separate loss events; the cut lands between them.
-        sender, _, _ = make_pipe(
-            sim, NewReno(), total_packets=4000, drop_indices={100, 2000}
-        )
-        losses = []
-        bus = EventBus()
-        bus.bind_sender(sender)
-
-        def on_cwnd(now, fid, kind, cwnd):
-            if kind == "loss_event":
-                losses.append(now)
-
-        bus.subscribe("cwnd", on_cwnd)
-        sender.start()
-        sim.run(until=60.0)
-        assert sender.completed and len(losses) == 2
-        assert sender.stats.halvings == sender.stats.loss_recovery_events == 2
-
-        cut_sim = Simulator()
-        cut_sender, _, _ = make_pipe(
-            cut_sim, NewReno(), total_packets=4000, drop_indices={100, 2000}
-        )
-        cut_sender.stats.count_from = losses[1]  # exactly at the 2nd event
-        cut_sender.start()
-        cut_sim.run(until=60.0)
-        assert cut_sender.stats.loss_recovery_events == 2
-        assert cut_sender.stats.halvings == 1
-        assert cut_sender.stats.rtos == cut_sender.stats.rto_events == 0
 
     def test_karn_no_rtt_sample_from_retransmission(self, sim):
         sender, _, _ = make_pipe(
