@@ -147,7 +147,6 @@ class _ConvergenceSampler:
 
 def run_experiment(
     scenario: Scenario,
-    record_drop_times: bool = True,
     convergence_check: bool = False,
     convergence_tolerance: float = 0.01,
     watchdog: Optional[WatchdogConfig] = None,
@@ -157,11 +156,11 @@ def run_experiment(
 ) -> ExperimentResult:
     """Run one scenario to completion and collect all measurements.
 
+    The result logs the time of every drop from the warm-up cut on
+    (burstiness analysis reads it).
+
     Parameters
     ----------
-    record_drop_times:
-        Keep the per-drop timestamp list (needed for burstiness
-        analysis; costs memory on very lossy runs).
     convergence_check:
         Enable the paper's early-stop rule: once past warm-up, stop when
         aggregate delivered throughput changes by less than
@@ -256,11 +255,16 @@ def run_experiment(
         if budget <= 0:
             raise ValueError("max_events must be positive")
 
-        def _interrupt_reason() -> str:
-            """Why the last ``sim.run`` stopped short of its target."""
+        def _interrupt_reason(target: float) -> str:
+            """Why the last ``sim.run`` ended the run early, or ``""``.
+
+            A watchdog abort ends it wherever the clock stopped, even
+            exactly at ``target``. A budget spent as the last event due
+            at ``target`` executed is a completed run.
+            """
             if dog is not None and dog.aborted:
                 return dog.abort_reason or "stall"
-            if sim.events_processed >= budget:
+            if sim.now < target and sim.events_processed >= budget:
                 return "event_budget"
             return ""
 
@@ -271,13 +275,12 @@ def run_experiment(
         # during warm-up still opens and closes it, with nothing inside.
         before_cut = math.nextafter(scenario.warmup, -math.inf)
         sim.run(until=before_cut, max_events=budget)
-        reason = _interrupt_reason() if sim.now < before_cut else ""
+        reason = _interrupt_reason(before_cut)
         flow_mon.open_window(scenario.warmup)
-        queue.record_drop_times = record_drop_times
+        queue.record_drop_times = True
         if not reason:
             sim.run(until=scenario.warmup, max_events=budget)
-            if sim.now < scenario.warmup:
-                reason = _interrupt_reason()
+            reason = _interrupt_reason(scenario.warmup)
 
         if not reason:
             if convergence_check:
@@ -290,14 +293,12 @@ def run_experiment(
                 # Run in slices so an early convergence verdict ends the run.
                 while sim.now < sampler.stop_at:
                     sim.run(until=min(sim.now + tick, sampler.stop_at), max_events=budget)
-                    if sim.now < sampler.stop_at:
-                        reason = _interrupt_reason()
-                        if reason:
-                            break
+                    reason = _interrupt_reason(sampler.stop_at)
+                    if reason:
+                        break
             else:
                 sim.run(until=scenario.duration, max_events=budget)
-                if sim.now < scenario.duration:
-                    reason = _interrupt_reason()
+                reason = _interrupt_reason(scenario.duration)
 
         flow_mon.close_window()
 
@@ -336,6 +337,11 @@ def run_experiment(
 
         health: Optional[RunHealth] = None
         if injector is not None or dog is not None:
+            if dog is not None and dog.aborted and not reason:
+                raise SimulationError(
+                    f"watchdog aborted at t={sim.now:.3f}s but the run reads "
+                    "healthy: a sim.run return went unread"
+                )
             health = RunHealth(
                 ok=not reason,
                 reason=reason,

@@ -117,6 +117,8 @@ class FaultInjector:
         return [fid for fid in event.flows if fid in self._reverse]
 
     def _apply_rtt(self, event: FaultEvent) -> None:
+        # The reverse netem element carries the flow's whole base RTT,
+        # so ``rtt@t=4`` means exactly four times the base RTT.
         flows = self._target_flows(event)
         for fid in flows:
             self._reverse[fid].set_delay(self._base_delays[fid] * event.value)

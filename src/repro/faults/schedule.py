@@ -21,7 +21,7 @@ tiny spec grammar for ad-hoc schedules::
     down@8+2                link down at t=8 s, restored at t=10 s
     down@8                  link down at t=8 s, never restored
     bw@10+5=0.25            bottleneck at 25% rate for 5 s
-    rtt@12+1=4              netem delay x4 for 1 s
+    rtt@12+1=4              base RTT x4 for 1 s
     gilbert@5+10=0.3        burst loss (bad-state drop prob 0.3) for 10 s
     buffer@6+3=0.1          bottleneck buffer shrunk to 10% for 3 s
 
@@ -74,7 +74,7 @@ class FaultEvent:
         baseline; ``None`` means it is never restored (e.g. a permanent
         blackout).
     value:
-        Kind-specific magnitude: rate multiplier (``bandwidth``), delay
+        Kind-specific magnitude: rate multiplier (``bandwidth``), base-RTT
         multiplier (``rtt``), bad-state drop probability
         (``burst_loss``), capacity multiplier (``buffer``). Unused for
         ``link_down``.
@@ -256,7 +256,7 @@ PRESETS: Dict[str, FaultPreset] = {
         ),
         FaultPreset(
             "rtt-spike",
-            "netem delay x4 for 10% of the duration, starting at 50%",
+            "base RTT x4 for 10% of the duration, starting at 50%",
             _rtt_spike,
         ),
         FaultPreset(

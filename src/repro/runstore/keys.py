@@ -7,7 +7,7 @@ A *job* is a :class:`~repro.core.scenarios.Scenario` plus the
 ``run_experiment`` options that affect the produced result. Its key is::
 
     key = sha256(canonical_json({
-        "options":  {"convergence_check": ..., "record_drop_times": ...},
+        "options":  {"convergence_check": ...},
         "physics":  physics_fingerprint(),
         "scenario": dataclasses.asdict(scenario),
     })).hexdigest()                      # 64 lowercase hex chars

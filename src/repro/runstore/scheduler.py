@@ -69,7 +69,6 @@ class RunOptions:
     the canonical (hashed) form.
     """
 
-    record_drop_times: bool = True
     convergence_check: bool = False
     watchdog: Optional[WatchdogConfig] = None
     max_events: Optional[int] = None

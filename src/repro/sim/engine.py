@@ -20,8 +20,8 @@ Design notes
   nulls its callback, the "fired" mark :func:`event_pending` reads.
 - Sequence numbers come from one shared stream, ``Simulator.next_seq``
   (``itertools.count(1).__next__``). The two per-packet schedulers,
-  :class:`~repro.sim.link.Link` (transmit completion and propagation)
-  and :class:`~repro.sim.netem.NetemDelay`, push
+  :class:`~repro.sim.link.Link` (transmit completion) and
+  :class:`~repro.sim.netem.NetemDelay` (delivery after its delay), push
   ``[time, next_seq(), fn, (packet,)]`` straight onto ``_heap`` instead
   of calling :meth:`Simulator.schedule`, and report the push to
   ``sanitizer.on_schedule`` themselves when a sanitizer is on. Every
@@ -30,7 +30,7 @@ Design notes
   push only saves the Python frame. Every other caller uses
   :meth:`Simulator.schedule` / :meth:`Simulator.schedule_at`.
   Code outside this module that depends on the event layout, and must
-  change with it: the two pushes in ``Link._finish`` and the one in
+  change with it: the push in ``Link._finish`` and the one in
   ``NetemDelay.send`` (which build the list), and
   ``TcpSender._try_send`` (which reads ``_FN`` of its pacing timer
   handle).

@@ -6,12 +6,12 @@ link, toward one such ``send`` per flow. This composes into per-flow
 paths built by :mod:`repro.sim.topology`.
 
 :class:`Link` is a finite-rate link with a queue discipline in front of
-the transmitter and a propagation delay behind it: the bottleneck (the
-BESS switch port in the paper). The other element of the dumbbell,
-:class:`~repro.sim.netem.NetemDelay`, adds pure delay. The 25 Gbps edge
-links never congest in the paper's testbed, so modelling their
-serialisation would only add events without changing behaviour; their
-propagation delay is folded into the bottleneck and netem delays.
+the transmitter: the bottleneck (the BESS switch port in the paper). It
+has no propagation delay; the other element of the dumbbell,
+:class:`~repro.sim.netem.NetemDelay`, adds pure delay, and the ACK
+path's netem element carries each flow's whole base RTT. The 25 Gbps
+edge links never congest in the paper's testbed, so modelling them
+would only add events without changing behaviour.
 """
 
 from __future__ import annotations
@@ -41,17 +41,17 @@ class LossModel(Protocol):
 
 
 class Link:
-    """A rate-limited link: queue discipline + transmitter + propagation.
+    """A rate-limited link: queue discipline + transmitter.
 
     Packets offered while the transmitter is busy wait in ``queue``;
     packets that the queue rejects are dropped (the queue handles drop
     accounting and bus forwarding). The transmitter serialises one
-    packet at a time at ``rate_bps`` and, after an additional
-    propagation ``delay``, delivers it to ``routes[packet.flow_id]``:
-    :attr:`routes` lists the bound ``send`` of each flow's sink, so a
-    delivery on a link shared by many flows (the dumbbell's bottleneck)
-    is one scheduled call with no demultiplexing hop. A link carrying
-    one flow passes ``routes=[sink.send]``.
+    packet at a time at ``rate_bps`` and, as its serialisation
+    completes, hands it to ``routes[packet.flow_id]``: :attr:`routes`
+    lists the bound ``send`` of each flow's sink, so a delivery on a
+    link shared by many flows (the dumbbell's bottleneck) is one call
+    with no demultiplexing hop. A link carrying one flow passes
+    ``routes=[sink.send]``.
 
     Fault hooks (used by :mod:`repro.faults`):
 
@@ -70,7 +70,6 @@ class Link:
     __slots__ = (
         "sim",
         "rate_bps",
-        "delay",
         "queue",
         "routes",
         "busy",
@@ -89,17 +88,13 @@ class Link:
         self,
         sim: Simulator,
         rate_bps: float,
-        delay: float = 0.0,
         queue: Optional[Queue] = None,
         routes: Optional[List[Callable[[Packet], None]]] = None,
     ) -> None:
         if rate_bps <= 0:
             raise ValueError("link rate must be positive")
-        if delay < 0:
-            raise ValueError("propagation delay must be non-negative")
         self.sim = sim
         self.rate_bps = rate_bps
-        self.delay = delay
         self.queue = queue if queue is not None else DropTailQueue(1_000_000)
         #: Per-flow delivery: ``routes[flow_id]`` receives the packet. A
         #: topology may append routes after construction.
@@ -120,7 +115,7 @@ class Link:
         # The sanitizer is fixed at simulator construction; cache the
         # reference so the per-packet paths skip two attribute hops.
         self._sanitizer = sim.sanitizer
-        # Both per-packet events are pushed onto the simulator's heap
+        # The transmit-complete event is pushed onto the simulator's heap
         # directly, with a sequence number from its shared stream (see
         # the design notes in repro.sim.engine).
         self._heap = sim._heap
@@ -160,12 +155,11 @@ class Link:
         """Transmit-complete handler, which also starts the transmitter.
 
         ``done`` is the packet whose serialisation just completed: it is
-        counted and handed to its flow's route (after the propagation
-        delay). Then the next queued packet, if any, starts serialising.
-        An arrival or :meth:`set_up` that finds the transmitter idle
-        calls this with ``done=None`` to run only the second half, so
-        the drain code exists once and a busy link costs one call per
-        packet.
+        counted and handed to its flow's route. Then the next queued
+        packet, if any, starts serialising. An arrival or :meth:`set_up`
+        that finds the transmitter idle calls this with ``done=None`` to
+        run only the second half, so the drain code exists once and a
+        busy link costs one call per packet.
         """
         sanitizer = self._sanitizer
         if done is not None:
@@ -173,15 +167,7 @@ class Link:
             self.transmitted_bytes += done.size
             if sanitizer is not None:
                 sanitizer.on_link_finish(self, done)
-            deliver = self.routes[done.flow_id]
-            # <= rather than ==: see NetemDelay.send.
-            if self.delay <= 0.0:
-                deliver(done)
-            else:
-                at = self.sim.now + self.delay
-                if sanitizer is not None:
-                    sanitizer.on_schedule(at)
-                heappush(self._heap, [at, self._next_seq(), deliver, (done,)])
+            self.routes[done.flow_id](done)
         if not self.up:
             self.busy = False
             return

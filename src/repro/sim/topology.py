@@ -4,10 +4,13 @@ Reconstructs the paper's testbed (Figure 1): sender/receiver node pairs
 on either side of a single bottleneck — the BESS software switch in the
 paper, a rate-limited :class:`repro.sim.link.Link` with a drop-tail
 queue here. Edge links are uncongested by construction (25 Gbps in the
-paper), so their propagation is folded into the bottleneck's delivery
-delay and the reverse path's delay; per-flow base RTT is set with a
-netem-style delay element on the ACK path, exactly where the paper
-inserts it (at the receiver).
+paper), so they get no element: the bottleneck hands each packet to its
+receiver as its serialisation completes, and the whole per-flow base
+RTT is a netem-style delay element on the ACK path, where the paper
+inserts netem (at the receiver). The receiver only compares arrival
+times with each other, so carrying the forward propagation on the ACK
+path leaves the sender's timeline unchanged and saves one event per
+data packet.
 
 The builder wires one :class:`~repro.tcp.connection.TcpSender` /
 :class:`~repro.tcp.connection.TcpReceiver` pair per flow and returns a
@@ -28,20 +31,16 @@ from .link import Link
 from .netem import NetemDelay
 from .queue import Queue
 
-#: One-way propagation delay of each bottleneck hop, seconds. A flow's
-#: base RTT must be at least four of them (two each way).
-BOTTLENECK_PROP_DELAY = 0.0005
-
 
 @dataclass
 class FlowSpec:
     """Configuration for one flow in the dumbbell.
 
     ``rtt`` is the flow's base (uncongested) round-trip time; the
-    builder splits it between a fixed forward propagation component and
-    a netem delay on the ACK path. ``start_time`` implements the paper's
-    staggered flow arrival. ``total_packets=None`` gives the paper's
-    infinite ("long-running") flows.
+    builder puts all of it on the netem delay of the ACK path.
+    ``start_time`` implements the paper's staggered flow arrival.
+    ``total_packets=None`` gives the paper's infinite ("long-running")
+    flows.
     """
 
     cca: CongestionControl
@@ -97,8 +96,8 @@ def build_dumbbell(
     Parameters
     ----------
     flow_specs:
-        One :class:`FlowSpec` per flow. Each flow's base RTT must be at
-        least ``4 * BOTTLENECK_PROP_DELAY`` (the fixed propagation parts).
+        One :class:`FlowSpec` per flow. Each flow's base RTT must be
+        positive.
     bottleneck_bw_bps:
         Bottleneck link rate (the paper varies this between 100 Mbps and
         10 Gbps).
@@ -108,42 +107,28 @@ def build_dumbbell(
     """
     if not flow_specs:
         raise ValueError("at least one flow is required")
-    # All forward-path propagation (sender->switch access hop plus
-    # switch->receiver hop) is folded into the bottleneck's delivery
-    # delay: the edge links never congest (25 Gbps in the paper), so
-    # only the total matters, and folding halves the event count.
-    bottleneck = Link(
-        sim,
-        rate_bps=bottleneck_bw_bps,
-        delay=2 * BOTTLENECK_PROP_DELAY,
-        queue=queue,
-    )
+    bottleneck = Link(sim, rate_bps=bottleneck_bw_bps, queue=queue)
     # The bottleneck delivers straight to each flow's receiver:
     # routes[flow_id] is that receiver's bound send.
     routes = bottleneck.routes
     dumbbell = Dumbbell(sim=sim, bottleneck=bottleneck)
-    fixed_component = 4 * BOTTLENECK_PROP_DELAY
     for flow_id, spec in enumerate(flow_specs):
-        if spec.rtt < fixed_component:
-            raise ValueError(
-                f"flow {flow_id}: rtt {spec.rtt} below fixed propagation "
-                f"{fixed_component}"
-            )
+        if spec.rtt <= 0:
+            raise ValueError(f"flow {flow_id}: rtt {spec.rtt} must be positive")
         # Each element is built after the one it hands packets to, so
         # none is ever without its next hop. Forward path: sender ->
-        # bottleneck (access hop folded above).
+        # bottleneck -> receiver, with no propagation delay.
         sender = TcpSender(
             sim, flow_id, spec.cca, bottleneck, total_packets=spec.total_packets
         )
-        # Reverse path: one netem element carrying the flow's base-RTT
-        # delay plus the fixed reverse propagation (paper: netem at the
+        # Reverse path: one netem element carrying the flow's whole base
+        # RTT, both directions' propagation (paper: netem at the
         # receiver sets the base RTT).
-        delay = spec.rtt - fixed_component + 2 * BOTTLENECK_PROP_DELAY
         reverse = NetemDelay(
             sim,
-            delay,
+            spec.rtt,
             sender,
-            jitter=min(spec.jitter, delay),
+            jitter=min(spec.jitter, spec.rtt),
             rng=random.Random(
                 spec.jitter_seed if spec.jitter_seed is not None else flow_id
             ),

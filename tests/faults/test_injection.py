@@ -86,8 +86,8 @@ class TestInjection:
         assert faulted.health.ok
         clean_rtt = max(f.measured_rtt for f in clean.flows)
         faulted_rtt = max(f.measured_rtt for f in faulted.flows)
-        # The netem path carries ~19 ms of the 20 ms base RTT; x8 puts the
-        # propagation floor alone above 0.14 s. (Queueing delay *drops*
+        # The netem path carries the whole 20 ms base RTT; x8 puts the
+        # propagation floor alone at 0.16 s. (Queueing delay *drops*
         # under the fault — less aggressive flows — so comparing against a
         # multiple of the clean sRTT would be meaningless.)
         assert faulted_rtt > 0.14

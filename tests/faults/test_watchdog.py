@@ -63,6 +63,27 @@ class TestStallDetection:
         assert all(f.goodput_bps == 0.0 for f in result.flows)
         assert result.jfi() == 1.0  # all-zero allocations, defined as fair
 
+    @pytest.mark.parametrize(
+        "warmup, duration, abort_at",
+        [(3.0, 20.0, 3.0), (1.0, 2.5, 2.5)],
+        ids=["abort-at-warmup", "abort-at-duration"],
+    )
+    def test_abort_exactly_at_a_phase_target_truncates(self, warmup, duration, abort_at):
+        """Two flows stall from t=0.2 and the 2 s watchdog, checking every
+        0.5 s, aborts at t=2.5 or 3.0: exactly on the warm-up cut or the
+        duration. The clock then stands at the target, and the run must
+        still read as truncated, not healthy."""
+        scenario = edge_scale(
+            flows=2, duration=duration, warmup=warmup, seed=7
+        ).with_overrides(faults=(FaultEvent("link_down", time=0.2),))
+        result = run_experiment(scenario, watchdog=WatchdogConfig(stall_budget=2.0))
+        health = result.health
+        assert (health.ok, health.reason) == (False, "stall")
+        assert health.stalled_flows == [0, 1]
+        # Exact: the abort lands on the target itself.
+        assert health.truncated_at == abort_at  # repro-lint: disable=RPR003
+        assert result.measured_duration == abort_at - warmup  # repro-lint: disable=RPR003
+
     def test_healthy_run_reports_no_stalls(self):
         scenario = edge_scale(flows=2, duration=6.0, warmup=1.0, seed=7)
         result = run_experiment(scenario, watchdog=WatchdogConfig(stall_budget=3.0))
@@ -171,10 +192,7 @@ class TestSchedulerIntegration:
         assert plain.key() != guarded.key()
         assert plain.key() != budgeted.key()
 
-    def test_default_options_preserve_legacy_key(self):
-        """RunOptions() with the new fields unset must hash exactly as the
-        two-field original did."""
-        assert RunOptions().to_canonical() == {
-            "record_drop_times": True,
-            "convergence_check": False,
-        }
+    def test_default_options_canonical_form(self):
+        """RunOptions() with the watchdog and budget unset hashes only
+        the convergence flag."""
+        assert RunOptions().to_canonical() == {"convergence_check": False}

@@ -9,6 +9,7 @@ import pytest
 from repro.lint.sanitizer import SanitizerError, SimSanitizer
 from repro.sim.engine import _FN, _TIME, Simulator
 from repro.sim.link import Link
+from repro.sim.netem import NetemDelay
 from repro.sim.queue import DropTailQueue
 from repro.tcp.cca.newreno import NewReno
 from repro.tcp.rate_sample import PacketMeta
@@ -145,7 +146,8 @@ class _Counter:
 def test_link_transmits_clean_under_sanitizer():
     sim = Simulator(sanitize=True)
     sink = _Counter()
-    link = Link(sim, rate_bps=8_000_000, delay=0.001, routes=[sink.send])
+    wire = NetemDelay(sim, 0.001, sink)
+    link = Link(sim, rate_bps=8_000_000, routes=[wire.send])
     for seq in range(10):
         link.send(make_packet(0, seq, 1000))
     sim.run()
@@ -155,7 +157,7 @@ def test_link_transmits_clean_under_sanitizer():
 
 def test_link_finish_while_idle_trips():
     sim = Simulator(sanitize=True)
-    link = Link(sim, rate_bps=8_000_000, delay=0.0, routes=[_Counter().send])
+    link = Link(sim, rate_bps=8_000_000, routes=[_Counter().send])
     assert not link.busy
     with pytest.raises(SanitizerError, match="while link idle"):
         sim.sanitizer.on_link_finish(link, make_packet(3, 0, 1000))

@@ -31,7 +31,7 @@ def scenario(i: int, name: str | None = None) -> Scenario:
     )
 
 
-def quick_run(scenario, record_drop_times=True, convergence_check=False):
+def quick_run(scenario, convergence_check=False):
     """Cheap deterministic payload; no simulation."""
     return {"name": scenario.name, "seed": scenario.seed}
 

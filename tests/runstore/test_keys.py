@@ -50,10 +50,10 @@ def test_key_sensitive_to_every_scenario_field():
 def test_key_sensitive_to_options_and_version(monkeypatch):
     sc = scenario(1)
     base = job_key(sc, DEFAULTS)
-    assert job_key(sc, {"record_drop_times": False}) != base
+    assert job_key(sc, {"convergence_check": True}) != base
     # A job with default options hashes exactly the default canonical form.
     assert Job(sc).key() == base
-    assert DEFAULTS == {"record_drop_times": True, "convergence_check": False}
+    assert DEFAULTS == {"convergence_check": False}
     # Other physics, other key.
     monkeypatch.setattr(keys, "physics_fingerprint", lambda: "0" * 64)
     assert job_key(sc, DEFAULTS) != base
@@ -66,7 +66,7 @@ def test_canonical_json_is_stable_under_dict_order():
 def test_key_matches_documented_construction():
     sc = scenario(3)
     doc = {
-        "options": {"record_drop_times": True, "convergence_check": False},
+        "options": {"convergence_check": False},
         "physics": physics_fingerprint(),
         "scenario": dataclasses.asdict(sc),
     }
@@ -87,15 +87,15 @@ def test_key_scheme_is_pinned(monkeypatch):
     monkeypatch.setattr(keys, "physics_fingerprint", lambda: "pinned-physics")
     sc = scenario(1)
     assert Job(sc).key() == (
-        "6614c5926e391cea8ee0954aa490c4761adbdc953281f1f9a5494d331033d793"
+        "0c1bbd4d63db8274d049e98d0403ebbedea25e7a3f934e88ccc2809e73a0bc64"
     )
     guarded = RunOptions(watchdog=WatchdogConfig(stall_budget=6.0), max_events=10_000)
     assert Job(sc, guarded).key() == (
-        "6e0e35a23b83de8f7849d94e25cb2b35428aa294c2d79eba46d05e5dce789e2c"
+        "68c4082cb65d738f1de2e164a530514a0337258d89bc5f1742b0b44ace561f3c"
     )
     blackout = FaultSchedule.from_spec("blackout", sc.duration).events
     assert Job(sc.with_overrides(faults=blackout)).key() == (
-        "9f3b181d991531bbd7eadfcffb584bf829f892f2e38c0a9e3249866e627e0868"
+        "a2c4da8246850746f3040872853e7a80ec227932845617ebc0d84b1d96221403"
     )
 
 

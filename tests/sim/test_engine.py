@@ -273,10 +273,10 @@ def test_stop_combined_with_exhausted_budget_stays_truncated():
 
 
 def test_direct_pushes_share_the_sequence_stream():
-    """Link (transmit completion and propagation) and NetemDelay push
-    their events onto the heap directly; they draw sequence numbers
-    from the simulator's one stream, so events due at the same instant
-    fire in push order whoever pushed them."""
+    """Link (transmit completion) and NetemDelay push their events onto
+    the heap directly; they draw sequence numbers from the simulator's
+    one stream, so events due at the same instant fire in push order
+    whoever pushed them."""
     sim = Simulator()
     fired = []
 
@@ -287,11 +287,11 @@ def test_direct_pushes_share_the_sequence_stream():
         def send(self, packet):
             fired.append(self.tag)
 
-    # 1000-byte packets: 8000 bits take 0.5 s at 16 kb/s and 0.25 s at
-    # 32 kb/s, so every event below lands at exactly t = 0.5.
-    finish_link = Link(sim, 16_000, routes=[Tap("link-finish").send])  # no propagation
-    relay_link = Link(sim, 32_000, delay=0.25, routes=[Tap("link-propagation").send])
+    # 1000-byte packets: 8000 bits take 0.5 s at 16 kb/s, so every event
+    # below lands at exactly t = 0.5.
+    finish_link = Link(sim, 16_000, routes=[Tap("link-finish").send])
     netem = NetemDelay(sim, 0.5, sink=Tap("netem"))
+    relay = NetemDelay(sim, 0.25, sink=Tap("relay"))
 
     def quarter():
         sim.schedule(0.25, fired.append, "schedule-3")
@@ -301,14 +301,13 @@ def test_direct_pushes_share_the_sequence_stream():
     finish_link.send(make_packet(0, 0, 1000))
     netem.send(make_packet(0, 1, 1000))
     sim.schedule(0.25, quarter)
-    relay_link.send(make_packet(0, 2, 1000))  # its completion fires after quarter()
+    sim.schedule(0.25, relay.send, make_packet(0, 2, 1000))  # fires after quarter()
     sim.schedule(0.5, fired.append, "schedule-2")
     sim.run()
     assert sim.now == 0.5  # repro-lint: disable=RPR003 -- exact by construction
-    # At t = 0.25, quarter() pushes before the relay link's completion
-    # pushes its propagation event.
+    # At t = 0.25, quarter() pushes before the relay's netem push.
     assert fired == [
         "schedule-1", "link-finish", "netem", "schedule-2",
-        "schedule-3", "link-propagation",
+        "schedule-3", "relay",
     ]
     assert sim.next_seq() == 9  # eight pushes drew 1..8

@@ -4,10 +4,11 @@ import random
 
 import pytest
 
+from repro.faults import FaultEvent, FaultInjector, FaultSchedule
 from repro.sim.engine import Simulator
 from repro.sim.netem import NetemDelay
 from repro.sim.queue import DropTailQueue, REDQueue
-from repro.sim.topology import BOTTLENECK_PROP_DELAY, FlowSpec, build_dumbbell
+from repro.sim.topology import FlowSpec, build_dumbbell
 from repro.tcp.cca.newreno import NewReno
 from repro.units import mbps
 
@@ -30,21 +31,23 @@ def test_requires_flows(sim):
         build_dumbbell(sim, [], bottleneck_bw_bps=mbps(10), queue=DropTailQueue(100_000))
 
 
-def test_rtt_below_fixed_propagation_rejected(sim):
-    specs = [FlowSpec(NewReno(), rtt=0.0001)]
-    with pytest.raises(ValueError):
-        build_dumbbell(sim, specs, bottleneck_bw_bps=mbps(10), queue=DropTailQueue(100_000))
+def test_non_positive_rtt_rejected(sim):
+    for rtt in (0.0, -0.01):
+        specs = [FlowSpec(NewReno(), rtt=rtt)]
+        with pytest.raises(ValueError):
+            build_dumbbell(sim, specs, bottleneck_bw_bps=mbps(10), queue=DropTailQueue(100_000))
 
 
 def test_minimum_rtt_flow_reverse_path_is_pure_delay(sim):
-    """A flow whose RTT is all fixed propagation, with no jitter, still
-    gets a netem element: the bare reverse propagation, drawing nothing."""
-    spec = FlowSpec(NewReno(), rtt=4 * BOTTLENECK_PROP_DELAY)
+    """The ACK-path netem element carries the flow's whole base RTT
+    and, with no jitter, draws nothing; the bottleneck has no delay of
+    its own."""
+    spec = FlowSpec(NewReno(), rtt=0.0001)
     d = build_dumbbell(sim, [spec], bottleneck_bw_bps=mbps(10), queue=DropTailQueue(100_000))
     reverse = d.flows[0].receiver.reverse_path
     assert isinstance(reverse, NetemDelay)
-    # Exact: the element must schedule the very delay the bare hop did.
-    assert reverse.delay == 2 * BOTTLENECK_PROP_DELAY  # repro-lint: disable=RPR003
+    # Exact: the element schedules the base RTT itself.
+    assert reverse.delay == spec.rtt  # repro-lint: disable=RPR003
     assert reverse.jitter == 0.0
     assert reverse.sink is d.flows[0].sender
 
@@ -77,6 +80,34 @@ def test_base_rtt_is_respected(sim):
     sim.run(until=0.5)
     sender = d.flows[0].sender
     assert sender.rtt.min_rtt == pytest.approx(0.080, rel=0.1)
+
+
+@pytest.mark.parametrize("rtt_multiplier", [None, 2.0], ids=["clean", "rtt-x2-fault"])
+def test_smallest_rtt_sample_is_base_rtt_plus_one_serialisation(sim, rtt_multiplier):
+    """The forward propagation rides the ACK path, so the sender's
+    timeline must be the one a physical split would give: a lone flow
+    on an idle link samples exactly its base RTT plus one packet's
+    serialisation. An ``rtt`` fault scales the whole base RTT."""
+    rtt, rate = 0.02, 1e9
+    d = build_dumbbell(
+        sim,
+        [FlowSpec(NewReno(), rtt=rtt)],
+        bottleneck_bw_bps=rate,
+        queue=DropTailQueue(1_000_000_000),
+        delayed_ack=False,
+    )
+    base = rtt
+    if rtt_multiplier is not None:
+        events = (FaultEvent("rtt", time=0.0, value=rtt_multiplier),)
+        FaultInjector(sim, FaultSchedule(events), d, rng=random.Random(0)).arm()
+        base = rtt_multiplier * rtt
+    d.start_all()
+    sim.run(until=1.0)
+    sender = d.flows[0].sender
+    assert sender.stats.retransmits == 0
+    # No queueing: the smallest sample is the sum itself, up to the last
+    # bits of the fault's scaled delay (the clean case is exact).
+    assert sender.rtt.min_rtt == pytest.approx(base + 1500 * 8 / rate, rel=0, abs=1e-15)
 
 
 def test_bottleneck_routes_by_flow(sim):

@@ -255,8 +255,8 @@ def test_scan_sees_the_package():
         for call in calls_by_name()["build_dumbbell"]
     )
     constants = {name for name, _ in public_constants()}
-    assert {"TOPICS", "DEFAULT_STORE", "BOTTLENECK_PROP_DELAY"} <= constants
-    assert {"TOPICS", "BOTTLENECK_PROP_DELAY"} <= loaded_names()
+    assert {"TOPICS", "DEFAULT_STORE", "CRASH_RETRIES"} <= constants
+    assert {"TOPICS", "CRASH_RETRIES"} <= loaded_names()
 
 
 def test_passes_counts_keywords_positions_and_splats():
