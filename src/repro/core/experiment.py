@@ -70,8 +70,8 @@ def default_event_budget(scenario: Scenario) -> int:
 
     Sized from first principles with a wide margin: a saturated
     bottleneck forwards ``bw / (8 * MSS)`` packets per second and each
-    packet costs a handful of events (enqueue, dequeue, link finish,
-    delivery, ACK path, timers), so 200 events per packet-second plus a
+    packet costs at most a few events (its ACK's arrival, the timers),
+    so 200 events per packet-second plus a
     generous per-flow and fixed allowance is orders of magnitude above
     any legitimate run while still finite — a livelocked event loop
     spinning at a frozen clock hits it quickly.
@@ -223,6 +223,9 @@ def run_experiment(
         queue=queue,
         delayed_ack=scenario.delayed_ack,
     )
+
+    # No run does receiver work for a packet departing after its end.
+    dumbbell.bottleneck.set_horizon(math.nextafter(scenario.duration, math.inf))
 
     try:
         queue.record_drop_times = False  # until the cut

@@ -10,6 +10,14 @@ against the original configuration rather than drifting.
 Everything the injector does is recorded in ``timeline`` as
 ``(sim_time, description)`` pairs — the fault audit trail carried into
 ``ExperimentResult.health``.
+
+The bottleneck hands packets to their receivers ahead of the clock
+(see :class:`~repro.sim.link.Link`), which is exact only while nothing
+changes between a packet's admission and its departure. So the injector
+keeps the link's horizon at the next fault time: a packet departing
+then or later waits, and is delivered once the fault has been applied
+and the horizon has moved on. The horizon the link had when the
+injector armed (the run's end) caps it.
 """
 
 from __future__ import annotations
@@ -53,6 +61,9 @@ class FaultInjector:
         self._bus = bus
         self.timeline: List[Tuple[float, str]] = []
         self._armed = False
+        # Times of the onsets and restorations still to apply, latest
+        # first.
+        self._pending: List[float] = []
         link = dumbbell.bottleneck
         self._base_rate = link.rate_bps
         self._base_capacity = link.queue.capacity_bytes
@@ -69,12 +80,26 @@ class FaultInjector:
         if self._armed:
             raise RuntimeError("fault schedule already armed")
         self._armed = True
+        # The horizon the link had before arming (the run's end).
+        self._cap = self.dumbbell.bottleneck.horizon
         for event in self.schedule.events:
             self.sim.schedule_at(event.time, self._apply, event)
+            self._pending.append(event.time)
+            if event.end_time is not None:
+                self._pending.append(event.end_time)
+        self._pending.sort(reverse=True)
+        self._move_horizon()
 
     # ------------------------------------------------------------------
     # Event application
     # ------------------------------------------------------------------
+
+    def _move_horizon(self) -> None:
+        """Set the bottleneck's horizon to the next change still to
+        apply, which may be at the current time, or to the cap."""
+        pending = self._pending
+        horizon = pending[-1] if pending else self._cap
+        self.dumbbell.bottleneck.set_horizon(min(horizon, self._cap))
 
     def _record(self, description: str) -> None:
         self.timeline.append((self.sim.now, description))
@@ -85,8 +110,15 @@ class FaultInjector:
         handler = getattr(self, f"_apply_{event.kind}")
         handler(event)
         if event.end_time is not None:
-            restorer = getattr(self, f"_restore_{event.kind}")
-            self.sim.schedule_at(event.end_time, restorer, event)
+            self.sim.schedule_at(event.end_time, self._restore, event)
+        self._pending.pop()
+        self._move_horizon()
+
+    def _restore(self, event: FaultEvent) -> None:
+        restorer = getattr(self, f"_restore_{event.kind}")
+        restorer(event)
+        self._pending.pop()
+        self._move_horizon()
 
     # -- blackout ------------------------------------------------------
 
@@ -156,9 +188,9 @@ class FaultInjector:
 
     def _apply_buffer(self, event: FaultEvent) -> None:
         capacity = max(1, int(self._base_capacity * event.value))
-        self.dumbbell.queue.set_capacity(capacity, now=self.sim.now)
+        self.dumbbell.bottleneck.set_capacity(capacity)
         self._record(f"buffer x{event.value:g} ({capacity} B)")
 
     def _restore_buffer(self, event: FaultEvent) -> None:
-        self.dumbbell.queue.set_capacity(self._base_capacity, now=self.sim.now)
+        self.dumbbell.bottleneck.set_capacity(self._base_capacity)
         self._record("buffer restored")

@@ -12,9 +12,10 @@ around it hook their mutation points into it:
   accounted for by a dequeue, an in-queue drop (resize eviction by
   ``set_capacity``, the only one), or current occupancy; occupancy stays
   within ``[0, capacity]``;
-- **links** — a transmit completion only happens while the link is
-  marked busy, and the link never finishes more bytes than its queue
-  released;
+- **links** — a packet's departure is no earlier than its admission
+  plus its serialisation time; deliveries strictly increase in
+  departure time, never precede the clock, and stay before the link's
+  horizon (the link's queue is audited as above);
 - **TCP senders** — ``cwnd >= 1`` MSS after every CCA decision,
   scoreboard counters non-negative, ``snd_una <= snd_nxt``, one
   scoreboard entry per sequence in ``[snd_una, snd_nxt)``, and the
@@ -93,6 +94,8 @@ class SimSanitizer:
         self.sim = sim
         self.checks_performed = 0
         self._queues: Dict[int, _QueueAccount] = {}
+        #: Each link's latest delivered departure time, by ``id(link)``.
+        self._deliveries: Dict[int, float] = {}
 
     # ------------------------------------------------------------------
     # Failure plumbing
@@ -192,22 +195,38 @@ class SimSanitizer:
     # Link hooks
     # ------------------------------------------------------------------
 
-    def on_link_finish(self, link: "Link", packet: "Packet") -> None:
-        """A transmit completion fired on ``link`` for ``packet``."""
+    def on_link_timed(self, link: "Link", packet: "Packet", departs: float) -> None:
+        """``link`` gave ``packet`` the departure time ``departs``: no
+        earlier than now plus the packet's serialisation time."""
         self.checks_performed += 1
-        if not link.busy:
+        earliest = self.sim.now + packet.size * 8.0 / link.rate_bps
+        if departs < earliest:
             self._fail(
                 "Link",
-                f"transmit completion for flow {packet.flow_id} while link idle",
+                f"departure {departs!r} before now + serialisation = {earliest!r}",
                 flow_id=packet.flow_id,
             )
-        account = self._queues.get(id(link.queue))
-        if account is not None and link.transmitted_bytes > account.bytes_out:
+
+    def on_link_deliver(self, link: "Link", packet: "Packet", departs: float) -> None:
+        """``link`` hands ``packet`` on with departure ``departs``:
+        before the horizon, not before the clock, and strictly after the
+        link's previous delivery."""
+        self.checks_performed += 1
+        if not departs < link.horizon:
             self._fail(
                 "Link",
-                f"transmitted {link.transmitted_bytes} bytes but queue only "
-                f"released {account.bytes_out}",
+                f"delivery at {departs!r}, at or past the horizon {link.horizon!r}",
+                flow_id=packet.flow_id,
             )
+        last = self._deliveries.get(id(link), -math.inf)
+        if not last < departs or departs < self.sim.now:
+            self._fail(
+                "Link",
+                f"delivery at {departs!r} after one at {last!r}: departures "
+                "must strictly increase and not precede the clock",
+                flow_id=packet.flow_id,
+            )
+        self._deliveries[id(link)] = departs
 
     # ------------------------------------------------------------------
     # TCP sender hooks

@@ -19,21 +19,21 @@ Design notes
   moved later, so a pending one is kept as it is. Executing an event
   nulls its callback, the "fired" mark :func:`event_pending` reads.
 - Sequence numbers come from one shared stream, ``Simulator.next_seq``
-  (``itertools.count(1).__next__``). The two per-packet schedulers,
-  :class:`~repro.sim.link.Link` (transmit completion) and
-  :class:`~repro.sim.netem.NetemDelay` (delivery after its delay), push
-  ``[time, next_seq(), fn, (packet,)]`` straight onto ``_heap`` instead
-  of calling :meth:`Simulator.schedule`, and report the push to
-  ``sanitizer.on_schedule`` themselves when a sanitizer is on. Every
+  (``itertools.count(1).__next__``). Only the per-packet scheduler,
+  :class:`~repro.sim.netem.NetemDelay` (delivery after its delay),
+  pushes ``[time, next_seq(), fn, (packet,)]`` straight onto ``_heap``
+  instead of calling :meth:`Simulator.schedule`, and reports the push
+  to ``sanitizer.on_schedule`` itself when a sanitizer is on. Every
   event draws from the same stream in the order it is pushed, so
   same-instant tie-breaks are exactly those of ``schedule``; the direct
-  push only saves the Python frame. Every other caller uses
+  push only saves the Python frame. The bottleneck
+  :class:`~repro.sim.link.Link` schedules nothing: it computes each
+  departure at admission. Every other caller uses
   :meth:`Simulator.schedule` / :meth:`Simulator.schedule_at`.
   Code outside this module that depends on the event layout, and must
-  change with it: the push in ``Link._finish`` and the one in
-  ``NetemDelay.send`` (which build the list), and
-  ``TcpSender._try_send`` (which reads ``_FN`` of its pacing timer
-  handle).
+  change with it: the push in ``NetemDelay.send`` (which builds the
+  list) and ``TcpSender._try_send`` (which reads ``_FN`` of its pacing
+  timer handle).
 - ``run`` keeps two copies of the dispatch loop: the instrumented one
   (sanitizer and/or profiler brackets around every handler) and a bare
   one with no per-event instrumentation checks. They execute events

@@ -1,13 +1,20 @@
 """The rate-limited link, and the interfaces path elements share.
 
-Every element forwards packets toward a *sink* — any object with a
-``send(packet)`` method (another element or an endpoint) — or, for the
-link, toward one such ``send`` per flow. This composes into per-flow
-paths built by :mod:`repro.sim.topology`.
+Elements forward packets toward a *sink*. An on-clock sink (a
+:class:`Sink`: the link itself, a TCP sender) takes ``send(packet)``
+at the current simulated time. A *timed* sink (a :class:`TimedSink`:
+a TCP receiver, a netem element) takes ``send(packet, at)``, where
+``at`` is the packet's arrival time, which may lie ahead of the clock.
+This composes into per-flow paths built by :mod:`repro.sim.topology`.
 
 :class:`Link` is a finite-rate link with a queue discipline in front of
-the transmitter: the bottleneck (the BESS switch port in the paper). It
-has no propagation delay; the other element of the dumbbell,
+the transmitter: the bottleneck (the BESS switch port in the paper). A
+drop-tail FIFO port at a fixed rate is an analytic server: each
+departure follows from the arrivals alone, ``D_k = max(A_k, D_{k-1}) +
+L_k / C``. So the link computes a packet's departure when it admits
+the packet and hands it to its flow's route at once, with that time,
+instead of spending a heap event to reach it. The link has no
+propagation delay; the other element of the dumbbell,
 :class:`~repro.sim.netem.NetemDelay`, adds pure delay, and the ACK
 path's netem element carries each flow's whole base RTT. The 25 Gbps
 edge links never congest in the paper's testbed, so modelling them
@@ -16,18 +23,26 @@ would only add events without changing behaviour.
 
 from __future__ import annotations
 
-from heapq import heappush
-from typing import Callable, List, Optional, Protocol
+import math
+from collections import deque
+from typing import Callable, Deque, List, Optional, Protocol, Tuple
 
-from .engine import Simulator
+from .engine import SimulationError, Simulator
 from .packet import Packet
 from .queue import DropTailQueue, Queue
 
 
 class Sink(Protocol):
-    """Anything that can accept a packet."""
+    """Anything that can accept a packet now."""
 
     def send(self, packet: Packet) -> None: ...
+
+
+class TimedSink(Protocol):
+    """Anything that can accept a packet arriving at time ``at``, which
+    is never before the clock and may be ahead of it."""
+
+    def send(self, packet: Packet, at: float) -> None: ...
 
 
 class LossModel(Protocol):
@@ -43,25 +58,45 @@ class LossModel(Protocol):
 class Link:
     """A rate-limited link: queue discipline + transmitter.
 
-    Packets offered while the transmitter is busy wait in ``queue``;
-    packets that the queue rejects are dropped (the queue handles drop
-    accounting and bus forwarding). The transmitter serialises one
-    packet at a time at ``rate_bps`` and, as its serialisation
-    completes, hands it to ``routes[packet.flow_id]``: :attr:`routes`
-    lists the bound ``send`` of each flow's sink, so a delivery on a
-    link shared by many flows (the dumbbell's bottleneck) is one call
-    with no demultiplexing hop. A link carrying one flow passes
-    ``routes=[sink.send]``.
+    An arrival that the queue rejects is dropped (the queue handles drop
+    accounting and bus forwarding). An admitted packet starts
+    serialising at ``S = max(now, busy_until)`` and departs at ``F = S +
+    size * 8 / rate_bps``, the same float operations a transmit-complete
+    event chain would perform. The packet waits in ``queue`` until
+    ``S``; the queue settles lazily, so the waiting packets whose start
+    is before ``now`` leave it at the next admission or fault, before
+    the queue's occupancy is read.
 
-    Fault hooks (used by :mod:`repro.faults`):
+    If ``F`` is before :attr:`horizon`, the packet is handed to
+    ``routes[packet.flow_id](packet, F)`` at admission, ahead of the
+    clock by its queueing and serialisation delay. :attr:`routes` lists
+    the bound ``send`` of each flow's timed sink, so a delivery on a
+    link shared by many flows (the dumbbell's bottleneck) is one call
+    with no demultiplexing hop; a link carrying one flow passes
+    ``routes=[sink.send]``. A packet departing at or past the horizon is
+    *parked* and delivered, in order, when :meth:`set_horizon` moves the
+    horizon past it.
+
+    The horizon is what keeps early delivery exact. Whatever can change
+    a packet's departure, or what its receiver does at that time, must
+    happen at or after the horizon: the fault injector keeps it at the
+    next fault time, and ``run_experiment`` at the run's end. Without
+    either it is infinite.
+
+    Fault hooks (used by :mod:`repro.faults`), each applied at the
+    current time, which must be at or past the horizon when packets are
+    waiting (a :class:`~repro.sim.engine.SimulationError` otherwise):
 
     - :meth:`set_down` / :meth:`set_up` — a blackout. While down, the
       queue keeps accepting arrivals (and overflows naturally once full)
       but the transmitter is paused; a transmission already serialising
       when the link goes down still completes, exactly like a cable cut
-      behind a store-and-forward switch port.
+      behind a store-and-forward switch port. The waiting packets are
+      timed again when the link comes up.
     - :meth:`set_rate` — bandwidth reduction/restoration; takes effect
       from the next serialisation.
+    - :meth:`set_capacity` — a buffer resize; shrinking evicts the
+      newest waiting packets.
     - :attr:`loss_model` — an optional channel-loss element consulted on
       every arrival *before* the queue, so channel losses are accounted
       separately (``impaired_drops``) from congestion drops.
@@ -72,16 +107,17 @@ class Link:
         "rate_bps",
         "queue",
         "routes",
-        "busy",
         "up",
+        "horizon",
+        "busy_until",
         "transmitted_packets",
         "transmitted_bytes",
         "impaired_drops",
         "loss_model",
         "_tx_times",
         "_sanitizer",
-        "_heap",
-        "_next_seq",
+        "_starts",
+        "_parked",
     )
 
     def __init__(
@@ -89,18 +125,24 @@ class Link:
         sim: Simulator,
         rate_bps: float,
         queue: Optional[Queue] = None,
-        routes: Optional[List[Callable[[Packet], None]]] = None,
+        routes: Optional[List[Callable[[Packet, float], None]]] = None,
     ) -> None:
         if rate_bps <= 0:
             raise ValueError("link rate must be positive")
         self.sim = sim
         self.rate_bps = rate_bps
         self.queue = queue if queue is not None else DropTailQueue(1_000_000)
-        #: Per-flow delivery: ``routes[flow_id]`` receives the packet. A
+        #: Per-flow delivery: ``routes[flow_id](packet, departure)``. A
         #: topology may append routes after construction.
-        self.routes: List[Callable[[Packet], None]] = routes if routes is not None else []
-        self.busy = False
+        self.routes: List[Callable[[Packet, float], None]] = routes if routes is not None else []
         self.up = True
+        #: Packets departing before this time are delivered at admission;
+        #: later ones are parked until :meth:`set_horizon` moves it.
+        self.horizon = math.inf
+        #: Departure of the last packet given to the transmitter: the
+        #: earliest start of the next one.
+        self.busy_until = -math.inf
+        #: Packets delivered (departures before the horizon so far).
         self.transmitted_packets = 0
         self.transmitted_bytes = 0
         #: Packets dropped by the channel-loss model (not queue drops).
@@ -115,11 +157,12 @@ class Link:
         # The sanitizer is fixed at simulator construction; cache the
         # reference so the per-packet paths skip two attribute hops.
         self._sanitizer = sim.sanitizer
-        # The transmit-complete event is pushed onto the simulator's heap
-        # directly, with a sequence number from its shared stream (see
-        # the design notes in repro.sim.engine).
-        self._heap = sim._heap
-        self._next_seq = sim.next_seq
+        # Start times of the timed packets still in the queue, oldest
+        # first: one per queued packet while the link is up, none while
+        # it is down (a paused transmitter gives no start times).
+        self._starts: Deque[float] = deque()
+        # Timed packets not yet delivered, as (departure, packet).
+        self._parked: Deque[Tuple[float, Packet]] = deque()
         if sim.sanitizer is not None:
             sim.sanitizer.watch_queue(self.queue)
 
@@ -128,12 +171,112 @@ class Link:
         if self.loss_model is not None and self.loss_model.should_drop(packet):
             self.impaired_drops += 1
             return
-        if self.queue.offer(self.sim.now, packet):
-            if not self.busy and self.up:
-                self._finish(None)
+        now = self.sim.now
+        queue = self.queue
+        # Settle the queue: the waiting packets whose serialisation
+        # started before now leave it. A start at now itself still
+        # waits: an arrival at the instant its predecessor departs
+        # finds it queued.
+        starts = self._starts
+        while starts and starts[0] < now:
+            starts.popleft()
+            queue.poll()
+        if queue.offer(now, packet) and self.up:
+            self._transmit(packet, now)
+
+    def _transmit(self, packet: Packet, now: float) -> None:
+        """Time a queued packet that follows every timed one, then
+        deliver or park it.
+
+        On an idle transmitter it starts at ``now`` and leaves the queue
+        at once; otherwise it starts as the packet before it departs.
+        Departures strictly increase, so a packet that departs before
+        the horizon has no parked packet ahead of it.
+        """
+        start = self.busy_until
+        if start < now:
+            start = now
+            self.queue.poll()
+        else:
+            self._starts.append(start)
+        size = packet.size
+        tx_time = self._tx_times.get(size)
+        if tx_time is None:
+            tx_time = size * 8.0 / self.rate_bps
+            self._tx_times[size] = tx_time
+        departs = self.busy_until = start + tx_time
+        sanitizer = self._sanitizer
+        if sanitizer is not None:
+            sanitizer.on_link_timed(self, packet, departs)
+        if departs < self.horizon:
+            # _deliver, inlined: this is the path of nearly every packet.
+            self.transmitted_packets += 1
+            self.transmitted_bytes += size
+            if sanitizer is not None:
+                sanitizer.on_link_deliver(self, packet, departs)
+            self.routes[packet.flow_id](packet, departs)
+        else:
+            self._parked.append((departs, packet))
+
+    def _deliver(self, packet: Packet, departs: float) -> None:
+        """Hand a parked ``packet`` to its flow's route with its
+        departure time (:meth:`_transmit` inlines this)."""
+        self.transmitted_packets += 1
+        self.transmitted_bytes += packet.size
+        if self._sanitizer is not None:
+            self._sanitizer.on_link_deliver(self, packet, departs)
+        self.routes[packet.flow_id](packet, departs)
+
+    def set_horizon(self, horizon: float) -> None:
+        """Deliver ahead of the clock only the packets departing before
+        ``horizon``, and deliver the parked ones that now qualify."""
+        self.horizon = horizon
+        parked = self._parked
+        while parked and parked[0][0] < horizon:
+            departs, packet = parked.popleft()
+            self._deliver(packet, departs)
+
+    # ------------------------------------------------------------------
+    # Fault hooks: lift the waiting packets' times, change the link,
+    # time them again.
+    # ------------------------------------------------------------------
+
+    def _untime(self) -> None:
+        """Forget the times of the waiting packets, which a fault at
+        ``now`` is about to change. They must all be parked: one
+        delivered already would have reached its receiver at a
+        departure time that no longer holds."""
+        now = self.sim.now
+        starts = self._starts
+        while starts and starts[0] < now:
+            starts.popleft()
+            self.queue.poll()
+        if not starts:
+            return
+        parked = self._parked
+        if len(parked) < len(starts):
+            raise SimulationError(
+                f"link changed at t={now!r} after packets departing later "
+                "were delivered: set the horizon to the change's time first"
+            )
+        for _ in starts:
+            parked.pop()
+        # The first waiting packet was to start as the one in service
+        # departs: the transmitter is busy until then.
+        self.busy_until = starts[0]
+        starts.clear()
+
+    def _retime(self) -> None:
+        """Time every waiting packet again, oldest first."""
+        if not self.up:
+            return
+        now = self.sim.now
+        for packet in list(self.queue):
+            self._transmit(packet, now)
 
     def set_down(self) -> None:
         """Take the link down (blackout). Idempotent."""
+        self._untime()
         self.up = False
 
     def set_up(self) -> None:
@@ -141,47 +284,20 @@ class Link:
         if self.up:
             return
         self.up = True
-        if not self.busy:
-            self._finish(None)
+        self._retime()
 
     def set_rate(self, rate_bps: float) -> None:
         """Change the link rate; applies from the next serialisation."""
         if rate_bps <= 0:
             raise ValueError("link rate must be positive")
+        self._untime()
         self.rate_bps = rate_bps
         self._tx_times.clear()
+        self._retime()
 
-    def _finish(self, done: Optional[Packet]) -> None:
-        """Transmit-complete handler, which also starts the transmitter.
-
-        ``done`` is the packet whose serialisation just completed: it is
-        counted and handed to its flow's route. Then the next queued
-        packet, if any, starts serialising. An arrival or :meth:`set_up`
-        that finds the transmitter idle calls this with ``done=None`` to
-        run only the second half, so the drain code exists once and a
-        busy link costs one call per packet.
-        """
-        sanitizer = self._sanitizer
-        if done is not None:
-            self.transmitted_packets += 1
-            self.transmitted_bytes += done.size
-            if sanitizer is not None:
-                sanitizer.on_link_finish(self, done)
-            self.routes[done.flow_id](done)
-        if not self.up:
-            self.busy = False
-            return
-        packet = self.queue.poll()
-        if packet is None:
-            self.busy = False
-            return
-        self.busy = True
-        size = packet.size
-        tx_time = self._tx_times.get(size)
-        if tx_time is None:
-            tx_time = size * 8.0 / self.rate_bps
-            self._tx_times[size] = tx_time
-        at = self.sim.now + tx_time
-        if sanitizer is not None:
-            sanitizer.on_schedule(at)
-        heappush(self._heap, [at, self._next_seq(), self._finish, (packet,)])
+    def set_capacity(self, capacity_bytes: int) -> None:
+        """Resize the queue's buffer now (see :meth:`Queue.set_capacity`);
+        the waiting packets that remain keep their order and times."""
+        self._untime()
+        self.queue.set_capacity(capacity_bytes, now=self.sim.now)
+        self._retime()

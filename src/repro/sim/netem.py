@@ -33,16 +33,20 @@ class NetemDelay:
         possible under jitter, exactly as with real netem without
         reorder protection.
     sink:
-        Where each packet goes after its delay. Required: the element is
-        built after its sink, so forwarding never tests for a missing one.
+        Where each packet goes after its delay, on the clock. Required:
+        the element is built after its sink, so forwarding never tests
+        for a missing one.
     rng:
         The jitter RNG, required when ``jitter`` is non-zero (a
         ``ValueError`` otherwise). ``build_dumbbell`` derives one per
         flow from the scenario/flow seed, so no two elements share a
         jitter sequence. An element without jitter draws nothing.
 
-    A zero-delay, zero-jitter element forwards synchronously, without a
-    heap event.
+    The element is a timed sink (:class:`~repro.sim.link.TimedSink`):
+    ``send(packet, at)`` takes the time the packet enters it, which may
+    be ahead of the clock, and the packet reaches the on-clock sink at
+    ``at`` plus the delay. A zero-delay, zero-jitter element forwards a
+    packet entering it now synchronously, without a heap event.
     """
 
     __slots__ = (
@@ -89,7 +93,9 @@ class NetemDelay:
         self.delay = delay
         self.jitter = min(self.jitter, delay)
 
-    def send(self, packet: Packet) -> None:
+    def send(self, packet: Packet, at: float) -> None:
+        """Accept ``packet`` at time ``at`` (now or ahead of the clock)
+        and hand it to the sink after the element's delay."""
         delay = self.delay
         jitter = self.jitter
         if jitter > 0.0:
@@ -97,12 +103,13 @@ class NetemDelay:
             # CPython's own arithmetic, a + (b - a) * random(): same
             # draw, same rounding, one call less.
             delay += -jitter + (jitter - -jitter) * self._rng.random()  # type: ignore[union-attr]
-        # <= rather than ==: the constructor guarantees delay >= 0, and an
+        # > rather than !=: the constructor guarantees delay >= 0, and an
         # ordering guard keeps the fast path safe against float noise.
-        if delay <= 0.0:
+        if delay > 0.0:
+            at += delay
+        elif at <= self.sim.now:
             self.sink.send(packet)
-        else:
-            at = self.sim.now + delay
-            if self._sanitizer is not None:
-                self._sanitizer.on_schedule(at)
-            heappush(self._heap, [at, self._next_seq(), self.sink.send, (packet,)])
+            return
+        if self._sanitizer is not None:
+            self._sanitizer.on_schedule(at)
+        heappush(self._heap, [at, self._next_seq(), self.sink.send, (packet,)])

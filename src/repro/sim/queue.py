@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import random
 from collections import defaultdict, deque
-from typing import TYPE_CHECKING, Any, Callable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional
 
 from .packet import Packet
 
@@ -87,6 +87,10 @@ class Queue:
 
     def __len__(self) -> int:
         return len(self._items)
+
+    def __iter__(self) -> Iterator[Packet]:
+        """The queued packets, oldest first."""
+        return iter(self._items)
 
     @property
     def enqueued_packets(self) -> int:

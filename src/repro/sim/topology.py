@@ -5,12 +5,14 @@ on either side of a single bottleneck — the BESS software switch in the
 paper, a rate-limited :class:`repro.sim.link.Link` with a drop-tail
 queue here. Edge links are uncongested by construction (25 Gbps in the
 paper), so they get no element: the bottleneck hands each packet to its
-receiver as its serialisation completes, and the whole per-flow base
-RTT is a netem-style delay element on the ACK path, where the paper
-inserts netem (at the receiver). The receiver only compares arrival
-times with each other, so carrying the forward propagation on the ACK
-path leaves the sender's timeline unchanged and saves one event per
-data packet.
+receiver when it admits the packet, with the time its serialisation
+completes, and the whole per-flow base RTT is a netem-style delay
+element on the ACK path, where the paper inserts netem (at the
+receiver). The receiver only compares arrival times with each other,
+so carrying the forward propagation on the ACK path leaves the
+sender's timeline unchanged and saves one event per data packet; the
+analytic bottleneck saves the other. Receivers therefore run ahead of
+the clock by at most the bottleneck's queueing delay.
 
 The builder wires one :class:`~repro.tcp.connection.TcpSender` /
 :class:`~repro.tcp.connection.TcpReceiver` pair per flow and returns a
@@ -108,8 +110,8 @@ def build_dumbbell(
     if not flow_specs:
         raise ValueError("at least one flow is required")
     bottleneck = Link(sim, rate_bps=bottleneck_bw_bps, queue=queue)
-    # The bottleneck delivers straight to each flow's receiver:
-    # routes[flow_id] is that receiver's bound send.
+    # The bottleneck delivers straight to each flow's receiver, with the
+    # departure time: routes[flow_id] is that receiver's bound send.
     routes = bottleneck.routes
     dumbbell = Dumbbell(sim=sim, bottleneck=bottleneck)
     for flow_id, spec in enumerate(flow_specs):

@@ -26,7 +26,7 @@ from collections import deque
 from typing import Callable, Deque, List, Optional, Tuple
 
 from ..sim.engine import _FN, Event, Simulator
-from ..sim.link import Sink
+from ..sim.link import Sink, TimedSink
 from ..sim.packet import Packet, SackBlock
 from ..units import ACK_PACKET_BYTES, DATA_PACKET_BYTES
 from .cca.base import CongestionControl
@@ -637,9 +637,20 @@ class TcpSender:
 class TcpReceiver:
     """The receiving side: reassembly, SACK generation, delayed ACKs.
 
-    ``reverse_path`` is the first element of the ACK path and is
-    required: the receiver is built after it, so sending an ACK never
-    tests for a missing one.
+    ``reverse_path`` is the first element of the ACK path, a timed sink,
+    and is required: the receiver is built after it, so sending an ACK
+    never tests for a missing one.
+
+    The receiver is a timed sink itself: ``send(packet, at)`` takes the
+    segment's arrival time, which the bottleneck hands over ahead of
+    the clock (by at most the segment's queueing and serialisation
+    delay), and every ACK leaves at the time it would have left had the
+    segment arrived on the clock. Arrivals come in time order, so the
+    receiver sees time move forward; only its delayed-ACK timer runs on
+    the clock, and an arrival after the held segment's deadline sends
+    that ACK first, at the deadline, as the timer would have.
+    Anything the receiver counts per time window must test the arrival
+    time it is given, never ``sim.now``.
     """
 
     #: SACK blocks per ACK (the TCP option space fits three alongside
@@ -666,7 +677,7 @@ class TcpReceiver:
         self,
         sim: Simulator,
         flow_id: int,
-        reverse_path: Sink,
+        reverse_path: TimedSink,
         delayed_ack: bool = True,
     ) -> None:
         self.sim = sim
@@ -691,10 +702,17 @@ class TcpReceiver:
         # event_pending().
         self._delack_event: Optional[Event] = None
 
-    def send(self, packet: Packet) -> None:
-        """Sink interface — the forward path delivers data here."""
+    def send(self, packet: Packet, at: float) -> None:
+        """Timed-sink interface — the forward path delivers data here,
+        arriving at ``at`` (now or ahead of the clock)."""
         if packet.is_ack:
             raise ValueError("TcpReceiver received an ACK packet")
+        deadline = self._delack_deadline
+        if deadline is not None and deadline < at:
+            # The held segment's timer was due before this arrival; the
+            # arrival may be ahead of the clock, the timer not yet fired.
+            self._send_ack(None, deadline)
+            deadline = None
         self.received_packets += 1
         seq = packet.seq
         rcv_nxt = self.rcv_nxt
@@ -709,12 +727,12 @@ class TcpReceiver:
             # single increment. Behaviour is identical to the general
             # path for this case.
             self.rcv_nxt = rcv_nxt + 1
-            if not self.delayed_ack or self._delack_deadline is not None:
+            if not self.delayed_ack or deadline is not None:
                 # Every segment without delayed ACKs; with them, the
                 # second of a pair (the first is held).
-                self._send_ack(seq)
+                self._send_ack(seq, at)
                 return
-            deadline = self._delack_deadline = self.sim.now + self.DELACK_TIMEOUT
+            deadline = self._delack_deadline = at + self.DELACK_TIMEOUT
             if self._delack_event is None:
                 self._delack_event = self.sim.schedule_at(deadline, self._on_delack)
             return
@@ -732,7 +750,7 @@ class TcpReceiver:
         # §4.2): a duplicate, data above the cumulative point, or the
         # segment at it while data is buffered, which either fills the
         # hole in front of that data or leaves data buffered.
-        self._send_ack(seq)
+        self._send_ack(seq, at)
 
     def _on_delack(self) -> None:
         self._delack_event = None
@@ -745,7 +763,7 @@ class TcpReceiver:
             # leaves at the deadline's own float.
             self._delack_event = self.sim.schedule_at(deadline, self._on_delack)
             return
-        self._send_ack(None)
+        self._send_ack(None, deadline)
 
     def _sack_blocks(self, triggering_seq: Optional[int]) -> Tuple[SackBlock, ...]:
         """Up to :attr:`MAX_SACK_BLOCKS` out-of-order ranges.
@@ -773,7 +791,8 @@ class TcpReceiver:
                 return ((starts[i], ends[i]),) + tuple(zip(low_starts, low_ends))
         return tuple(zip(starts[:limit], ends[:limit]))
 
-    def _send_ack(self, triggering_seq: Optional[int]) -> None:
+    def _send_ack(self, triggering_seq: Optional[int], at: float) -> None:
+        """Send the cumulative ACK, with SACK blocks, leaving at ``at``."""
         self._delack_deadline = None
         ack = Packet.__new__(Packet)
         ack.flow_id = self.flow_id
@@ -783,4 +802,4 @@ class TcpReceiver:
         ack.ack_seq = self.rcv_nxt
         ack.sack_blocks = self._sack_blocks(triggering_seq) if self._ooo._starts else ()
         self.acks_sent += 1
-        self.reverse_path.send(ack)
+        self.reverse_path.send(ack, at)

@@ -41,10 +41,12 @@ class LossyWire:
         if index in self.drop_indices:
             self.dropped.append(packet.seq)
             return
+        # The receiver is a timed sink: it takes the arrival time.
+        at = self.sim.now + self.delay
         if self.delay == 0:
-            self.sink.send(packet)
+            self.sink.send(packet, at)
         else:
-            self.sim.schedule(self.delay, self.sink.send, packet)
+            self.sim.schedule(self.delay, self.sink.send, packet, at)
 
 
 def make_pipe(

@@ -96,7 +96,7 @@ def test_warmup_boundary_events_are_measured():
     assert result.queue_drops == 1835
     assert len(result.drop_times) == 1835
     assert set(result.drop_times) == {1.5}
-    assert result.events_processed == 36146
+    assert result.events_processed == 14180
 
 
 def test_bare_run_binds_no_forwarders(monkeypatch):
@@ -188,7 +188,7 @@ def _budget_exhausted():
     from repro.sim.engine import SimulationError
 
     try:
-        run_experiment(tiny_scenario(), max_events=2_000)
+        run_experiment(tiny_scenario(), max_events=1_000)
     except SimulationError:
         return None
     raise AssertionError("the event budget did not trip")

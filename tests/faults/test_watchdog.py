@@ -1,9 +1,14 @@
 """Watchdog and event-budget tests: dead runs must degrade, not hang."""
 
+import math
 import pickle
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core import experiment
 from repro.core.experiment import default_event_budget, run_experiment
 from repro.core.scenarios import edge_scale
 from repro.faults import FaultEvent, SimWatchdog, WatchdogConfig
@@ -20,6 +25,44 @@ def deadlock_scenario(duration=120.0, flows=3, blackout_at=3.0):
     return edge_scale(flows=flows, duration=duration, warmup=1.0, seed=7).with_overrides(
         faults=(FaultEvent("link_down", time=blackout_at),)
     )
+
+
+#: A run that converges before its duration, with a watchdog that never
+#: stalls on its own.
+_CONVERGING = edge_scale(flows=2, duration=6.0, warmup=1.0, seed=7)
+
+
+def _run_converging():
+    return run_experiment(
+        _CONVERGING,
+        convergence_check=True,
+        convergence_tolerance=0.05,
+        watchdog=WatchdogConfig(stall_budget=100.0),
+    )
+
+
+_BOUNDARIES = []
+
+
+def _convergence_boundaries():
+    """The healthy run's convergence ticks and its convergence stop."""
+    if not _BOUNDARIES:
+        samplers = []
+        ticks = []
+        sample = experiment._ConvergenceSampler.sample
+
+        def recording(sampler):
+            samplers.append(sampler)
+            ticks.append(sampler.sim.now)
+            sample(sampler)
+
+        with mock.patch.object(experiment._ConvergenceSampler, "sample", recording):
+            assert _run_converging().health.ok
+        stop = samplers[-1].stop_at
+        # The last tick is the one that found convergence.
+        assert ticks[-1] == stop < _CONVERGING.duration  # repro-lint: disable=RPR003
+        _BOUNDARIES.extend([ticks[:-1], stop])
+    return _BOUNDARIES
 
 
 class TestWatchdogConfig:
@@ -84,6 +127,31 @@ class TestStallDetection:
         assert health.truncated_at == abort_at  # repro-lint: disable=RPR003
         assert result.measured_duration == abort_at - warmup  # repro-lint: disable=RPR003
 
+    @settings(max_examples=12, derandomize=True, database=None, deadline=None)
+    @given(where=st.sampled_from(["before-cut", "tick", "stop"]), index=st.integers(0, 10**6))
+    def test_abort_at_any_boundary_truncates(self, where, index):
+        """An abort landing on any of the run's boundaries reads as
+        truncated, at that instant: just before the warm-up cut (the
+        end of the warm-up run), on a convergence tick (the end of a
+        slice) or on the convergence stop itself."""
+        ticks, stop = _convergence_boundaries()
+        target = {
+            "before-cut": math.nextafter(_CONVERGING.warmup, -math.inf),
+            "tick": ticks[index % len(ticks)],
+            "stop": stop,
+        }[where]
+        arm = SimWatchdog.arm
+
+        def arm_with_abort(dog):
+            arm(dog)
+            dog.sim.schedule_at(target, dog.abort, "stall")
+
+        with mock.patch.object(SimWatchdog, "arm", arm_with_abort):
+            result = _run_converging()
+        health = result.health
+        assert (health.ok, health.reason) == (False, "stall")
+        assert health.truncated_at == target  # repro-lint: disable=RPR003
+
     def test_healthy_run_reports_no_stalls(self):
         scenario = edge_scale(flows=2, duration=6.0, warmup=1.0, seed=7)
         result = run_experiment(scenario, watchdog=WatchdogConfig(stall_budget=3.0))
@@ -145,11 +213,11 @@ class TestEventBudget:
     def test_exhaustion_with_watchdog_degrades(self):
         scenario = edge_scale(flows=2, duration=6.0, warmup=1.0, seed=7)
         result = run_experiment(
-            scenario, watchdog=WatchdogConfig(stall_budget=3.0), max_events=50_000
+            scenario, watchdog=WatchdogConfig(stall_budget=3.0), max_events=20_000
         )
         assert not result.health.ok
         assert result.health.reason == "event_budget"
-        assert result.events_processed >= 50_000
+        assert result.events_processed >= 20_000
 
     def test_invalid_budget_rejected(self):
         scenario = edge_scale(flows=2, duration=6.0, warmup=1.0, seed=7)

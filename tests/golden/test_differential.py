@@ -120,7 +120,7 @@ def test_sanitized_golden_run_checks_every_push(monkeypatch):
     result, digest, _ = run_golden(golden_scenarios()["golden-bbr-mix"])
     [sanitizer] = sanitizers
     pushed = sanitizer.sim.next_seq() - 1
-    assert len(checked) == pushed > 80_000
+    assert len(checked) == pushed > 40_000
     with open(HASHES_PATH, encoding="utf-8") as fh:
         expected = json.load(fh)["scenarios"]["golden-bbr-mix"]
     assert (digest, result.events_processed) == (expected["result_sha256"], expected["events"])

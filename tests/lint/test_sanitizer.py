@@ -139,7 +139,7 @@ class _Counter:
     def __init__(self):
         self.packets = []
 
-    def send(self, packet):
+    def send(self, packet, at=None):
         self.packets.append(packet)
 
 
@@ -155,12 +155,45 @@ def test_link_transmits_clean_under_sanitizer():
     assert link.queue.sanitizer is sim.sanitizer
 
 
-def test_link_finish_while_idle_trips():
+def test_departure_before_serialisation_ends_trips():
     sim = Simulator(sanitize=True)
     link = Link(sim, rate_bps=8_000_000, routes=[_Counter().send])
-    assert not link.busy
-    with pytest.raises(SanitizerError, match="while link idle"):
-        sim.sanitizer.on_link_finish(link, make_packet(3, 0, 1000))
+    # 1000 bytes take 1 ms at 8 Mb/s.
+    with pytest.raises(SanitizerError, match="before now"):
+        sim.sanitizer.on_link_timed(link, make_packet(3, 0, 1000), 0.0005)
+
+
+def test_departures_out_of_order_trip():
+    sim = Simulator(sanitize=True)
+    link = Link(sim, rate_bps=8_000_000, routes=[_Counter().send])
+    link.send(make_packet(0, 0, 1000))
+    # Corrupt the transmitter: it forgets the packet in service, so the
+    # next one departs at the same instant.
+    link.busy_until = -math.inf
+    with pytest.raises(SanitizerError, match="strictly increase"):
+        link.send(make_packet(0, 1, 1000))
+
+
+def test_delivery_at_the_horizon_trips():
+    sim = Simulator(sanitize=True)
+    link = Link(sim, rate_bps=8_000_000, routes=[_Counter().send])
+    link.set_horizon(0.001)
+    link.send(make_packet(0, 0, 1000))  # departs at the horizon: parked
+    departs, packet = link._parked[0]
+    with pytest.raises(SanitizerError, match="horizon"):
+        link._deliver(packet, departs)
+
+
+def test_lazily_settled_queue_is_still_audited():
+    sim = Simulator(sanitize=True)
+    link = Link(sim, rate_bps=8_000_000, routes=[_Counter().send])
+    for seq in range(3):
+        link.send(make_packet(0, seq, 1000))  # two wait in the queue
+    link.queue.occupancy_bytes -= 7
+    # The next admission settles the queue, and the dequeue is audited.
+    sim.schedule_at(0.0015, link.send, make_packet(0, 3, 1000))
+    with pytest.raises(SanitizerError, match="byte conservation"):
+        sim.run()
 
 
 # ----------------------------------------------------------------------

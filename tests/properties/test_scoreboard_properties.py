@@ -15,7 +15,10 @@ lists:
 - **Receiver.** ``TcpReceiver._sack_blocks`` must equal the original
   list-scan construction for random fragment sets and triggering
   sequences. And random arrival orders with duplicates, delivered at
-  random times through a running simulator, must give the ``rcv_nxt``,
+  random times through a running simulator, each handed over on the
+  clock or ahead of it by a random lead (as the bottleneck hands a
+  segment over at admission, its queueing delay early), must give the
+  ``rcv_nxt``,
   duplicate count and ACK stream (each ACK's emission time, ``ack_seq``
   and SACK blocks) that a reference over a set of received sequences
   gives. The reference's delayed-ACK timer is the cancel-based one: an
@@ -73,15 +76,16 @@ _Ack = Tuple[float, int, Tuple[Tuple[int, int], ...]]
 
 
 class _AckLog:
-    """Reverse path that records each ACK's time, cumulative point and
-    blocks."""
+    """Reverse path that records each ACK's emission time, cumulative
+    point and blocks; an emission time before the clock fails."""
 
     def __init__(self, sim: Simulator) -> None:
         self.sim = sim
         self.acks: List[_Ack] = []
 
-    def send(self, packet: Packet) -> None:
-        self.acks.append((self.sim.now, packet.ack_seq, packet.sack_blocks))
+    def send(self, packet: Packet, at: float) -> None:
+        assert at >= self.sim.now, (at, self.sim.now)
+        self.acks.append((at, packet.ack_seq, packet.sack_blocks))
 
 
 class _Reference:
@@ -273,7 +277,13 @@ _DELACK = TcpReceiver.DELACK_TIMEOUT
 # instant a held segment's timer is), or any gap up to 2.5 timeouts, so
 # timers both fire and are overtaken.
 _GAP = st.one_of(st.sampled_from([0.0, _DELACK]), st.floats(0.0, 2.5 * _DELACK))
-_ARRIVALS = st.lists(st.tuples(st.integers(0, 24), _GAP), min_size=1, max_size=60)
+# How far ahead of the clock the segment is handed over: on the clock,
+# or by up to three timeouts, so a segment often arrives after a held
+# segment's deadline while that segment's timer has not fired yet.
+_LEAD = st.one_of(st.just(0.0), st.floats(0.0, 3.0 * _DELACK))
+_ARRIVALS = st.lists(
+    st.tuples(st.integers(0, 24), _GAP, _LEAD), min_size=1, max_size=60
+)
 
 
 @PROPERTY_SETTINGS
@@ -281,24 +291,38 @@ _ARRIVALS = st.lists(st.tuples(st.integers(0, 24), _GAP), min_size=1, max_size=6
 # A segment held while a stale timer is pending: 0 is held, 1 ACKs the
 # pair, 2 is held at 0.02 and its ACK is due at 0.06, after the timer
 # armed for 0 fires at 0.04.
-@example(arrivals=[(0, 0.0), (1, 0.01), (2, 0.01)], delayed_ack=True)
+@example(arrivals=[(0, 0.0, 0.0), (1, 0.01, 0.0), (2, 0.01, 0.0)], delayed_ack=True)
 # Segments due exactly at a deadline: 2 arrives at the instant the
 # stale timer armed for 0 is due, and 3 at the instant 2's ACK is due,
 # so 3 is ACKed with 2 as a pair.
-@example(arrivals=[(0, 0.0), (1, 0.0), (2, _DELACK), (3, _DELACK)], delayed_ack=True)
+@example(
+    arrivals=[(0, 0.0, 0.0), (1, 0.0, 0.0), (2, _DELACK, 0.0), (3, _DELACK, 0.0)],
+    delayed_ack=True,
+)
 # Gaps longer than the timeout: every lone segment is ACKed by its own
 # timer.
-@example(arrivals=[(0, 0.0), (1, 0.05), (2, 0.1), (3, 0.0)], delayed_ack=True)
+@example(
+    arrivals=[(0, 0.0, 0.0), (1, 0.05, 0.0), (2, 0.1, 0.0), (3, 0.0, 0.0)],
+    delayed_ack=True,
+)
+# A deep queue: 1 is handed over at 0, two timeouts ahead of the clock,
+# so 0's ACK (due at 0.04) must leave before 1 is handled.
+@example(arrivals=[(0, 0.0, 0.0), (1, 2 * _DELACK, 2 * _DELACK)], delayed_ack=True)
+# Handed over ahead of the clock, exactly at the deadline: the segment
+# pairs with the held one, as on the clock.
+@example(arrivals=[(0, 0.0, 0.0), (1, _DELACK, _DELACK)], delayed_ack=True)
 def test_receiver_matches_brute_force(arrivals, delayed_ack):
     sim = Simulator(sanitize=False)
     log = _AckLog(sim)
     receiver = TcpReceiver(sim, 0, log, delayed_ack=delayed_ack)
     timed: List[Tuple[float, int]] = []
-    now = 0.0
-    for seq, gap in arrivals:
+    now = handed = 0.0
+    for seq, gap, lead in arrivals:
         now += gap
         timed.append((now, seq))
-        sim.schedule_at(now, receiver.send, make_packet(0, seq))
+        # Handed over in arrival order, never after the arrival itself.
+        handed = max(handed, now - lead)
+        sim.schedule_at(handed, receiver.send, make_packet(0, seq), now)
     # A timer that re-arms at its own instant never lets the clock move:
     # the budget turns that into a missing ACK instead of a hang.
     sim.run(max_events=4 * len(arrivals))

@@ -273,10 +273,10 @@ def test_stop_combined_with_exhausted_budget_stays_truncated():
 
 
 def test_direct_pushes_share_the_sequence_stream():
-    """Link (transmit completion) and NetemDelay push their events onto
-    the heap directly; they draw sequence numbers from the simulator's
-    one stream, so events due at the same instant fire in push order
-    whoever pushed them."""
+    """NetemDelay pushes its events onto the heap directly, also for a
+    packet a link hands it ahead of the clock; it draws sequence numbers
+    from the simulator's one stream, so events due at the same instant
+    fire in push order whoever pushed them."""
     sim = Simulator()
     fired = []
 
@@ -289,7 +289,10 @@ def test_direct_pushes_share_the_sequence_stream():
 
     # 1000-byte packets: 8000 bits take 0.5 s at 16 kb/s, so every event
     # below lands at exactly t = 0.5.
-    finish_link = Link(sim, 16_000, routes=[Tap("link-finish").send])
+    # The link hands its packet, departing at 0.5, to a zero-delay
+    # element at admission, which pushes it for 0.5 there and then.
+    link_netem = NetemDelay(sim, 0.0, sink=Tap("link-finish"))
+    finish_link = Link(sim, 16_000, routes=[link_netem.send])
     netem = NetemDelay(sim, 0.5, sink=Tap("netem"))
     relay = NetemDelay(sim, 0.25, sink=Tap("relay"))
 
@@ -299,9 +302,9 @@ def test_direct_pushes_share_the_sequence_stream():
     # Pushed at t = 0, in this order.
     sim.schedule(0.5, fired.append, "schedule-1")
     finish_link.send(make_packet(0, 0, 1000))
-    netem.send(make_packet(0, 1, 1000))
+    netem.send(make_packet(0, 1, 1000), 0.0)
     sim.schedule(0.25, quarter)
-    sim.schedule(0.25, relay.send, make_packet(0, 2, 1000))  # fires after quarter()
+    sim.schedule(0.25, relay.send, make_packet(0, 2, 1000), 0.25)  # fires after quarter()
     sim.schedule(0.5, fired.append, "schedule-2")
     sim.run()
     assert sim.now == 0.5  # repro-lint: disable=RPR003 -- exact by construction

@@ -20,7 +20,7 @@ class _Log:
     def __init__(self) -> None:
         self.packets = []
 
-    def send(self, packet: Packet) -> None:
+    def send(self, packet: Packet, at: float = 0.0) -> None:
         self.packets.append(packet)
 
 
@@ -44,8 +44,8 @@ def test_data_constructor():
 def test_ack_constructor():
     log = _Log()
     receiver = TcpReceiver(Simulator(sanitize=False), 3, log)
-    receiver.send(make_packet(3, 0))
-    receiver.send(make_packet(3, 2))
+    receiver.send(make_packet(3, 0), 0.0)
+    receiver.send(make_packet(3, 2), 0.0)
     assert _slots(log.packets[0]) == {
         "flow_id": 3,
         "seq": 0,

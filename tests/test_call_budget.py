@@ -57,7 +57,7 @@ def edge_bbr() -> Scenario:
 CASES: Dict[str, Callable[[], Scenario]] = {"core-loss": core_loss, "edge-bbr": edge_bbr}
 
 #: Pinned src/repro calls per executed event.
-BUDGETS = {"core-loss": 7.2443, "edge-bbr": 7.4771}
+BUDGETS = {"core-loss": 16.2463, "edge-bbr": 15.5914}
 
 
 def repro_calls_per_event(scenario: Scenario) -> float:
