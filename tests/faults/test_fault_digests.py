@@ -2,9 +2,9 @@
 
 The bottleneck hands packets to their receivers ahead of the clock, up
 to the fault injector's horizon, and a fault re-times the packets
-waiting in the queue. Each fault below lands at t=1.2 s in a
-four-flow NewReno run whose 3 MB queue is nearly full then, so packets
-are parked at the horizon when it does. The digests were recorded with a link that
+waiting in the queue. Each fault below lands at t=1.2 s in a four-flow
+NewReno run whose 3 MB queue is nearly full then, so packets are parked
+at the horizon when it does. The digests were recorded with a link that
 spent one heap event per transmission, so they pin that the horizon
 keeps every fault's physics exact. No golden run exercises the
 ``bandwidth`` or ``buffer`` kinds.
